@@ -52,6 +52,7 @@ from .montecarlo import (
     power_curve,
     preset_scenarios,
     run_scenario,
+    run_scenarios,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_periodic
 from .symtests import (
@@ -75,7 +76,7 @@ __all__ = [
     "TestResult", "studentized_statistic", "symmetry_test",
     "parametric_statistic", "parametric_test", "rayleigh_cardioid_test",
     "modified_runs_test",
-    "ScenarioSpec", "TableResult", "derive_stream", "run_scenario",
+    "ScenarioSpec", "TableResult", "derive_stream", "run_scenario", "run_scenarios",
     "power_curve", "PRESETS", "preset_scenarios", "load_scenario_file",
     "ant_data_path", "load_ant_data",
     "read_angles", "write_angles",

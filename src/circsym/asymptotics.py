@@ -22,7 +22,7 @@ import numpy as np
 from .angles import as_sample
 from .errors import DegenerateInformationError, UnsupportedBaseError
 from .quadrature import DEFAULT_QUADRATURE, integrate_periodic
-from .special import norm_cdf, upper_quantile
+from .special import check_alpha, norm_cdf, upper_quantile
 
 SINGULARITY_GAP_THRESHOLD = 1e-8
 
@@ -132,6 +132,7 @@ def local_power(base, k, k_prime, tau2, alpha=0.05):
     Evaluates 1 - Phi(z - s) + Phi(-z - s) with z the alpha/2 upper normal
     quantile and shift s = g22^{-1/2} * C(k, k') * tau2.
     """
+    alpha = check_alpha(alpha)
     matrix = fisher_matrix(base, k)
     if matrix.g22 <= 0.0:
         raise DegenerateInformationError(

@@ -33,10 +33,12 @@ from .montecarlo import (
     load_scenario_file,
     power_curve,
     preset_scenarios,
-    run_scenario,
+    run_scenarios,
 )
+from .special import check_alpha
 from .symtests import (
     ALTERNATIVES,
+    check_frequency,
     rayleigh_cardioid_test,
     symmetry_test,
 )
@@ -74,11 +76,30 @@ def _parse_angle(text, unit="radians"):
     return math.radians(value) if unit == "degrees" else value
 
 
-def _parse_int_list(text):
+def _alpha(text):
+    """argparse type of --alpha: a level in (0, 1)."""
     try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
+        return check_alpha(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _frequency(text):
+    """argparse type of a single frequency: a positive integer."""
+    try:
+        return check_frequency(int(text))
     except ValueError:
-        raise UsageError(f"bad integer list {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"frequency must be a positive integer, got {text!r}"
+        ) from None
+
+
+def _frequencies(text):
+    """argparse type of a comma list of frequencies, at least one."""
+    ks = [_frequency(part) for part in str(text).split(",") if part.strip()]
+    if not ks:
+        raise argparse.ArgumentTypeError(f"no frequency in {text!r}")
+    return ks
 
 
 def _parse_grid(text):
@@ -197,7 +218,7 @@ def cmd_test(args):
     sample = _read_sample(args)
     results = [
         symmetry_test(sample, theta, k, alternative=args.alt, alpha=args.alpha)
-        for k in _parse_int_list(args.k)
+        for k in args.k
     ]
     lines = [f"n={results[0].n}  theta={theta:.10g} rad  alternative={args.alt}",
              "k  statistic     p-value   reject"]
@@ -242,8 +263,7 @@ def cmd_mc(args):
         specs = (spec,)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        table = run_scenario(spec, threads=args.threads)
+    for spec, table in zip(specs, run_scenarios(specs, threads=args.threads)):
         written = []
         if args.out in ("csv", "both"):
             path = outdir / f"{spec.scenario_id}.csv"
@@ -263,16 +283,15 @@ def cmd_power(args):
         base = parse_base(args.base)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    kprimes = _parse_int_list(args.kprime)
     grid = _parse_grid(args.grid)
     columns = {}
-    for kp in kprimes:
+    for kp in args.kprime:
         columns[f"analytic_kprime{kp}"] = [
             p for _, p in power_curve(base, args.k, kp, grid, alpha=args.alpha)
         ]
     if args.empirical is not None:
         n, reps = args.empirical
-        for kp in kprimes:
+        for kp in args.kprime:
             columns[f"empirical_kprime{kp}"] = [
                 p for _, p in power_curve(
                     base, args.k, kp, grid, alpha=args.alpha, mode="empirical",
@@ -356,9 +375,10 @@ def build_parser():
     _add_file_options(sub)
     sub.add_argument("--theta", default=None,
                      help="known median direction, e.g. 180deg or 3.14rad")
-    sub.add_argument("--k", default="1,2,3", help="comma list of frequencies")
+    sub.add_argument("--k", type=_frequencies, default="1,2,3",
+                     help="comma list of frequencies")
     sub.add_argument("--alt", choices=ALTERNATIVES, default="two-sided")
-    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.set_defaults(func=cmd_test)
 
@@ -367,7 +387,7 @@ def build_parser():
     _add_file_options(sub)
     sub.add_argument("--direction", default=None,
                      help="hypothesized concentration direction")
-    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_uniformity)
 
@@ -383,9 +403,9 @@ def build_parser():
 
     sub = commands.add_parser("power", help="local power curves of the k test")
     sub.add_argument("--base", default="vm:1")
-    sub.add_argument("--k", type=int, default=2)
-    sub.add_argument("--kprime", default="1,2,3")
-    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--k", type=_frequency, default=2)
+    sub.add_argument("--kprime", type=_frequencies, default="1,2,3")
+    sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--grid", default="0:5:21",
                      help="tau2 grid, comma list or start:stop:count")
     sub.add_argument("--empirical", nargs=2, type=int, metavar=("N", "REPS"),
@@ -397,7 +417,7 @@ def build_parser():
 
     sub = commands.add_parser("fisher", help="information matrix and singularity report")
     sub.add_argument("--base", required=True)
-    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=_frequency, required=True)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_fisher)
 

@@ -8,6 +8,8 @@ flags; the fallback unit is radians. Every angle is mapped to canonical
 form wrap(zero + sense * raw) with sense -1 for clockwise files.
 """
 
+import math
+
 import numpy as np
 
 from .angles import wrap
@@ -20,6 +22,13 @@ _DEG = np.pi / 180.0
 
 class AngleFileError(ValueError):
     """Malformed angle file contents."""
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _parse_direction(text, unit):
@@ -85,12 +94,17 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     if sense not in ("ccw", "cw"):
         raise AngleFileError(f"{path}: sense must be ccw or cw, got {sense!r}")
     zero_raw = header.get("zero", zero)
-    if zero_raw is None:
-        zero_angle = 0.0
-    elif isinstance(zero_raw, str):
-        zero_angle = _parse_direction(zero_raw, unit)
-    else:
-        zero_angle = float(zero_raw) * (_DEG if unit == "degrees" else 1.0)
+    try:
+        if zero_raw is None:
+            zero_angle = 0.0
+        elif isinstance(zero_raw, str):
+            zero_angle = _parse_direction(zero_raw, unit)
+        else:
+            zero_angle = float(zero_raw) * (_DEG if unit == "degrees" else 1.0)
+    except ValueError:
+        zero_angle = math.nan
+    if not math.isfinite(zero_angle):
+        raise AngleFileError(f"{path}: zero direction must be a finite angle, got {zero_raw!r}")
 
     values = []
     counts = []
@@ -100,13 +114,13 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
             if fmt == "plain":
                 if len(fields) != 1:
                     raise ValueError("expected exactly one angle")
-                values.append(float(fields[0]))
+                values.append(_finite(fields[0]))
             elif fmt == "csv":
-                values.append(float(fields[column]))
+                values.append(_finite(fields[column]))
             else:
                 if len(fields) != 2:
                     raise ValueError("expected angle,count")
-                values.append(float(fields[0]))
+                values.append(_finite(fields[0]))
                 count = int(fields[1])
                 if count <= 0:
                     raise ValueError(f"count must be a positive integer, got {fields[1]}")

@@ -1,9 +1,20 @@
 """Deterministic replication engine for rejection-frequency tables and power curves.
 
-Every replication draws from its own counter-derived substream, so results
-are bit-identical for a fixed (master seed, scenario id) regardless of how
-replications are distributed over workers. Worker processes only return
-additive tallies; the merge is order-independent by construction.
+One engine serves both. A scenario table and each point of an empirical
+power curve are a stream of replications: replication ``rep`` draws one
+sample per sampling model from its own counter-based substream
+``derive_stream(master_seed, stream id, rep)``, in model order, and the
+modified runs test's tie-breaking coins come from the same substream right
+after the sample that needs them. Results are therefore bit-identical for a
+fixed (master seed, stream id) however replications are split over workers.
+
+The draws are the only per-replication work. Samples are stored slice by
+slice, ``_SLICE_REPS`` replications at a time (a bound on memory, not a
+parameter of the results), and every statistic is computed over whole
+slices by the row-wise kernels of ``symtests``. With ``threads`` > 1 one
+spawn pool serves the whole call: every scenario of ``run_scenarios`` and
+every grid point of ``power_curve``. Workers return additive integer
+tallies, so the merge is order-independent by construction.
 """
 
 import concurrent.futures
@@ -11,7 +22,7 @@ import hashlib
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,13 +34,14 @@ from .distributions import (
     VonMises,
     parse_base,
 )
-from .errors import DegenerateSampleError
+from .special import check_alpha
 from . import symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
 _MODRUN_NULL_TAG = "#modrun-null"
+_SLICE_REPS = 64  # replications whose samples are held and tested together
 
 
 def derive_stream(master_seed, scenario_id, replication_index):
@@ -75,9 +87,12 @@ class ScenarioSpec:
             raise ValueError(f"sample size must be at least 10, got {self.n}")
         if self.reps < 100:
             raise ValueError(f"replication count must be at least 100, got {self.reps}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"level alpha must lie in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "test_ks", tuple(int(k) for k in self.test_ks))
+        check_alpha(self.alpha)
+        object.__setattr__(
+            self, "test_ks", tuple(symtests.check_frequency(k) for k in self.test_ks)
+        )
+        if self.runs_p is not None and not 0.0 < self.runs_p < 1.0:
+            raise ValueError(f"runs percentile must lie in (0, 1), got {self.runs_p}")
         base = parse_base(self.base)  # validates the label
         if self.family == "mixshift" and not isinstance(base, VonMises):
             raise ValueError("mixshift scenarios need a vm:<kappa> base")
@@ -153,40 +168,71 @@ class TableResult:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _modrun_null_counts(spec):
-    if spec.runs_p is None:
-        return None
-    rng = derive_stream(spec.master_seed, spec.scenario_id + _MODRUN_NULL_TAG, 0)
-    m = min(spec.n, max(2, math.ceil(spec.runs_p * spec.n)))
-    return symtests.simulate_runs_null(m, spec.runs_calibration_reps, rng)
+@dataclass(frozen=True)
+class _Stream:
+    """One stream of replications: its draws, its tests and its length."""
+
+    master_seed: int
+    stream_id: str
+    models: tuple
+    n: int
+    test_ks: tuple
+    alpha: float
+    reps: int
+    runs: tuple | None = None  # (subset size m, sorted null run counts)
 
 
-def _replication_block(spec, start, stop, runs_null):
-    """Additive tallies for replications [start, stop)."""
-    n_tests = len(spec.test_labels)
-    n_lams = len(spec.lambdas)
-    rejections = np.zeros((n_tests, n_lams), dtype=np.int64)
-    degenerate = np.zeros((n_tests, n_lams), dtype=np.int64)
-    models = [spec.alternative(lam) for lam in spec.lambdas]
-    for rep in range(start, stop):
-        rng = derive_stream(spec.master_seed, spec.scenario_id, rep)
-        for j, model in enumerate(models):
-            sample = model.sample(rng, spec.n)
-            for i, k in enumerate(spec.test_ks):
-                try:
-                    result = symtests.symmetry_test(
-                        sample, 0.0, k, alpha=spec.alpha
-                    )
-                except DegenerateSampleError:
-                    degenerate[i, j] += 1
-                    continue
-                rejections[i, j] += result.reject
-            if spec.runs_p is not None:
-                result = symtests.modified_runs_test(
-                    sample, 0.0, p=spec.runs_p, alpha=spec.alpha,
-                    rng=rng, null_counts=runs_null,
-                )
-                rejections[n_tests - 1, j] += result.reject
+def _scenario_stream(spec):
+    runs = None
+    if spec.runs_p is not None:
+        rng = derive_stream(spec.master_seed, spec.scenario_id + _MODRUN_NULL_TAG, 0)
+        m = symtests.runs_subset_size(spec.n, spec.runs_p)
+        null = symtests.simulate_runs_null(m, spec.runs_calibration_reps, rng)
+        runs = (m, np.sort(null))
+    return _Stream(
+        master_seed=spec.master_seed, stream_id=spec.scenario_id,
+        models=tuple(spec.alternative(lam) for lam in spec.lambdas),
+        n=spec.n, test_ks=spec.test_ks, alpha=spec.alpha, reps=spec.reps, runs=runs,
+    )
+
+
+def _replication_block(stream, start, stop):
+    """Additive tallies for replications [start, stop) of a stream.
+
+    Returns (rejections, degenerate), each of shape (tests, models): one
+    row per studentized frequency, then the modified runs test if the
+    stream has one. Samples where T_k is undefined count as degenerate and
+    are not rejections.
+    """
+    n_tests = len(stream.test_ks) + (stream.runs is not None)
+    rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
+    degenerate = np.zeros_like(rejections)
+    for lo in range(start, stop, _SLICE_REPS):
+        reps = range(lo, min(lo + _SLICE_REPS, stop))
+        samples = np.empty((len(stream.models), len(reps), stream.n))
+        coins = {}
+        for r, rep in enumerate(reps):
+            rng = derive_stream(stream.master_seed, stream.stream_id, rep)
+            for j, model in enumerate(stream.models):
+                sample = model.sample(rng, stream.n)
+                samples[j, r] = sample
+                # Draws are canonical angles, so sin(x - 0) vanishes exactly
+                # where x == 0; the runs test's coins for those follow the draw.
+                if stream.runs is not None and not sample.all():
+                    zeros = np.count_nonzero(sample == 0.0)
+                    coins[j * len(reps) + r] = rng.random(zeros) < 0.5
+        for i, k in enumerate(stream.test_ks):
+            signed = symtests.studentized_rows(samples, 0.0, k)
+            degenerate[i] += np.count_nonzero(np.isnan(signed), axis=1)
+            for j, row in enumerate(signed):
+                rejections[i, j] += sum(symtests.p_value(t) < stream.alpha for t in row)
+        if stream.runs is not None:
+            m, null = stream.runs
+            counts = symtests.modified_runs_rows(
+                samples, 0.0, m, lambda row, _count: coins[row]
+            )
+            rejected = symtests.runs_p_values(counts, null) < stream.alpha
+            rejections[-1] += np.count_nonzero(rejected, axis=1)
     return rejections, degenerate
 
 
@@ -195,51 +241,57 @@ def _block_bounds(total, pieces):
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def run_scenario(spec, threads=1):
-    """Run every replication of a scenario and tally rejection frequencies.
+def _tallies(streams, threads):
+    """Yield the (rejections, degenerate) tallies of each stream, in order.
+
+    With threads > 1 the replication blocks of every stream go to one spawn
+    pool, started once for the whole list.
+    """
+    if threads == 1:
+        for stream in streams:
+            yield _replication_block(stream, 0, stream.reps)
+        return
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=threads, mp_context=ctx
+    ) as pool:
+        pending = [
+            [pool.submit(_replication_block, stream, lo, hi)
+             for lo, hi in _block_bounds(stream.reps, threads * 4)]
+            for stream in streams
+        ]
+        for futures in pending:
+            blocks = [future.result() for future in futures]
+            yield sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+
+
+def run_scenarios(specs, threads=1):
+    """Yield the TableResult of each scenario, in order.
 
     Samples where a statistic is undefined count as non-rejections and are
-    reported in the result's ``degenerate`` field.
+    reported in the result's ``degenerate`` field. With ``threads`` > 1 a
+    single pool of spawned workers serves every scenario; the tables are
+    byte-identical to ``threads=1``.
     """
-    threads = max(1, int(threads))
-    runs_null = _modrun_null_counts(spec)
-    n_tests = len(spec.test_labels)
-    rejections = np.zeros((n_tests, len(spec.lambdas)), dtype=np.int64)
-    degenerate = np.zeros_like(rejections)
-    if threads == 1:
-        rejections, degenerate = _replication_block(spec, 0, spec.reps, runs_null)
-    else:
-        bounds = _block_bounds(spec.reps, threads * 4)
-        ctx = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=threads, mp_context=ctx
-        ) as pool:
-            futures = [
-                pool.submit(_replication_block, spec, lo, hi, runs_null)
-                for lo, hi in bounds
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                rej, deg = future.result()
-                rejections += rej
-                degenerate += deg
-    freqs = rejections / float(spec.reps)
-    return TableResult(
-        scenario=spec,
-        test_labels=spec.test_labels,
-        lambdas=spec.lambdas,
-        frequencies=tuple(tuple(float(v) for v in row) for row in freqs),
-        degenerate=tuple(tuple(int(v) for v in row) for row in degenerate),
-    )
+    specs = list(specs)
+    streams = [_scenario_stream(spec) for spec in specs]
+    for spec, (rejections, degenerate) in zip(
+        specs, _tallies(streams, max(1, int(threads)))
+    ):
+        freqs = rejections / float(spec.reps)
+        yield TableResult(
+            scenario=spec,
+            test_labels=spec.test_labels,
+            lambdas=spec.lambdas,
+            frequencies=tuple(tuple(float(v) for v in row) for row in freqs),
+            degenerate=tuple(tuple(int(v) for v in row) for row in degenerate),
+        )
 
 
-def _power_block(base, k, k_prime, lam, n, alpha, master_seed, scenario_id, start, stop):
-    model = SineSkewed(base, lam, k=k_prime)
-    hits = 0
-    for rep in range(start, stop):
-        rng = derive_stream(master_seed, scenario_id, rep)
-        sample = model.sample(rng, n)
-        hits += symtests.symmetry_test(sample, 0.0, k, alpha=alpha).reject
-    return hits
+def run_scenario(spec, threads=1):
+    """Run every replication of a scenario and tally rejection frequencies."""
+    (table,) = run_scenarios([spec], threads)
+    return table
 
 
 def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
@@ -248,7 +300,10 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
 
     ``analytic`` evaluates the limiting power at each local drift tau2;
     ``empirical`` simulates at the contiguous skewness lambda = tau2/sqrt(n)
-    and tallies rejections. Returns a list of (tau2, power) pairs.
+    and tallies rejections, each grid point a stream of the replication
+    engine (one pool for the whole grid when ``threads`` > 1); samples where
+    T_k is undefined count as non-rejections. Returns a list of
+    (tau2, power) pairs.
     """
     tau2_grid = [float(t) for t in tau2_grid]
     if mode == "analytic":
@@ -257,34 +312,24 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
         raise ValueError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
     if n is None or reps is None:
         raise ValueError("empirical mode needs both n and reps")
-    points = []
-    threads = max(1, int(threads))
+    alpha = check_alpha(alpha)
+    k = symtests.check_frequency(k)
+    streams = []
     for t in tau2_grid:
         lam = t / math.sqrt(n)
         if not -1.0 < lam < 1.0:
             raise ValueError(
                 f"tau2={t:g} gives skewness {lam:g} outside (-1, 1) at n={n}"
             )
-        scenario_id = f"power|{base.label}|k={k}|kprime={k_prime}|tau2={t!r}|n={n}"
-        if threads == 1:
-            hits = _power_block(
-                base, k, k_prime, lam, n, alpha, master_seed, scenario_id, 0, reps
-            )
-        else:
-            ctx = multiprocessing.get_context("spawn")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=threads, mp_context=ctx
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _power_block, base, k, k_prime, lam, n, alpha,
-                        master_seed, scenario_id, lo, hi,
-                    )
-                    for lo, hi in _block_bounds(reps, threads * 4)
-                ]
-                hits = sum(f.result() for f in concurrent.futures.as_completed(futures))
-        points.append((t, hits / float(reps)))
-    return points
+        streams.append(_Stream(
+            master_seed=master_seed,
+            stream_id=f"power|{base.label}|k={k}|kprime={k_prime}|tau2={t!r}|n={n}",
+            models=(SineSkewed(base, lam, k=k_prime),),
+            n=n, test_ks=(k,), alpha=alpha, reps=reps,
+        ))
+    tallies = _tallies(streams, max(1, int(threads)))
+    return [(t, int(rejections[0, 0]) / float(reps))
+            for t, (rejections, _) in zip(tau2_grid, tallies)]
 
 
 _SINE_GRID = (0.0, 0.2, 0.4, 0.6)
@@ -387,7 +432,7 @@ def format_scenario(spec):
     for f in fields(spec):
         value = getattr(spec, f.name)
         if f.name in ("lambdas", "test_ks"):
-            value = ",".join(f"{v:g}" for v in value)
+            value = ",".join(repr(v) for v in value)
         elif value is None:
             value = "none"
         lines.append(f"{f.name} = {value}")

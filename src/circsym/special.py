@@ -1,4 +1,4 @@
-"""Modified Bessel functions and the standard normal cdf/quantile pair.
+"""Modified Bessel functions, the standard normal cdf/quantile pair and the level check.
 
 Kept dependency-free: the Bessel series is validated in the test suite
 against the quadrature identity I_m(kappa) = (1/2pi) * integral of
@@ -35,6 +35,14 @@ def bessel_i(m, z):
         if term <= _BESSEL_RTOL * total:
             return total
     raise RuntimeError(f"Bessel series did not converge for m={m}, z={z}")
+
+
+def check_alpha(alpha):
+    """The level ``alpha`` as a float; ValueError unless it lies in (0, 1)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"level alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
 
 
 def norm_cdf(x):

@@ -5,6 +5,12 @@ value is the published two-sided statistic, while the sign carries the
 direction needed for one-sided alternatives (positive skewness inflates
 the sine moment). All asymptotic tests compare against the standard
 normal.
+
+Each statistic has one implementation, a row-wise kernel over the last
+axis of an array of canonical angles: ``studentized_rows`` for T_k and
+``modified_runs_rows`` for the modified runs count. The single-sample
+tests call the kernels on one row; the Monte Carlo engine calls them on
+whole slices of replications.
 """
 
 import math
@@ -15,7 +21,7 @@ import numpy as np
 from .angles import as_sample, wrap
 from .asymptotics import fisher_matrix
 from .errors import DegenerateInformationError, DegenerateSampleError
-from .special import norm_cdf, norm_sf
+from .special import check_alpha, norm_cdf, norm_sf
 
 ALTERNATIVES = ("two-sided", "left", "right")
 
@@ -62,14 +68,20 @@ class TestResult:
         return out
 
 
-def _sines(sample, theta, k):
-    arr = as_sample(sample)
+def check_frequency(k):
+    """The frequency ``k`` as an int; ValueError unless it is a positive integer."""
     if k < 1 or int(k) != k:
         raise ValueError(f"frequency k must be a positive integer, got {k!r}")
-    return arr, np.sin(int(k) * (arr - theta))
+    return int(k)
 
 
-def _p_value(signed, alternative):
+def _sines(sample, theta, k):
+    arr = as_sample(sample)
+    return arr, np.sin(check_frequency(k) * (arr - theta))
+
+
+def p_value(signed, alternative="two-sided"):
+    """Standard normal p-value of a signed statistic; NaN stays NaN."""
     if alternative == "two-sided":
         return 2.0 * norm_sf(abs(signed))
     if alternative == "right":
@@ -79,22 +91,37 @@ def _p_value(signed, alternative):
     raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
-def studentized_statistic(sample, theta, k):
-    """Signed studentized sine statistic.
+def studentized_rows(x, theta, k):
+    """Signed studentized statistic T_k of every row of ``x``.
 
+    Observations lie along the last axis and must be canonical angles (see
+    ``angles.as_sample``); ``k`` is a positive integer. Each row gives
     sqrt(n) * mean(sin(k(x - theta))) / sqrt(mean(sin^2(k(x - theta)))),
-    with the uncentered second moment in the denominator. The absolute
-    value is the published two-sided statistic.
+    with the uncentered second moment in the denominator. A row whose sines
+    all vanish gets NaN: T_k is undefined there.
     """
-    arr, sines = _sines(sample, theta, k)
+    sines = np.sin(k * (x - theta))
+    denom_sq = np.mean(sines**2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        signed = math.sqrt(x.shape[-1]) * np.mean(sines, axis=-1) / np.sqrt(denom_sq)
+    return np.where(denom_sq == 0.0, np.nan, signed)
+
+
+def studentized_statistic(sample, theta, k):
+    """Signed studentized sine statistic of one sample (``studentized_rows``).
+
+    The absolute value is the published two-sided statistic.
+    """
+    arr = as_sample(sample)
+    k = check_frequency(k)
     if arr.size < 2:
         raise ValueError("studentized statistic needs at least two observations")
-    denom_sq = float(np.mean(sines**2))
-    if denom_sq == 0.0:
+    signed = float(studentized_rows(arr, theta, k))
+    if math.isnan(signed):
         raise DegenerateSampleError(
             f"every sin({k}(x - theta)) vanishes; the studentized statistic is undefined"
         )
-    return math.sqrt(arr.size) * float(np.mean(sines)) / math.sqrt(denom_sq)
+    return signed
 
 
 def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
@@ -103,11 +130,12 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
     Asymptotically standard normal under any symmetric density, so the
     p-value is distribution-free.
     """
+    alpha = check_alpha(alpha)
     signed = studentized_statistic(sample, theta, k)
     arr = as_sample(sample)
     return TestResult(
         statistic=signed,
-        p_value=_p_value(signed, alternative),
+        p_value=p_value(signed, alternative),
         alternative=alternative,
         method=f"sine-symmetry-studentized:k={int(k)}",
         n=arr.size,
@@ -138,11 +166,12 @@ def parametric_test(sample, theta, k, base, alternative="two-sided", alpha=0.05)
     Valid (level alpha) only under the stated base; optimal against its
     k-sine-skewed alternatives.
     """
+    alpha = check_alpha(alpha)
     signed = _signed_parametric(sample, theta, k, base)
     arr = as_sample(sample)
     return TestResult(
         statistic=signed,
-        p_value=_p_value(signed, alternative),
+        p_value=p_value(signed, alternative),
         alternative=alternative,
         method=f"sine-symmetry-parametric:{base.label}:k={int(k)}",
         n=arr.size,
@@ -161,6 +190,7 @@ def rayleigh_cardioid_test(sample, central_direction, alpha=0.05):
     statistic under the uniform base with k = 1 evaluated at
     theta = central_direction - pi/2.
     """
+    alpha = check_alpha(alpha)
     arr = as_sample(sample)
     if arr.size < 2:
         raise ValueError("uniformity test needs at least two observations")
@@ -179,11 +209,10 @@ def rayleigh_cardioid_test(sample, central_direction, alpha=0.05):
 
 
 def runs_count(signs):
-    """Number of runs in a +-1 sign sequence."""
+    """Number of runs in each sign sequence along the last axis (0 when empty)."""
     signs = np.asarray(signs)
-    if signs.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
+    changes = np.count_nonzero(signs[..., 1:] != signs[..., :-1], axis=-1)
+    return (signs.shape[-1] > 0) + changes
 
 
 def simulate_runs_null(m, reps, rng):
@@ -193,12 +222,40 @@ def simulate_runs_null(m, reps, rng):
     done = 0
     while done < reps:
         take = min(block, reps - done)
-        signs = rng.random((take, m)) < 0.5
-        counts[done:done + take] = 1 + np.count_nonzero(
-            signs[:, 1:] != signs[:, :-1], axis=1
-        )
+        counts[done:done + take] = runs_count(rng.random((take, m)) < 0.5)
         done += take
     return counts
+
+
+def runs_subset_size(n, p):
+    """Observations the modified runs test keeps: ceil(p n), within [2, n]."""
+    return min(n, max(2, math.ceil(p * n)))
+
+
+def modified_runs_rows(x, theta, m, coin_flips):
+    """Modified runs count of every row of ``x``.
+
+    Observations lie along the last axis and must be canonical angles. The
+    signs of sin(x - theta) are ordered by circular distance
+    |wrap(x - theta)| (stable sort) and the runs among the ``m`` closest
+    are counted. A sine that vanishes exactly gets a fair-coin sign:
+    ``coin_flips(row, count)`` returns ``count`` booleans (True for +1) for
+    the zeros of row ``row`` of ``x`` flattened to 2-D, in order.
+    """
+    centered = wrap(x - theta)
+    signs = np.sign(np.sin(centered)).astype(np.int8)
+    flat = signs.reshape(-1, signs.shape[-1])
+    for row in np.flatnonzero(~flat.all(axis=1)):
+        zeros = flat[row] == 0
+        flat[row, zeros] = np.where(coin_flips(row, int(np.count_nonzero(zeros))), 1, -1)
+    order = np.argsort(np.abs(centered), axis=-1, kind="stable")[..., :m]
+    return runs_count(np.take_along_axis(signs, order, axis=-1))
+
+
+def runs_p_values(counts, sorted_null):
+    """One-sided p-values (1 + #{null <= count}) / (reps + 1) against a sorted null."""
+    below = np.searchsorted(sorted_null, counts, side="right")
+    return (1.0 + below) / (sorted_null.size + 1.0)
 
 
 def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAULT_CALIBRATION_REPS,
@@ -222,34 +279,28 @@ def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAU
         raise ValueError("modified runs test needs at least ten observations")
     if not 0.0 < p < 1.0:
         raise ValueError(f"percentile p must lie in (0, 1), got {p!r}")
+    alpha = check_alpha(alpha)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(_DEFAULT_RUNS_SEED))
 
-    centered = wrap(arr - theta)
-    distances = np.abs(centered)
-    sines = np.sin(centered)
-    signs = np.sign(sines).astype(np.int8)
-    zero_count = int(np.count_nonzero(signs == 0))
-    if zero_count:
-        coins = rng.random(zero_count) < 0.5
-        signs[signs == 0] = np.where(coins, 1, -1)
+    randomized = []
 
-    order = np.argsort(distances, kind="stable")
-    m = min(arr.size, max(2, math.ceil(p * arr.size)))
-    used = signs[order][:m]
-    observed = runs_count(used)
+    def coin_flips(_row, count):
+        randomized.append(count)
+        return rng.random(count) < 0.5
 
+    m = runs_subset_size(arr.size, p)
+    observed = int(modified_runs_rows(arr, theta, m, coin_flips))
+    distances = np.abs(wrap(arr - theta))
     tie_pairs = int(np.count_nonzero(np.diff(np.sort(distances)) == 0.0))
     if null_counts is None:
         null_counts = simulate_runs_null(m, calibration_reps, rng)
-    else:
-        null_counts = np.asarray(null_counts)
-    reps = int(null_counts.size)
-    p_value = (1.0 + int(np.count_nonzero(null_counts <= observed))) / (reps + 1.0)
+    sorted_null = np.sort(np.asarray(null_counts))
+    reps = int(sorted_null.size)
 
     return TestResult(
         statistic=float(observed),
-        p_value=p_value,
+        p_value=float(runs_p_values(observed, sorted_null)),
         alternative="left",
         method=f"modified-runs:p={p:g}",
         n=arr.size,
@@ -259,6 +310,6 @@ def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAU
             "subset_size": m,
             "calibration_reps": reps,
             "tied_distance_pairs": tie_pairs,
-            "zero_sines_randomized": zero_count,
+            "zero_sines_randomized": sum(randomized),
         },
     )

@@ -173,6 +173,11 @@ class TestLocalPower:
         values = [local_power(VonMises(1.0), 2, 2, t, 0.05) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_validated(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            local_power(VonMises(1.0), 1, 1, 1.0, alpha=alpha)
+
     def test_matches_direct_formula(self):
         from circsym.special import norm_cdf, upper_quantile
 

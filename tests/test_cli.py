@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,23 @@ class TestTestCommand:
         missing = tmp_path / "nope.txt"
         assert main(["test", str(missing), "--theta", "0"]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_bad_alpha_is_usage_error(self, sample_file, capsys):
+        for alpha in ("1.5", "0", "nan", "abc"):
+            assert main(["test", str(sample_file), "--theta", "0",
+                         "--alpha", alpha]) == EXIT_USAGE
+            assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ks", ["0", "1,0", "-2", ",", "x"])
+    def test_bad_frequency_is_usage_error(self, sample_file, capsys, ks):
+        assert main(["test", str(sample_file), "--theta", "0", "--k", ks]) == EXIT_USAGE
+        assert "frequency" in capsys.readouterr().err
+
+    def test_non_finite_angle_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("0.5\n-1.25\nnan\n2.0\n", encoding="utf-8")
+        assert main(["test", str(path), "--theta", "0"]) == EXIT_DATA
+        assert ":3:" in capsys.readouterr().err
 
     def test_degenerate_sample_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "flat.txt"
@@ -276,3 +297,27 @@ class TestSampleCommand:
     def test_nonpositive_n(self, capsys):
         assert main(["sample", "--model", "vm:1", "-n", "0"]) == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestNoTraceback:
+    """Bad input ends with a documented exit code and one message, never a traceback."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["test", "{nan}", "--theta", "0"], EXIT_DATA),
+        (["test", "{ok}", "--theta", "0", "--k", "0"], EXIT_USAGE),
+        (["test", "{ok}", "--theta", "0", "--alpha", "1.5"], EXIT_USAGE),
+        (["fisher", "--base", "vm:1", "--k", "0"], EXIT_USAGE),
+        (["power", "--base", "vm:1", "--kprime", "0", "--grid", "0,1"], EXIT_USAGE),
+    ])
+    def test_exit_code_without_traceback(self, tmp_path, argv, code):
+        (tmp_path / "nan.txt").write_text("0.5\n-1.25\nnan\n2.0\n", encoding="utf-8")
+        (tmp_path / "ok.txt").write_text("0.5\n-1.25\n1.0\n2.0\n", encoding="utf-8")
+        argv = [a.format(nan=tmp_path / "nan.txt", ok=tmp_path / "ok.txt") for a in argv]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "circsym.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("circsym: ")

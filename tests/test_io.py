@@ -48,6 +48,21 @@ class TestPlainFormat:
         with pytest.raises(AngleFileError, match=r"a\.txt:2"):
             read_angles(path)
 
+    @pytest.mark.parametrize("text, fmt", [
+        ("0.5\nnan\n", "plain"), ("0.5\n-inf\n", "plain"),
+        ("0.5,1\ninf,2\n", "csv"), ("0.5,1\nnan,2\n", "grouped"),
+    ])
+    def test_non_finite_angle_reports_line_number(self, tmp_path, text, fmt):
+        path = _write(tmp_path / "a.txt", text)
+        with pytest.raises(AngleFileError, match=r"a\.txt:2: angle must be finite"):
+            read_angles(path, fmt=fmt)
+
+    @pytest.mark.parametrize("zero", ["north", "nan", "infdeg"])
+    def test_bad_zero_direction(self, tmp_path, zero):
+        path = _write(tmp_path / "a.txt", "0.5\n")
+        with pytest.raises(AngleFileError, match="zero direction"):
+            read_angles(path, zero=zero)
+
     def test_multi_column_needs_format(self, tmp_path):
         path = _write(tmp_path / "a.txt", "0.5,1\n0.7,2\n")
         with pytest.raises(AngleFileError, match="explicit format"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
+from circsym import montecarlo
+from circsym.cli import main as cli_main
 from circsym.distributions import VonMises
+from circsym.errors import DegenerateSampleError
 from circsym.montecarlo import (
     PRESETS,
     ScenarioSpec,
@@ -15,6 +19,13 @@ from circsym.montecarlo import (
     power_curve,
     preset_scenarios,
     run_scenario,
+    run_scenarios,
+)
+from circsym.symtests import (
+    modified_runs_test,
+    runs_subset_size,
+    simulate_runs_null,
+    symmetry_test,
 )
 
 SMALL_SPEC = ScenarioSpec(
@@ -141,6 +152,151 @@ class TestRunScenario:
         assert table.standard_errors[0][0] == pytest.approx(expected, rel=1e-12)
 
 
+def _reference_tallies(stream):
+    """Tallies of the per-sample loop: one test call per statistic and sample.
+
+    Every stream given here with a runs test uses the default p = 0.6.
+    """
+    n_tests = len(stream.test_ks) + (stream.runs is not None)
+    rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
+    degenerate = np.zeros_like(rejections)
+    for rep in range(stream.reps):
+        rng = derive_stream(stream.master_seed, stream.stream_id, rep)
+        for j, model in enumerate(stream.models):
+            sample = model.sample(rng, stream.n)
+            for i, k in enumerate(stream.test_ks):
+                try:
+                    result = symmetry_test(sample, 0.0, k, alpha=stream.alpha)
+                except DegenerateSampleError:
+                    degenerate[i, j] += 1
+                    continue
+                rejections[i, j] += result.reject
+            if stream.runs is not None:
+                result = modified_runs_test(
+                    sample, 0.0, p=0.6, alpha=stream.alpha, rng=rng,
+                    null_counts=stream.runs[1],
+                )
+                rejections[-1, j] += result.reject
+    return rejections, degenerate
+
+
+def _reference_table(spec):
+    tallies = _reference_tallies(montecarlo._scenario_stream(spec))
+    rejections, degenerate = (t.tolist() for t in tallies)
+    return [[c / spec.reps for c in row] for row in rejections], degenerate
+
+
+class _Snapped:
+    """Von Mises draws rounded to multiples of 1/2, so exact zeros and tied
+    distances are common; a fifth of the samples are all zero."""
+
+    def sample(self, rng, n):
+        x = np.round(VonMises(1.0).sample(rng, n) * 2.0) / 2.0
+        if rng.random() < 0.2:
+            x[:] = 0.0
+        return x
+
+
+# SHA-256 of the concatenated to_json() of every preset scenario (presets in
+# sorted order) at 100 replications, as produced by the per-sample loop
+# (``_reference_tallies``) before the engine computed statistics in slices.
+PRESET_DIGESTS = {
+    1729: "68935373039be8c7565b7c50e3bb08165fccfc0151f64103d1886b49ec3114de",
+    99: "3c0a130af7184ed6ed18daffe884915c3ff7fba59ebb818cf7b65434c888a4d3",
+}
+POWER_ARGS = (VonMises(1.0), 2, 2, [0.0, 1.0, 2.0, 3.0, 4.0])
+POWER_KWARGS = dict(mode="empirical", n=200, reps=150, master_seed=7)
+POWER_POINTS = [(0.0, 0.07333333333333333), (1.0, 0.12), (2.0, 0.32), (3.0, 0.52),
+                (4.0, 0.8133333333333334)]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_preset_tables_are_unchanged(self, threads):
+        for seed, expected in PRESET_DIGESTS.items():
+            specs = [spec for name in sorted(PRESETS)
+                     for spec in preset_scenarios(name, reps=100, master_seed=seed)]
+            digest = hashlib.sha256()
+            for table in run_scenarios(specs, threads=threads):
+                digest.update(table.to_json().encode("utf-8"))
+            assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_power_points_are_unchanged(self, threads):
+        assert power_curve(*POWER_ARGS, **POWER_KWARGS, threads=threads) == POWER_POINTS
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(scenario_id="ref_sine", family="sineskew", base="cardioid:0.5",
+                     lambdas=(0.0, 0.5), skew_k=2, n=30, reps=300,
+                     runs_calibration_reps=2000, master_seed=5),
+        ScenarioSpec(scenario_id="ref_moebius", family="moebius", base="wcauchy:0.5",
+                     lambdas=(0.0, 0.1), n=25, reps=120, runs_calibration_reps=2000,
+                     master_seed=6),
+        ScenarioSpec(scenario_id="ref_mix", family="mixshift", base="vm:10",
+                     lambdas=(0.0, 0.6), n=20, reps=120, runs_calibration_reps=2000,
+                     master_seed=7),
+        ScenarioSpec(scenario_id="ref_noruns", family="sineskew", base="vm:1",
+                     lambdas=(0.0, 0.3), test_ks=(1, 4), n=15, reps=120,
+                     runs_p=None, master_seed=8),
+    ], ids=lambda spec: spec.scenario_id)
+    def test_matches_per_sample_loop(self, spec):
+        frequencies, degenerate = _reference_table(spec)
+        table = run_scenario(spec)
+        assert [list(row) for row in table.frequencies] == frequencies
+        assert [list(row) for row in table.degenerate] == degenerate
+
+    def test_per_sample_loop_across_slices_and_workers(self):
+        spec = ScenarioSpec(scenario_id="ref_slices", family="sineskew", base="vm:1",
+                            lambdas=(0.0, 0.4), n=12,
+                            reps=2 * montecarlo._SLICE_REPS + 37,
+                            runs_calibration_reps=2000, master_seed=9)
+        frequencies, degenerate = _reference_table(spec)
+        for threads in (1, 2):
+            table = run_scenario(spec, threads=threads)
+            assert [list(row) for row in table.frequencies] == frequencies
+            assert [list(row) for row in table.degenerate] == degenerate
+
+    def test_zero_sines_and_degenerate_samples(self):
+        m = runs_subset_size(16, 0.6)
+        stream = montecarlo._Stream(
+            master_seed=3, stream_id="snapped", models=(_Snapped(), _Snapped()),
+            n=16, test_ks=(1, 2), alpha=0.2,
+            reps=montecarlo._SLICE_REPS + 20,
+            runs=(m, np.sort(simulate_runs_null(m, 500, np.random.default_rng(1)))),
+        )
+        rejections, degenerate = montecarlo._replication_block(stream, 0, stream.reps)
+        expected_rejections, expected_degenerate = _reference_tallies(stream)
+        assert degenerate[:2].min() > 0  # the all-zero samples
+        assert rejections.tolist() == expected_rejections.tolist()
+        assert degenerate.tolist() == expected_degenerate.tolist()
+
+    def test_one_pool_per_run(self, monkeypatch, tmp_path, capsys):
+        starts = []
+        real = montecarlo.concurrent.futures.ProcessPoolExecutor
+
+        class CountingPool(real):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        outputs = {}
+        for threads in ("1", "2"):
+            outdir = tmp_path / threads
+            assert cli_main(["mc", "--preset", "table1", "--reps", "100", "--threads",
+                             threads, "--out", "both", "--outdir", str(outdir)]) == 0
+            outputs[threads] = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        capsys.readouterr()
+        assert len(outputs["1"]) == 2 * len(PRESETS["table1"])
+        assert outputs["1"] == outputs["2"]
+        assert len(starts) == 1
+        grid = [0.0, 1.0, 2.0]
+        assert power_curve(VonMises(1.0), 1, 1, grid, mode="empirical", n=20, reps=40,
+                           threads=2) == power_curve(VonMises(1.0), 1, 1, grid,
+                                                     mode="empirical", n=20, reps=40)
+        assert len(starts) == 2
+
+
 class TestPowerCurve:
     def test_analytic_zero_drift_is_level(self):
         points = power_curve(VonMises(1.0), 2, 2, [0.0], alpha=0.05)
@@ -202,6 +358,13 @@ class TestScenarioFiles:
         path = tmp_path / "scenario.txt"
         path.write_text(format_scenario(SMALL_SPEC), encoding="utf-8")
         assert load_scenario_file(path) == SMALL_SPEC
+
+    @pytest.mark.parametrize("spec", [s for specs in PRESETS.values() for s in specs],
+                             ids=lambda spec: spec.scenario_id)
+    def test_every_preset_round_trips(self, tmp_path, spec):
+        path = tmp_path / "scenario.txt"
+        path.write_text(format_scenario(spec), encoding="utf-8")
+        assert load_scenario_file(path) == spec
 
     def test_comments_and_spacing(self, tmp_path):
         path = tmp_path / "scenario.txt"

@@ -9,12 +9,15 @@ from circsym.distributions import Cardioid, SineSkewed, Uniform, VonMises
 from circsym.errors import DegenerateSampleError
 from circsym.montecarlo import derive_stream
 from circsym.symtests import (
+    modified_runs_rows,
     modified_runs_test,
     parametric_statistic,
     parametric_test,
     rayleigh_cardioid_test,
     runs_count,
+    runs_subset_size,
     simulate_runs_null,
+    studentized_rows,
     studentized_statistic,
     symmetry_test,
 )
@@ -169,6 +172,73 @@ class TestRayleighCardioid:
             sample = Uniform().sample(rng, 100)
             hits += rayleigh_cardioid_test(sample, 0.4).reject
         assert hits / reps == pytest.approx(0.05, abs=0.02)
+
+
+class TestLevelValidation:
+    SAMPLE = np.linspace(-3.0, 3.0, 20)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_every_test_rejects_bad_alpha(self, alpha):
+        calls = [
+            lambda: symmetry_test(self.SAMPLE, 0.0, 1, alpha=alpha),
+            lambda: parametric_test(self.SAMPLE, 0.0, 1, VonMises(1.0), alpha=alpha),
+            lambda: rayleigh_cardioid_test(self.SAMPLE, 0.0, alpha=alpha),
+            lambda: modified_runs_test(self.SAMPLE, 0.0, alpha=alpha),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="alpha"):
+                call()
+
+
+class TestRowKernels:
+    def test_studentized_rows_match_single_samples(self):
+        rng = np.random.default_rng(12)
+        rows = rng.uniform(-np.pi, np.pi, size=(2, 3, 40))
+        rows[1, 2] = 0.3  # every sine about 0.3 vanishes
+        for k in (1, 2, 3):
+            signed = studentized_rows(rows, 0.3, k)
+            assert signed.shape == (2, 3)
+            assert np.isnan(signed[1, 2])
+            assert np.count_nonzero(np.isnan(signed)) == 1
+            for index in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]:
+                assert signed[index] == studentized_statistic(rows[index], 0.3, k)
+            with pytest.raises(DegenerateSampleError):
+                studentized_statistic(rows[1, 2], 0.3, k)
+
+    def test_zero_sines_take_coins_from_the_stream(self):
+        rng = np.random.default_rng(13)
+        sample = np.round(rng.uniform(-3.0, 3.0, 30) * 2.0) / 2.0  # several exact zeros
+        zeros = int(np.count_nonzero(sample == 0.0))
+        assert zeros >= 2
+        table = simulate_runs_null(18, 1000, np.random.default_rng(14))
+        used = np.random.Generator(np.random.Philox(21))
+        result = modified_runs_test(sample, 0.0, p=0.6, rng=used, null_counts=table)
+        assert result.extra["zero_sines_randomized"] == zeros
+
+        # the statistic by hand: coins fill the zero signs in order, then the
+        # signs of the 18 closest observations (stable order) are counted
+        fresh = np.random.Generator(np.random.Philox(21))
+        signs = np.sign(np.sin(sample)).astype(np.int8)
+        signs[signs == 0] = np.where(fresh.random(zeros) < 0.5, 1, -1)
+        closest = signs[np.argsort(np.abs(sample), kind="stable")][:18]
+        assert result.statistic == runs_count(closest)
+        # exactly the coins were consumed from the stream
+        assert used.random() == fresh.random()
+
+    def test_runs_rows_match_single_samples(self):
+        rng = np.random.default_rng(15)
+        rows = np.round(rng.uniform(-3.0, 3.0, size=(3, 25)) * 2.0) / 2.0
+        rows[2] = 0.0
+        m = runs_subset_size(25, 0.6)
+        table = simulate_runs_null(m, 1000, np.random.default_rng(16))
+        streams = [np.random.Generator(np.random.Philox(30 + i)) for i in range(3)]
+        counts = modified_runs_rows(
+            rows, 0.0, m, lambda row, count: streams[row].random(count) < 0.5
+        )
+        for i in range(3):
+            single = modified_runs_test(rows[i], 0.0, rng=np.random.Generator(
+                np.random.Philox(30 + i)), null_counts=table)
+            assert counts[i] == single.statistic
 
 
 class TestRunsMachinery:
