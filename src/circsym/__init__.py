@@ -18,7 +18,6 @@ from .asymptotics import (
     efficient_central_sequence,
     fisher_matrix,
     local_power,
-    score_location,
     singularity_report,
 )
 from .datasets import ant_data_path, load_ant_data
@@ -71,7 +70,7 @@ __all__ = [
     "Uniform", "VonMises", "Cardioid", "WrappedCauchy", "VonMisesMixture",
     "SineSkewed", "MoebiusSkewed", "SkewedMixture", "BASE_FAMILIES", "parse_base",
     "FisherMatrix", "SingularityReport", "CentralSequence",
-    "fisher_matrix", "cross_corr", "local_power", "score_location",
+    "fisher_matrix", "cross_corr", "local_power",
     "singularity_report", "central_sequence", "efficient_central_sequence",
     "TestResult", "studentized_statistic", "symmetry_test",
     "parametric_statistic", "parametric_test", "rayleigh_cardioid_test",

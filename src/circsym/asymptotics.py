@@ -1,39 +1,33 @@
-"""Location scores, information matrices and asymptotic power machinery.
+"""Information matrices, central sequences and asymptotic power.
 
 Everything here is driven by the location score phi(x) = -f0'(x)/f0(x) of
-a symmetric base density and by three integrals:
+a symmetric base density (``base.score``) and by three integrals:
 
     g11 = int phi(x)^2 f0(x) dx          (location information)
     g12 = int sin(k x) phi(x) f0(x) dx   (cross information)
     g22 = int sin(k x)^2 f0(x) dx        (skewness information)
 
-g12 is computed in score form; integration by parts shows it equals the
-derivative form -int sin(k x) f0'(x) dx, and the test suite checks that
-identity. Matrices are memoized per (base, k) since bases are frozen and
-hashable.
+All are closed forms in the base's cosine moments rho_m = E[cos(m X)]:
+integration by parts gives g12 = -int sin(k x) f0'(x) dx = k rho_k,
+g22 = (1 - rho_2k)/2, the cross constant is
+C(k, k') = (rho_|k-k'| - rho_(k+k'))/2, and each base states its own g11.
+The test suite checks every identity against periodic quadrature.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import as_sample
 from .errors import DegenerateInformationError, UnsupportedBaseError
-from .quadrature import DEFAULT_QUADRATURE, integrate_periodic
 from .special import check_alpha, norm_cdf, upper_quantile
 
+# Separates exact Cauchy-Schwarz equality (sine-skewed von Mises with
+# k = 1) from genuinely positive gaps: the closed forms leave a von Mises
+# k = 1 gap of rounding size, which grows like 1e-16 * kappa, below 1e-11
+# for kappa <= 1e4.
 SINGULARITY_GAP_THRESHOLD = 1e-8
-
-_matrix_cache = {}
-_cross_cache = {}
-_cache_lock = threading.Lock()
-
-
-def score_location(base, x):
-    """Location score phi(x) = -f0'(x)/f0(x) of a symmetric base density."""
-    return base.score(x)
 
 
 def _require_family(base):
@@ -60,7 +54,8 @@ class FisherMatrix:
 
     @property
     def normalized_gap(self):
-        """determinant / (g11 * g22), in [0, 1] by Cauchy-Schwarz."""
+        """determinant / (g11 * g22), in [0, 1] by Cauchy-Schwarz up to
+        rounding: an exactly singular matrix can give about -4e-16."""
         denom = self.g11 * self.g22
         if denom <= 0.0:
             raise DegenerateInformationError(
@@ -88,41 +83,28 @@ class CentralSequence:
     skewness: float
 
 
-def fisher_matrix(base, k, spec=DEFAULT_QUADRATURE):
-    """Information matrix entries for (base, k), by periodic quadrature."""
+def fisher_matrix(base, k):
+    """Information matrix entries for (base, k), from the base's cosine moments."""
     _require_family(base)
     if k < 1 or int(k) != k:
         raise ValueError(f"frequency k must be a positive integer, got {k!r}")
     k = int(k)
-    key = (base, k, spec)
-    with _cache_lock:
-        cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
-    g11 = integrate_periodic(lambda x: base.score(x) ** 2 * base.pdf(x), spec)
-    g12 = integrate_periodic(lambda x: np.sin(k * x) * base.score(x) * base.pdf(x), spec)
-    g22 = integrate_periodic(lambda x: np.sin(k * x) ** 2 * base.pdf(x), spec)
-    matrix = FisherMatrix(g11=g11, g12=g12, g22=g22, k=k, base_label=base.label)
-    with _cache_lock:
-        _matrix_cache[key] = matrix
-    return matrix
+    return FisherMatrix(
+        g11=base.location_information,
+        g12=k * base.cos_moment(k),
+        g22=0.5 * (1.0 - base.cos_moment(2 * k)),
+        k=k,
+        base_label=base.label,
+    )
 
 
-def cross_corr(base, k, k_prime, spec=DEFAULT_QUADRATURE):
+def cross_corr(base, k, k_prime):
     """Cross-frequency constant int sin(kx) sin(k'x) f0(x) dx, symmetric in (k, k')."""
     _require_family(base)
     lo, hi = sorted((int(k), int(k_prime)))
     if lo < 1:
         raise ValueError("frequencies must be positive integers")
-    key = (base, lo, hi, spec)
-    with _cache_lock:
-        cached = _cross_cache.get(key)
-    if cached is not None:
-        return cached
-    value = integrate_periodic(lambda x: np.sin(lo * x) * np.sin(hi * x) * base.pdf(x), spec)
-    with _cache_lock:
-        _cross_cache[key] = value
-    return value
+    return 0.5 * (base.cos_moment(hi - lo) - base.cos_moment(hi + lo))
 
 
 def local_power(base, k, k_prime, tau2, alpha=0.05):
@@ -132,23 +114,33 @@ def local_power(base, k, k_prime, tau2, alpha=0.05):
     Evaluates 1 - Phi(z - s) + Phi(-z - s) with z the alpha/2 upper normal
     quantile and shift s = g22^{-1/2} * C(k, k') * tau2.
     """
+    (power,) = local_power_curve(base, k, k_prime, [tau2], alpha)
+    return power
+
+
+def local_power_curve(base, k, k_prime, tau2_grid, alpha=0.05):
+    """``local_power`` at every drift of ``tau2_grid``, as a list.
+
+    The information quantities are computed once for the whole grid.
+    """
     alpha = check_alpha(alpha)
-    matrix = fisher_matrix(base, k)
-    if matrix.g22 <= 0.0:
+    g22 = fisher_matrix(base, k).g22
+    if g22 <= 0.0:
         raise DegenerateInformationError(
             f"skewness information vanishes for {base.label!r}, k={k}"
         )
     z = upper_quantile(alpha / 2.0)
-    shift = cross_corr(base, k, k_prime) / math.sqrt(matrix.g22) * tau2
-    return (1.0 - norm_cdf(z - shift)) + norm_cdf(-z - shift)
+    slope = cross_corr(base, k, k_prime) / math.sqrt(g22)
+    return [(1.0 - norm_cdf(z - slope * t)) + norm_cdf(-z - slope * t)
+            for t in tau2_grid]
 
 
 def singularity_report(base, k):
     """Determinant, normalized gap and singularity flag of the information matrix.
 
-    The gap threshold separates exact Cauchy-Schwarz equality (sine-skewed
-    von Mises with k = 1) from genuinely positive determinants; quadrature
-    noise sits around 1e-10, two orders below the threshold.
+    The gap threshold (``SINGULARITY_GAP_THRESHOLD``) separates exact
+    Cauchy-Schwarz equality (sine-skewed von Mises with k = 1) from
+    genuinely positive determinants.
     """
     matrix = fisher_matrix(base, k)
     if matrix.g11 <= 0.0:

@@ -25,7 +25,7 @@ from .errors import (
     QuadratureConvergenceError,
 )
 from .asymptotics import fisher_matrix, singularity_report
-from .io import AngleFileError, read_angles, write_angles
+from .io import AngleFileError, parse_angle, read_angles, write_angles
 from .montecarlo import (
     DEFAULT_MASTER_SEED,
     PRESETS,
@@ -60,20 +60,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _parse_angle(text, unit="radians"):
-    """Angle literal with optional deg/rad suffix, else the given unit."""
-    raw = str(text).strip().lower()
+def _angle_option(name, text, unit):
+    """The angle of option --name, in radians; a bad literal is a usage error."""
     try:
-        if raw.endswith("deg"):
-            return math.radians(float(raw[:-3]))
-        if raw.endswith("rad"):
-            return float(raw[:-3])
-        value = float(raw)
-    except ValueError:
-        raise UsageError(
-            f"bad angle {text!r}; write a number with an optional deg/rad suffix"
-        ) from None
-    return math.radians(value) if unit == "degrees" else value
+        return parse_angle(text, unit)
+    except ValueError as exc:
+        raise UsageError(f"--{name}: {exc}") from None
 
 
 def _alpha(text):
@@ -103,7 +95,7 @@ def _frequencies(text):
 
 
 def _parse_grid(text):
-    """Comma list, or start:stop:count for a uniform grid."""
+    """Comma list, or start:stop:count for a uniform grid, of finite values."""
     raw = str(text).strip()
     if ":" in raw:
         pieces = raw.split(":")
@@ -116,11 +108,15 @@ def _parse_grid(text):
         if count < 2:
             raise UsageError("grid count must be at least 2")
         step = (stop - start) / (count - 1)
-        return [start + i * step for i in range(count)]
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"bad grid {text!r}") from None
+        grid = [start + i * step for i in range(count)]
+    else:
+        try:
+            grid = [float(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            raise UsageError(f"bad grid {text!r}") from None
+    if not all(map(math.isfinite, grid)):
+        raise UsageError(f"grid {text!r} must hold finite values")
+    return grid
 
 
 def _parse_model(text):
@@ -214,7 +210,7 @@ def cmd_test(args):
             "--theta is required: these tests address symmetry about a known "
             "median direction and cannot estimate the center from the data"
         )
-    theta = _parse_angle(args.theta, args.unit)
+    theta = _angle_option("theta", args.theta, args.unit)
     sample = _read_sample(args)
     results = [
         symmetry_test(sample, theta, k, alternative=args.alt, alpha=args.alpha)
@@ -232,7 +228,7 @@ def cmd_test(args):
 def cmd_uniformity(args):
     if args.direction is None:
         raise UsageError("--direction is required: the test targets a fixed direction")
-    direction = _parse_angle(args.direction, args.unit)
+    direction = _angle_option("direction", args.direction, args.unit)
     sample = _read_sample(args)
     result = rayleigh_cardioid_test(sample, direction, alpha=args.alpha)
     lines = [f"n={result.n}  direction={direction:.10g} rad",
@@ -336,7 +332,7 @@ def cmd_fisher(args):
              f"g22 {matrix.g22:.12g}",
              f"determinant {matrix.determinant:.12g}"]
     if gap is None:
-        lines.append("normalized_gap undefined (no location information)")
+        lines.append("normalized_gap undefined (g11 * g22 is zero)")
     else:
         lines.append(f"normalized_gap {gap:.12g}")
         lines.append(f"singular {'true' if singular else 'false'}")

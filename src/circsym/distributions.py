@@ -7,7 +7,10 @@ base by ``1 + lam * sin(k * (x - theta))``. :class:`MoebiusSkewed` and
 
 All pdf methods accept scalars or arrays and are exact formulas; all
 samplers draw from a ``numpy.random.Generator`` and return angles wrapped
-to [-pi, pi).
+to [-pi, pi). Each symmetric base also states its cosine moments
+rho_m = E[cos(m X)] (``cos_moment``) and its location information
+g11 = E[phi(X)^2] (``location_information``) in closed form; the
+information machinery in ``asymptotics`` is built from these.
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 
 from .angles import TWO_PI, wrap
 from .errors import UnsupportedBaseError
-from .special import bessel_i
+from .special import bessel_i, bessel_ratio
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
@@ -27,6 +30,11 @@ _BISECT_ITER = 80
 def _scalar_or_array(value):
     value = np.asarray(value, dtype=float)
     return float(value) if value.ndim == 0 else value
+
+
+def _check_kappa(kappa):
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
 
 
 def _check_count(n):
@@ -54,6 +62,13 @@ class Uniform:
         x = np.asarray(x, dtype=float)
         return _scalar_or_array(np.zeros_like(x))
 
+    def cos_moment(self, m):
+        return 1.0 if m == 0 else 0.0
+
+    @property
+    def location_information(self):
+        return 0.0
+
     def sample(self, rng, n):
         n = _check_count(n)
         return rng.random(n) * TWO_PI - np.pi
@@ -69,8 +84,7 @@ class VonMises:
     unimodal = True
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        _check_kappa(self.kappa)
 
     @property
     def label(self):
@@ -84,6 +98,15 @@ class VonMises:
     def score(self, x):
         x = np.asarray(x, dtype=float)
         return _scalar_or_array(self.kappa * np.sin(x))
+
+    def cos_moment(self, m):
+        """I_m(kappa) / I_0(kappa)."""
+        return bessel_ratio(m, self.kappa)
+
+    @property
+    def location_information(self):
+        """g11 = kappa * rho_1."""
+        return self.kappa * bessel_ratio(1, self.kappa)
 
     def sample(self, rng, n):
         """Best-Fisher rejection sampler, vectorized in batches."""
@@ -142,6 +165,18 @@ class Cardioid:
     def score(self, x):
         x = np.asarray(x, dtype=float)
         return _scalar_or_array(self.ell * np.sin(x) / (1.0 + self.ell * np.cos(x)))
+
+    def cos_moment(self, m):
+        """1 at m = 0, ell/2 at m = 1, then 0."""
+        if m == 0:
+            return 1.0
+        return 0.5 * self.ell if m == 1 else 0.0
+
+    @property
+    def location_information(self):
+        """g11 = 1 - sqrt(1 - ell^2), written without cancellation."""
+        ell = self.ell
+        return ell * ell / (1.0 + math.sqrt((1.0 - ell) * (1.0 + ell)))
 
     def sample(self, rng, n):
         """Invert F(x) = (x + pi + ell*sin(x)) / (2*pi) by Newton iteration."""
@@ -205,6 +240,16 @@ class WrappedCauchy:
             2.0 * rho * np.sin(x) / (1.0 + rho * rho - 2.0 * rho * np.cos(x))
         )
 
+    def cos_moment(self, m):
+        """rho^m."""
+        return self.rho**m
+
+    @property
+    def location_information(self):
+        """g11 = 2 rho^2 / (1 - rho^2)^2."""
+        rho = self.rho
+        return 2.0 * rho * rho / ((1.0 - rho) * (1.0 + rho)) ** 2
+
     def sample(self, rng, n):
         """Wrap a linear Cauchy draw with scale -log(rho); exact."""
         n = _check_count(n)
@@ -227,8 +272,7 @@ class VonMisesMixture:
     unimodal = False
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        _check_kappa(self.kappa)
 
     @property
     def label(self):
@@ -338,6 +382,8 @@ class MoebiusSkewed:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r!r}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
 
     @property
     def omega(self):
@@ -375,8 +421,9 @@ class SkewedMixture:
     lam: float
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        _check_kappa(self.kappa)
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
 
     @property
     def label(self):

@@ -31,13 +31,24 @@ def _finite(text):
     return value
 
 
-def _parse_direction(text, unit):
-    """Angle literal with optional deg/rad suffix, else the ambient unit."""
-    text = text.strip().lower()
-    for suffix, factor in (("deg", _DEG), ("rad", 1.0)):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)]) * factor
-    return float(text) * (_DEG if unit == "degrees" else 1.0)
+def parse_angle(text, unit="radians"):
+    """Angle literal in radians: a finite number with an optional deg/rad
+    suffix, else in ``unit``. ValueError for anything else."""
+    raw = str(text).strip().lower()
+    factor = _DEG if unit == "degrees" else 1.0
+    for suffix, suffix_factor in (("deg", _DEG), ("rad", 1.0)):
+        if raw.endswith(suffix):
+            raw, factor = raw[: -len(suffix)], suffix_factor
+            break
+    try:
+        value = float(raw) * factor
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"bad angle {text!r}; write a finite number with an optional deg/rad suffix"
+        )
+    return value
 
 
 def _check_unit(value, where):
@@ -98,7 +109,7 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
         if zero_raw is None:
             zero_angle = 0.0
         elif isinstance(zero_raw, str):
-            zero_angle = _parse_direction(zero_raw, unit)
+            zero_angle = parse_angle(zero_raw, unit)
         else:
             zero_angle = float(zero_raw) * (_DEG if unit == "degrees" else 1.0)
     except ValueError:

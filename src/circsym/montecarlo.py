@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .asymptotics import local_power
+from .asymptotics import local_power_curve
 from .distributions import (
     MoebiusSkewed,
     SineSkewed,
@@ -307,7 +307,7 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
     """
     tau2_grid = [float(t) for t in tau2_grid]
     if mode == "analytic":
-        return [(t, local_power(base, k, k_prime, t, alpha)) for t in tau2_grid]
+        return list(zip(tau2_grid, local_power_curve(base, k, k_prime, tau2_grid, alpha)))
     if mode != "empirical":
         raise ValueError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
     if n is None or reps is None:

@@ -1,14 +1,23 @@
 """Modified Bessel functions, the standard normal cdf/quantile pair and the level check.
 
-Kept dependency-free: the Bessel series is validated in the test suite
-against the quadrature identity I_m(kappa) = (1/2pi) * integral of
-cos(m x) exp(kappa cos x).
+Kept dependency-free. ``bessel_ratio`` gives the von Mises cosine moments
+I_m(kappa)/I_0(kappa) for every finite kappa > 0 without forming either
+function. ``bessel_i`` is the raw power series, kept for ``VonMises.pdf``;
+it overflows, and the pdf with it, for kappa above about 700. The test
+suite checks both Bessel functions against SciPy.
 """
 
 import math
 
 _BESSEL_RTOL = 1e-15
 _BESSEL_MAX_TERMS = 500
+
+_RATIO_RTOL = 1e-16
+_RATIO_DOUBLINGS = 8
+_LOG_TINY = math.log(math.ulp(0.0)) - 1.0
+# From here on, and while m^2 <= kappa, the large-argument expansion is
+# used: the backward recurrence needs a start order growing like sqrt(kappa).
+_HANKEL_MIN_KAPPA = 1e3
 
 
 def bessel_i(m, z):
@@ -35,6 +44,64 @@ def bessel_i(m, z):
         if term <= _BESSEL_RTOL * total:
             return total
     raise RuntimeError(f"Bessel series did not converge for m={m}, z={z}")
+
+
+def bessel_ratio(m, kappa):
+    """I_m(kappa) / I_0(kappa) for integer m >= 0 and finite kappa > 0.
+
+    Below kappa = 1e3, or when m^2 > kappa, by Miller's backward
+    recurrence r_j = I_j/I_{j-1} = 1/(2j/kappa + r_{j+1}) from r = 0 at a
+    start order that doubles until the product r_1 ... r_m stops changing
+    (Amos, ACM TOMS 1974). The first start order is below
+    max(2m, 32) + 2 max(m, 32), so the cost grows with m but not with
+    kappa. Otherwise as the quotient of the large-argument (Hankel)
+    expansions of I_m and I_0, whose terms then shrink at least twofold
+    each. Relative error about 1e-14 or better against SciPy for m <= 12
+    over kappa in [1e-3, 1e8].
+    """
+    if m < 0 or int(m) != m:
+        raise ValueError(f"order must be a nonnegative integer, got {m!r}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"argument must be finite and positive, got {kappa!r}")
+    m, kappa = int(m), float(kappa)
+    if m == 0:
+        return 1.0
+    # r_j < kappa/(2j), so the ratio is below (kappa/2)^m / m!
+    if m * math.log(0.5 * kappa) - math.lgamma(m + 1) < _LOG_TINY:
+        return 0.0
+    if kappa >= _HANKEL_MIN_KAPPA and m * m <= kappa:
+        return _hankel_series(m, kappa) / _hankel_series(0, kappa)
+    top = max(2 * m, 32) + int(2.0 * math.sqrt(kappa))
+    previous = math.nan
+    for _ in range(_RATIO_DOUBLINGS):
+        r = 0.0
+        product = 1.0
+        for j in range(top, 0, -1):
+            r = 1.0 / (2.0 * j / kappa + r)
+            if j <= m:
+                product *= r
+        if abs(product - previous) <= _RATIO_RTOL * product:
+            return product
+        previous = product
+        top *= 2
+    raise FloatingPointError(
+        f"Bessel ratio recurrence did not settle for m={m}, kappa={kappa}"
+    )
+
+
+def _hankel_series(m, kappa):
+    """sqrt(2 pi kappa) e^-kappa I_m(kappa) by its large-argument expansion,
+    summed until a term falls below 1e-16 of the sum; the neglected
+    e^(-2 kappa) part is below double precision for kappa >= 1e3."""
+    mu = 4.0 * m * m
+    term = 1.0
+    total = 1.0
+    j = 0
+    while abs(term) > _RATIO_RTOL * abs(total):
+        j += 1
+        term *= -(mu - (2 * j - 1) ** 2) / (8.0 * j) / kappa
+        total += term
+    return total
 
 
 def check_alpha(alpha):

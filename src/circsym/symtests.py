@@ -75,11 +75,6 @@ def check_frequency(k):
     return int(k)
 
 
-def _sines(sample, theta, k):
-    arr = as_sample(sample)
-    return arr, np.sin(check_frequency(k) * (arr - theta))
-
-
 def p_value(signed, alternative="two-sided"):
     """Standard normal p-value of a signed statistic; NaN stays NaN."""
     if alternative == "two-sided":
@@ -112,7 +107,10 @@ def studentized_statistic(sample, theta, k):
 
     The absolute value is the published two-sided statistic.
     """
-    arr = as_sample(sample)
+    return _studentized(as_sample(sample), theta, k)
+
+
+def _studentized(arr, theta, k):
     k = check_frequency(k)
     if arr.size < 2:
         raise ValueError("studentized statistic needs at least two observations")
@@ -131,8 +129,8 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
     p-value is distribution-free.
     """
     alpha = check_alpha(alpha)
-    signed = studentized_statistic(sample, theta, k)
     arr = as_sample(sample)
+    signed = _studentized(arr, theta, k)
     return TestResult(
         statistic=signed,
         p_value=p_value(signed, alternative),
@@ -147,11 +145,11 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
 
 def parametric_statistic(sample, theta, k, base):
     """Nonnegative parametric statistic |sqrt(n) mean(sin(k(x-theta)))| / sqrt(g22)."""
-    return abs(_signed_parametric(sample, theta, k, base))
+    return abs(_signed_parametric(as_sample(sample), theta, k, base))
 
 
-def _signed_parametric(sample, theta, k, base):
-    arr, sines = _sines(sample, theta, k)
+def _signed_parametric(arr, theta, k, base):
+    sines = np.sin(check_frequency(k) * (arr - theta))
     g22 = fisher_matrix(base, k).g22
     if g22 <= 0.0:
         raise DegenerateInformationError(
@@ -167,8 +165,8 @@ def parametric_test(sample, theta, k, base, alternative="two-sided", alpha=0.05)
     k-sine-skewed alternatives.
     """
     alpha = check_alpha(alpha)
-    signed = _signed_parametric(sample, theta, k, base)
     arr = as_sample(sample)
+    signed = _signed_parametric(arr, theta, k, base)
     return TestResult(
         statistic=signed,
         p_value=p_value(signed, alternative),

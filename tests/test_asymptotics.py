@@ -12,7 +12,6 @@ from circsym.asymptotics import (
     efficient_central_sequence,
     fisher_matrix,
     local_power,
-    score_location,
     singularity_report,
 )
 from circsym.distributions import (
@@ -35,18 +34,18 @@ class TestScoreLocation:
         x = np.linspace(-3.0, 3.0, 256)
         h = 1e-6
         numeric = -(np.log(base.pdf(x + h)) - np.log(base.pdf(x - h))) / (2 * h)
-        assert_allclose(score_location(base, x), numeric, atol=1e-5)
+        assert_allclose(base.score(x), numeric, atol=1e-5)
 
     def test_uniform_score_vanishes(self):
-        assert_allclose(score_location(Uniform(), np.linspace(-3, 3, 7)), 0.0)
+        assert_allclose(Uniform().score(np.linspace(-3, 3, 7)), 0.0)
 
     def test_von_mises_closed_form(self):
         x = np.linspace(-np.pi, np.pi, 64, endpoint=False)
-        assert_allclose(score_location(VonMises(2.0), x), 2.0 * np.sin(x), rtol=1e-14)
+        assert_allclose(VonMises(2.0).score(x), 2.0 * np.sin(x), rtol=1e-14)
 
     def test_mixture_unsupported(self):
         with pytest.raises(UnsupportedBaseError):
-            score_location(VonMisesMixture(1.0), 0.1)
+            VonMisesMixture(1.0).score(0.1)
 
 
 class TestFisherMatrix:
@@ -66,10 +65,10 @@ class TestFisherMatrix:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_against_scipy_quad(self, base, k):
         g11, _ = sp_integrate.quad(
-            lambda x: score_location(base, x) ** 2 * base.pdf(x), -np.pi, np.pi
+            lambda x: base.score(x) ** 2 * base.pdf(x), -np.pi, np.pi
         )
         g12, _ = sp_integrate.quad(
-            lambda x: np.sin(k * x) * score_location(base, x) * base.pdf(x),
+            lambda x: np.sin(k * x) * base.score(x) * base.pdf(x),
             -np.pi, np.pi,
         )
         g22, _ = sp_integrate.quad(
@@ -119,6 +118,47 @@ class TestFisherMatrix:
 
         with pytest.raises(UnsupportedBaseError):
             fisher_matrix(SineSkewed(VonMises(1.0), 0.2), 1)
+
+
+ORACLE_BASES = (
+    [VonMises(float(kappa)) for kappa in np.geomspace(0.05, 700.0, 12)]
+    + [WrappedCauchy(rho) for rho in (0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.975)]
+    + [Cardioid(ell) for ell in (0.05, 0.3, 0.5, 0.8, 0.95)]
+)
+
+
+def _close(value, oracle):
+    return abs(value - oracle) <= 1e-11 * abs(oracle) + 1e-14
+
+
+class TestClosedFormsAgainstQuadrature:
+    """The cosine-moment closed forms against periodic quadrature of the
+    defining integrals."""
+
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=lambda b: b.label)
+    def test_fisher_matrix(self, base):
+        from circsym.quadrature import integrate_periodic
+
+        g11 = integrate_periodic(lambda x: base.score(x) ** 2 * base.pdf(x))
+        assert _close(fisher_matrix(base, 1).g11, g11)
+        for k in (1, 2, 3):
+            m = fisher_matrix(base, k)
+            g12 = integrate_periodic(lambda x: np.sin(k * x) * base.score(x) * base.pdf(x))
+            g22 = integrate_periodic(lambda x: np.sin(k * x) ** 2 * base.pdf(x))
+            assert m.g11 == fisher_matrix(base, 1).g11
+            assert _close(m.g12, g12), (k, m.g12, g12)
+            assert _close(m.g22, g22), (k, m.g22, g22)
+
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=lambda b: b.label)
+    def test_cross_corr(self, base):
+        from circsym.quadrature import integrate_periodic
+
+        for k in (1, 2, 3):
+            for kp in (1, 2, 3):
+                oracle = integrate_periodic(
+                    lambda x: np.sin(k * x) * np.sin(kp * x) * base.pdf(x)
+                )
+                assert _close(cross_corr(base, k, kp), oracle), (k, kp)
 
 
 class TestCrossCorr:
@@ -203,6 +243,12 @@ class TestSingularity:
         report = singularity_report(base, k)
         assert not report.singular
         assert report.normalized_gap > 1e-3
+
+    def test_von_mises_k1_gap_up_to_large_kappa(self):
+        for kappa in np.geomspace(0.05, 1e4, 60):
+            report = singularity_report(VonMises(float(kappa)), 1)
+            assert abs(report.normalized_gap) < 1e-11, kappa
+            assert report.singular
 
     def test_wrapped_cauchy_gap_value(self):
         # det 1/12 over g11*g22 = 1/3 for rho = 0.5, k = 1

@@ -13,14 +13,13 @@ from circsym.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
-    _parse_angle,
     _parse_grid,
     _parse_model,
     build_parser,
     main,
 )
 from circsym.distributions import SineSkewed, VonMises, parse_base
-from circsym.io import read_angles, write_angles
+from circsym.io import parse_angle, read_angles, write_angles
 from circsym.montecarlo import derive_stream
 from circsym.symtests import symmetry_test
 
@@ -35,15 +34,20 @@ def sample_file(tmp_path):
 
 class TestParsers:
     def test_parse_angle_suffixes(self):
-        assert _parse_angle("90deg") == pytest.approx(math.pi / 2)
-        assert _parse_angle("1.5rad") == 1.5
-        assert _parse_angle("-45deg") == pytest.approx(-math.pi / 4)
-        assert _parse_angle("2", unit="degrees") == pytest.approx(math.radians(2))
-        assert _parse_angle("2") == 2.0
+        assert parse_angle("90deg") == pytest.approx(math.pi / 2)
+        assert parse_angle("1.5rad") == 1.5
+        assert parse_angle("-45deg") == pytest.approx(-math.pi / 4)
+        assert parse_angle("2", unit="degrees") == pytest.approx(math.radians(2))
+        assert parse_angle("2") == 2.0
 
     def test_parse_angle_rejects_junk(self):
-        with pytest.raises(UsageError, match="bad angle"):
-            _parse_angle("north")
+        with pytest.raises(ValueError, match="bad angle"):
+            parse_angle("north")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-infdeg", "nanrad", "1e309"])
+    def test_parse_angle_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="bad angle"):
+            parse_angle(text)
 
     def test_parse_grid(self):
         assert _parse_grid("0:1:3") == pytest.approx([0.0, 0.5, 1.0])
@@ -54,6 +58,9 @@ class TestParsers:
             _parse_grid("0:1:1")
         with pytest.raises(UsageError):
             _parse_grid("a,b")
+        for bad in ("nan,1", "0,inf", "0:inf:3", "nan:1:3"):
+            with pytest.raises(UsageError, match="finite"):
+                _parse_grid(bad)
 
     def test_parse_model_bases_and_skews(self):
         assert _parse_model("vm:2").label == "vm:2"
@@ -264,6 +271,37 @@ class TestFisherCommand:
         assert main(["fisher", "--base", "cauchy:0.5", "--k", "1"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def _json(self, capsys, base):
+        assert main(["fisher", "--base", base, "--k", "1", "--json"]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    def test_large_kappa_von_mises(self, capsys):
+        from scipy.special import ive
+
+        payload = self._json(capsys, "vm:800")
+        rho1 = ive(1, 800.0) / ive(0, 800.0)
+        rho2 = ive(2, 800.0) / ive(0, 800.0)
+        assert payload["g11"] == pytest.approx(800.0 * rho1, rel=1e-13)
+        assert payload["g12"] == pytest.approx(rho1, rel=1e-13)
+        assert payload["g22"] == pytest.approx(0.5 * (1.0 - rho2), rel=1e-11)
+        assert payload["singular"] is True
+
+    def test_wrapped_cauchy_near_one(self, capsys):
+        rho = 0.999
+        payload = self._json(capsys, "wcauchy:0.999")
+        assert payload["g11"] == pytest.approx(2 * rho**2 / (1 - rho**2) ** 2, rel=1e-12)
+        assert payload["g12"] == pytest.approx(rho, rel=1e-15)
+        assert payload["g22"] == pytest.approx(0.5 * (1 - rho**2), rel=1e-12)
+
+    def test_huge_kappa_is_quick_and_finite(self, capsys):
+        import time
+
+        start = time.perf_counter()
+        payload = self._json(capsys, "vm:1e300")
+        assert time.perf_counter() - start < 1.0
+        for key in ("g11", "g12", "g22", "determinant"):
+            assert math.isfinite(payload[key])
+
 
 class TestSampleCommand:
     def test_seeded_stdout_reproducible(self, capsys):
@@ -308,11 +346,24 @@ class TestNoTraceback:
         (["test", "{ok}", "--theta", "0", "--alpha", "1.5"], EXIT_USAGE),
         (["fisher", "--base", "vm:1", "--k", "0"], EXIT_USAGE),
         (["power", "--base", "vm:1", "--kprime", "0", "--grid", "0,1"], EXIT_USAGE),
+        (["power", "--base", "vm:1", "--grid", "nan,1"], EXIT_USAGE),
+        (["test", "{ok}", "--theta=nan"], EXIT_USAGE),
+        (["uniformity", "{ok}", "--direction=nan"], EXIT_USAGE),
+        (["test", "{zero_nan}", "--theta", "0"], EXIT_DATA),
+        (["sample", "--model", "vm:inf", "-n", "5"], EXIT_USAGE),
+        (["sample", "--model", "moebius(vm:1,r=0.5,lam=nan)", "-n", "5"], EXIT_USAGE),
+        (["sample", "--model", "mixshift(kappa=10,lam=inf)", "-n", "5"], EXIT_USAGE),
+        (["sample", "--model", "vmmix:inf", "-n", "5"], EXIT_USAGE),
+        (["fisher", "--base", "vm:800", "--k", "1", "--json"], EXIT_OK),
+        (["fisher", "--base", "wcauchy:0.999", "--k", "1"], EXIT_OK),
+        (["fisher", "--base", "vm:1e300", "--k", "1"], EXIT_OK),
     ])
     def test_exit_code_without_traceback(self, tmp_path, argv, code):
         (tmp_path / "nan.txt").write_text("0.5\n-1.25\nnan\n2.0\n", encoding="utf-8")
         (tmp_path / "ok.txt").write_text("0.5\n-1.25\n1.0\n2.0\n", encoding="utf-8")
-        argv = [a.format(nan=tmp_path / "nan.txt", ok=tmp_path / "ok.txt") for a in argv]
+        (tmp_path / "zero_nan.txt").write_text("# zero: nan\n0.5\n-1.25\n", encoding="utf-8")
+        argv = [a.format(nan=tmp_path / "nan.txt", ok=tmp_path / "ok.txt",
+                         zero_nan=tmp_path / "zero_nan.txt") for a in argv]
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -320,4 +371,5 @@ class TestNoTraceback:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == code
         assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("circsym: ")
+        if code != EXIT_OK:
+            assert done.stderr.startswith("circsym: ")

@@ -219,6 +219,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="r must"):
             MoebiusSkewed(VonMises(1.0), 0.1, 1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: VonMises(np.inf),
+        lambda: VonMises(np.nan),
+        lambda: VonMisesMixture(np.inf),
+        lambda: SkewedMixture(np.inf, 0.4),
+        lambda: SkewedMixture(10.0, np.inf),
+        lambda: SkewedMixture(10.0, np.nan),
+        lambda: MoebiusSkewed(VonMises(1.0), np.nan, 0.5),
+        lambda: MoebiusSkewed(VonMises(1.0), -np.inf, 0.5),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_mixture_has_no_location_score(self):
         with pytest.raises(UnsupportedBaseError):
             VonMisesMixture(1.0).score(0.3)

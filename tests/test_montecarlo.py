@@ -312,6 +312,22 @@ class TestPowerCurve:
         ):
             assert power == pytest.approx(expected, abs=1e-14)
 
+    def test_analytic_moments_once_per_curve(self, monkeypatch):
+        calls = []
+        moment = VonMises.cos_moment
+
+        def counting(self, m):
+            calls.append(m)
+            return moment(self, m)
+
+        monkeypatch.setattr(VonMises, "cos_moment", counting)
+        counts = []
+        for size in (5, 21):
+            calls.clear()
+            power_curve(VonMises(650.0), 2, 3, np.linspace(0.0, 5.0, size))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_empirical_needs_sizes(self):
         with pytest.raises(ValueError, match="n and reps"):
             power_curve(VonMises(1.0), 2, 2, [1.0], mode="empirical")

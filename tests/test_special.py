@@ -4,7 +4,14 @@ from numpy.testing import assert_allclose
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from circsym.special import bessel_i, norm_cdf, norm_quantile, norm_sf, upper_quantile
+from circsym.special import (
+    bessel_i,
+    bessel_ratio,
+    norm_cdf,
+    norm_quantile,
+    norm_sf,
+    upper_quantile,
+)
 
 
 class TestBesselI:
@@ -28,6 +35,52 @@ class TestBesselI:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             bessel_i(-1, 1.0)
+
+
+class TestBesselRatio:
+    def test_against_scipy(self):
+        # both sides of the switch between recurrence and large-argument expansion
+        kappas = np.geomspace(1e-3, 1e8, 221)
+        for m in range(13):
+            ours = np.array([bessel_ratio(m, kappa) for kappa in kappas])
+            oracle = sp_special.ive(m, kappas) / sp_special.ive(0, kappas)
+            assert_allclose(ours, oracle, rtol=1e-13, atol=0.0)
+
+    def test_large_order_against_scipy(self):
+        # m^2 > kappa takes the recurrence even for large kappa
+        for m, kappa in ((40, 1e3), (120, 1e4), (40, 1e8)):
+            oracle = sp_special.ive(m, kappa) / sp_special.ive(0, kappa)
+            assert bessel_ratio(m, kappa) == pytest.approx(oracle, rel=1e-12)
+
+    def test_bounded_cost_at_huge_kappa(self):
+        import time
+
+        start = time.perf_counter()
+        for kappa in (1e12, 1e20, 1e300, np.finfo(float).max):
+            for m in (1, 2, 6, 1000):
+                assert 0.0 < bessel_ratio(m, kappa) <= 1.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_underflow_is_zero_without_recurrence(self):
+        import time
+
+        start = time.perf_counter()
+        assert bessel_ratio(10**9, 1.0) == 0.0
+        assert time.perf_counter() - start < 0.1
+        # a tiny ratio above the cut still comes from the recurrence
+        assert bessel_ratio(140, 1.0) == pytest.approx(
+            sp_special.ive(140, 1.0) / sp_special.ive(0, 1.0), rel=1e-12
+        )
+
+    def test_order_zero_is_one(self):
+        assert bessel_ratio(0, 3.0) == 1.0
+
+    @pytest.mark.parametrize("m, kappa", [
+        (-1, 1.0), (1.5, 1.0), (1, 0.0), (1, -2.0), (1, np.inf), (1, np.nan),
+    ])
+    def test_domain_enforced(self, m, kappa):
+        with pytest.raises(ValueError):
+            bessel_ratio(m, kappa)
 
 
 class TestNormalCdf:

@@ -142,6 +142,47 @@ class TestParametricTest:
         assert result.method == "sine-symmetry-parametric:cardioid:0.5:k=2"
 
 
+class TestSampleValidatedOnce:
+    """Each test validates its sample once; values pinned from the previous
+    implementation, which validated it twice."""
+
+    @pytest.fixture
+    def as_sample_calls(self, monkeypatch):
+        from circsym import symtests
+
+        calls = []
+
+        def counting(sample):
+            calls.append(1)
+            return original(sample)
+
+        original = symtests.as_sample
+        monkeypatch.setattr(symtests, "as_sample", counting)
+        return calls
+
+    @pytest.fixture
+    def sample(self):
+        return np.random.default_rng(5).uniform(-np.pi, np.pi, 40)
+
+    def test_symmetry_test(self, as_sample_calls, sample):
+        result = symmetry_test(sample, 0.3, 2)
+        assert len(as_sample_calls) == 1
+        assert (result.statistic, result.p_value) == (-1.1998880079641716, 0.23018283794933886)
+        assert (result.n, result.theta) == (40, 0.3)
+
+    @pytest.mark.parametrize("base, k, alternative, statistic, p", [
+        (VonMises(1.0), 2, "two-sided", -1.1656628050357738, 0.24375080412191524),
+        (Cardioid(0.5), 1, "right", 0.2783988893472358, 0.3903530859985374),
+    ], ids=["vm", "cardioid"])
+    def test_parametric_test(self, as_sample_calls, sample, base, k, alternative,
+                             statistic, p):
+        result = parametric_test(sample, 0.3, k, base, alternative=alternative)
+        assert len(as_sample_calls) == 1
+        assert result.statistic == pytest.approx(statistic, rel=1e-13)
+        assert result.p_value == pytest.approx(p, rel=1e-13)
+        assert result.n == 40
+
+
 class TestRayleighCardioid:
     def test_all_at_direction(self):
         sample = np.full(8, 1.1)
