@@ -32,6 +32,7 @@ from .distributions import (
     VonMisesMixture,
     WrappedCauchy,
     parse_base,
+    parse_model,
 )
 from .errors import (
     CircsymError,
@@ -69,6 +70,7 @@ __all__ = [
     "QuadratureSpec", "DEFAULT_QUADRATURE", "integrate_periodic",
     "Uniform", "VonMises", "Cardioid", "WrappedCauchy", "VonMisesMixture",
     "SineSkewed", "MoebiusSkewed", "SkewedMixture", "BASE_FAMILIES", "parse_base",
+    "parse_model",
     "FisherMatrix", "SingularityReport", "CentralSequence",
     "fisher_matrix", "cross_corr", "local_power",
     "singularity_report", "central_sequence", "efficient_central_sequence",

@@ -5,6 +5,8 @@ canonical range is the half-open interval [-pi, pi); the endpoints of the
 circle are identified by mapping +pi to -pi.
 """
 
+import math
+
 import numpy as np
 
 from .errors import EmptySampleError
@@ -37,6 +39,14 @@ def wrap(x):
     if np.ndim(x) == 0 and not isinstance(x, np.ndarray):
         return float(wrapped)
     return wrapped
+
+
+def check_angle(value, name="theta"):
+    """The angle ``value`` as a float; ValueError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite angle, got {value!r}")
+    return value
 
 
 def as_sample(angles):
@@ -82,9 +92,10 @@ def trig_moment(sample, theta, m, kind="sin"):
     float
         The empirical moment, always in [-1, 1].
     """
-    arr = as_sample(sample)
+    theta = check_angle(theta)
     if m < 1 or int(m) != m:
         raise ValueError(f"moment order must be a positive integer, got {m!r}")
+    arr = as_sample(sample)
     centered = m * (arr - theta)
     if kind == "sin":
         return float(np.mean(np.sin(centered)))

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import as_sample
+from .angles import as_sample, check_angle
 from .errors import DegenerateInformationError, UnsupportedBaseError
-from .special import check_alpha, norm_cdf, upper_quantile
+from .special import check_alpha, check_frequency, norm_cdf, upper_quantile
 
 # Separates exact Cauchy-Schwarz equality (sine-skewed von Mises with
 # k = 1) from genuinely positive gaps: the closed forms leave a von Mises
@@ -86,9 +86,7 @@ class CentralSequence:
 def fisher_matrix(base, k):
     """Information matrix entries for (base, k), from the base's cosine moments."""
     _require_family(base)
-    if k < 1 or int(k) != k:
-        raise ValueError(f"frequency k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = check_frequency(k)
     return FisherMatrix(
         g11=base.location_information,
         g12=k * base.cos_moment(k),
@@ -101,9 +99,7 @@ def fisher_matrix(base, k):
 def cross_corr(base, k, k_prime):
     """Cross-frequency constant int sin(kx) sin(k'x) f0(x) dx, symmetric in (k, k')."""
     _require_family(base)
-    lo, hi = sorted((int(k), int(k_prime)))
-    if lo < 1:
-        raise ValueError("frequencies must be positive integers")
+    lo, hi = sorted((check_frequency(k), check_frequency(k_prime)))
     return 0.5 * (base.cos_moment(hi - lo) - base.cos_moment(hi + lo))
 
 
@@ -158,6 +154,7 @@ def singularity_report(base, k):
 
 def central_sequence(base, k, sample, theta):
     """Both components of the root-n score vector at theta."""
+    theta, k = check_angle(theta), check_frequency(k)
     arr = as_sample(sample)
     root_n = math.sqrt(arr.size)
     centered = arr - theta
@@ -174,6 +171,7 @@ def efficient_central_sequence(base, k, sample, theta):
     Identically zero for von Mises bases with k = 1, where the two scores
     are collinear.
     """
+    theta = check_angle(theta)
     matrix = fisher_matrix(base, k)
     if matrix.g11 <= 0.0:
         raise DegenerateInformationError(

@@ -3,9 +3,14 @@
 Subcommands: ``test`` (symmetry about a known direction), ``uniformity``
 (Rayleigh against a fixed direction), ``mc`` (replication tables),
 ``power`` (local power curves), ``fisher`` (information matrix report),
-``sample`` (synthetic draws). Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numerical failure. The only environment variable honored is
-CIRCSYM_THREADS (default worker count for ``mc`` and ``power``).
+``sample`` (synthetic draws). Models and bases are read by
+``distributions.parse_model`` and ``parse_base``. The commands let library
+exceptions through; ``main`` alone maps them to exit codes with one
+``circsym: ...`` line on stderr, by ``EXIT_TABLE``: 0 success, 1 usage
+error (``UsageError``, and any other ``ValueError``, which is how the
+library reports a bad parameter), 2 data error (unreadable, malformed or
+too short input), 3 numerical failure. The only environment variable
+honored is CIRCSYM_THREADS (default worker count for ``mc`` and ``power``).
 """
 
 import argparse
@@ -17,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .distributions import MoebiusSkewed, SineSkewed, SkewedMixture, parse_base
+from .distributions import parse_base, parse_model
 from .errors import (
     DegenerateInformationError,
     DegenerateSampleError,
@@ -35,13 +40,8 @@ from .montecarlo import (
     preset_scenarios,
     run_scenarios,
 )
-from .special import check_alpha
-from .symtests import (
-    ALTERNATIVES,
-    check_frequency,
-    rayleigh_cardioid_test,
-    symmetry_test,
-)
+from .special import check_alpha, check_frequency
+from .symtests import ALTERNATIVES, rayleigh_cardioid_test, symmetry_test
 
 SCHEMA = "circsym/v1"
 
@@ -58,14 +58,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _angle_option(name, text, unit):
-    """The angle of option --name, in radians; a bad literal is a usage error."""
-    try:
-        return parse_angle(text, unit)
-    except ValueError as exc:
-        raise UsageError(f"--{name}: {exc}") from None
 
 
 def _alpha(text):
@@ -119,57 +111,6 @@ def _parse_grid(text):
     return grid
 
 
-def _parse_model(text):
-    """Sampling model from a compact descriptor.
-
-    A bare base label (``vm:1``) denotes the symmetric density itself.
-    Skewed forms: ``sineskew(vm:1,k=2,lam=0.3,theta=0)``,
-    ``moebius(vm:1,r=0.5,lam=0.1)``, ``mixshift(kappa=10,lam=0.4)``.
-    Angles inside a model descriptor are radians.
-    """
-    raw = str(text).strip()
-    try:
-        if "(" not in raw:
-            return parse_base(raw)
-        head, _, inner = raw.partition("(")
-        head = head.strip()
-        if not inner.endswith(")"):
-            raise ValueError("missing closing parenthesis")
-        positional = []
-        keywords = {}
-        for part in inner[:-1].split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" in part:
-                key, _, value = part.partition("=")
-                keywords[key.strip()] = float(value)
-            else:
-                positional.append(part)
-        if head == "sineskew":
-            (base_label,) = positional
-            return SineSkewed(
-                parse_base(base_label),
-                keywords.pop("lam"),
-                k=int(keywords.pop("k", 1)),
-                theta=keywords.pop("theta", 0.0),
-            )
-        if head == "moebius":
-            (base_label,) = positional
-            return MoebiusSkewed(
-                parse_base(base_label), keywords.pop("lam"), keywords.pop("r")
-            )
-        if head == "mixshift":
-            if positional:
-                raise ValueError("mixshift takes kappa= and lam= only")
-            return SkewedMixture(keywords.pop("kappa"), keywords.pop("lam"))
-        raise ValueError(f"unknown model family {head!r}")
-    except UsageError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad model {text!r}: {exc}") from None
-
-
 def _read_sample(args):
     return read_angles(
         args.file,
@@ -210,7 +151,7 @@ def cmd_test(args):
             "--theta is required: these tests address symmetry about a known "
             "median direction and cannot estimate the center from the data"
         )
-    theta = _angle_option("theta", args.theta, args.unit)
+    theta = parse_angle(args.theta, args.unit)
     sample = _read_sample(args)
     results = [
         symmetry_test(sample, theta, k, alternative=args.alt, alpha=args.alpha)
@@ -228,7 +169,7 @@ def cmd_test(args):
 def cmd_uniformity(args):
     if args.direction is None:
         raise UsageError("--direction is required: the test targets a fixed direction")
-    direction = _angle_option("direction", args.direction, args.unit)
+    direction = parse_angle(args.direction, args.unit)
     sample = _read_sample(args)
     result = rayleigh_cardioid_test(sample, direction, alpha=args.alpha)
     lines = [f"n={result.n}  direction={direction:.10g} rad",
@@ -275,10 +216,7 @@ def cmd_mc(args):
 
 
 def cmd_power(args):
-    try:
-        base = parse_base(args.base)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    base = parse_base(args.base)
     grid = _parse_grid(args.grid)
     columns = {}
     for kp in args.kprime:
@@ -310,10 +248,7 @@ def cmd_power(args):
 
 
 def cmd_fisher(args):
-    try:
-        base = parse_base(args.base)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    base = parse_base(args.base)
     matrix = fisher_matrix(base, args.k)
     try:
         report = singularity_report(base, args.k)
@@ -341,9 +276,7 @@ def cmd_fisher(args):
 
 
 def cmd_sample(args):
-    model = _parse_model(args.model)
-    if args.n < 1:
-        raise UsageError("-n must be positive")
+    model = parse_model(args.model)
     rng = derive_stream(args.seed, f"cli-sample|{model.label}", 0)
     draws = model.sample(rng, args.n)
     if args.out:
@@ -364,7 +297,8 @@ def build_parser():
                                  "a known median direction, with replication "
                                  "and power tooling.")
     parser.add_argument("--version", action="version", version=f"circsym {__version__}")
-    default_threads = int(os.environ.get("CIRCSYM_THREADS", "1"))
+    # a string default goes through type=int, so a bad value is a usage error
+    default_threads = os.environ.get("CIRCSYM_THREADS", "1")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("test", help="sine-based symmetry tests at chosen k")
@@ -429,22 +363,28 @@ def build_parser():
     return parser
 
 
+# Exception classes, exit code and message prefix; the first row that
+# matches wins. Most data and numerical errors are ValueErrors too, so the
+# ValueError row comes last.
+EXIT_TABLE = (
+    ((AngleFileError, EmptySampleError, DegenerateSampleError, OSError,
+      UnicodeDecodeError), EXIT_DATA, "data error: "),
+    ((QuadratureConvergenceError, DegenerateInformationError, ArithmeticError),
+     EXIT_NUMERICAL, "numerical failure: "),
+    ((UsageError, ValueError), EXIT_USAGE, ""),
+)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"circsym: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AngleFileError, EmptySampleError, DegenerateSampleError,
-            FileNotFoundError) as exc:
-        print(f"circsym: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (QuadratureConvergenceError, DegenerateInformationError,
-            FloatingPointError, OverflowError) as exc:
-        print(f"circsym: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        for classes, code, prefix in EXIT_TABLE:
+            if isinstance(exc, classes):
+                print(f"circsym: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

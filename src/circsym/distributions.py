@@ -11,6 +11,9 @@ to [-pi, pi). Each symmetric base also states its cosine moments
 rho_m = E[cos(m X)] (``cos_moment``) and its location information
 g11 = E[phi(X)^2] (``location_information``) in closed form; the
 information machinery in ``asymptotics`` is built from these.
+
+Every model has a ``label`` that ``parse_model`` reads back to an equal
+model; ``parse_model`` is the one parser of model descriptors.
 """
 
 import math
@@ -18,13 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap
+from .angles import TWO_PI, check_angle, wrap
 from .errors import UnsupportedBaseError
-from .special import bessel_i, bessel_ratio
+from .special import bessel_i, bessel_ratio, check_frequency
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
 _BISECT_ITER = 80
+# Best-Fisher's envelope needs r - 1 ~ 1/(2 kappa), which doubles hold as a
+# whole number of ulps of 1 (2^-52): 16 or more up to kappa = 2^47 ~ 1.4e14,
+# at most 1/32 off. Above it r - 1 decays to a few ulps (kappa (r - 1) reads
+# 0.44 at 1e15 and 2.2 at 1e16, not 1/2) and to none from about 1e17, where
+# no draw is ever accepted; the normal limit N(0, 1/kappa) is used instead,
+# whose error O(1/kappa) is below 1e-14 there.
+_BEST_FISHER_MAX_KAPPA = 2.0**47
 
 
 def _scalar_or_array(value):
@@ -35,6 +45,13 @@ def _scalar_or_array(value):
 def _check_kappa(kappa):
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
+
+
+def _number(x):
+    """``x`` for a label: ``:g`` when that reads back exactly, else ``repr``."""
+    x = float(x)
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def _check_count(n):
@@ -88,7 +105,7 @@ class VonMises:
 
     @property
     def label(self):
-        return f"vm:{self.kappa:g}"
+        return f"vm:{_number(self.kappa)}"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -109,11 +126,14 @@ class VonMises:
         return self.kappa * bessel_ratio(1, self.kappa)
 
     def sample(self, rng, n):
-        """Best-Fisher rejection sampler, vectorized in batches."""
+        """Best-Fisher rejection sampler, vectorized in batches; the normal
+        limit N(0, 1/kappa), wrapped, above ``_BEST_FISHER_MAX_KAPPA``."""
         n = _check_count(n)
         kappa = self.kappa
         if kappa < 1e-9:
             return rng.random(n) * TWO_PI - np.pi
+        if kappa > _BEST_FISHER_MAX_KAPPA:
+            return wrap(rng.standard_normal(n) / math.sqrt(kappa))
         tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
         rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
         r = (1.0 + rho * rho) / (2.0 * rho)
@@ -156,7 +176,7 @@ class Cardioid:
 
     @property
     def label(self):
-        return f"cardioid:{self.ell:g}"
+        return f"cardioid:{_number(self.ell)}"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -223,7 +243,7 @@ class WrappedCauchy:
 
     @property
     def label(self):
-        return f"wcauchy:{self.rho:g}"
+        return f"wcauchy:{_number(self.rho)}"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -276,7 +296,7 @@ class VonMisesMixture:
 
     @property
     def label(self):
-        return f"vmmix:{self.kappa:g}"
+        return f"vmmix:{_number(self.kappa)}"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -308,26 +328,13 @@ _BASE_PREFIXES = {
 
 
 def parse_base(label):
-    """Base density from its label, the inverse of the ``label`` property.
-
-    Accepted forms: ``uniform``, ``vm:<kappa>``, ``cardioid:<ell>``,
-    ``wcauchy:<rho>``, ``vmmix:<kappa>``.
-    """
-    text = str(label).strip()
-    if text == "uniform":
-        return Uniform()
-    prefix, sep, value = text.partition(":")
-    family = _BASE_PREFIXES.get(prefix)
-    if not sep or family is None:
-        raise ValueError(
-            f"unknown base density {label!r}; expected uniform, vm:<kappa>, "
-            "cardioid:<ell>, wcauchy:<rho> or vmmix:<kappa>"
-        )
-    try:
-        parameter = float(value)
-    except ValueError:
-        raise ValueError(f"bad parameter in base density {label!r}") from None
-    return family(parameter)
+    """Symmetric base density from its label: ``parse_model`` restricted to
+    ``BASE_FAMILIES``."""
+    model = parse_model(label)
+    if not isinstance(model, BASE_FAMILIES):
+        raise ValueError(f"{label!r} is not a base density; expected uniform, "
+                         "vm:<kappa>, cardioid:<ell>, wcauchy:<rho> or vmmix:<kappa>")
+    return model
 
 
 @dataclass(frozen=True)
@@ -342,14 +349,13 @@ class SineSkewed:
     def __post_init__(self):
         if not -1.0 < self.lam < 1.0:
             raise ValueError(f"skewness lam must lie in (-1, 1), got {self.lam!r}")
-        if self.k < 1 or int(self.k) != self.k:
-            raise ValueError(f"frequency k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "theta", wrap(float(self.theta)))
+        object.__setattr__(self, "k", check_frequency(self.k))
+        object.__setattr__(self, "theta", wrap(check_angle(self.theta)))
 
     @property
     def label(self):
-        return f"sineskew({self.base.label},k={self.k},lam={self.lam:g},theta={self.theta:g})"
+        return (f"sineskew({self.base.label},k={self.k},lam={_number(self.lam)},"
+                f"theta={_number(self.theta)})")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -391,7 +397,7 @@ class MoebiusSkewed:
 
     @property
     def label(self):
-        return f"moebius({self.base.label},r={self.r:g},lam={self.lam:g})"
+        return f"moebius({self.base.label},r={_number(self.r)},lam={_number(self.lam)})"
 
     def pdf(self, x):
         # change of variables through the inverse transform
@@ -427,7 +433,7 @@ class SkewedMixture:
 
     @property
     def label(self):
-        return f"mixshift(kappa={self.kappa:g},lam={self.lam:g})"
+        return f"mixshift(kappa={_number(self.kappa)},lam={_number(self.lam)})"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -441,3 +447,83 @@ class SkewedMixture:
         second = rng.random(n) < 0.5
         centers = np.where(second, np.pi / 4 + self.lam, -np.pi / 4)
         return wrap(centers + VonMises(self.kappa).sample(rng, n))
+
+
+# family: (class, whether it takes a base density, required and optional keywords)
+_SKEWED_FORMS = {
+    "sineskew": (SineSkewed, True, ("lam",), ("k", "theta")),
+    "moebius": (MoebiusSkewed, True, ("r", "lam"), ()),
+    "mixshift": (SkewedMixture, False, ("kappa", "lam"), ()),
+}
+
+
+def parse_model(text):
+    """Model from its descriptor, the inverse of every ``label`` property.
+
+    A bare base label is the symmetric density itself: ``uniform``,
+    ``vm:<kappa>``, ``cardioid:<ell>``, ``wcauchy:<rho>``, ``vmmix:<kappa>``.
+    The skewed forms take a base label and keywords, or keywords only:
+    ``sineskew(<base>,lam=,k=1,theta=0)``, ``moebius(<base>,r=,lam=)`` and
+    ``mixshift(kappa=,lam=)``. Angles are radians. ValueError for an unknown
+    family, an unknown, repeated or missing keyword, a bad number or a
+    parameter the model rejects.
+    """
+    raw = str(text).strip()
+    head, paren, inner = raw.partition("(")
+    if not paren:
+        if raw == "uniform":
+            return Uniform()
+        prefix, colon, value = raw.partition(":")
+        if not colon or prefix not in _BASE_PREFIXES:
+            raise ValueError(
+                f"unknown model {text!r}; expected uniform, vm:<kappa>, cardioid:<ell>, "
+                "wcauchy:<rho>, vmmix:<kappa> or a skewed form such as sineskew(...)"
+            )
+        return _BASE_PREFIXES[prefix](_parameter(value, text))
+    head = head.strip()
+    if head not in _SKEWED_FORMS:
+        raise ValueError(
+            f"unknown model family {head!r} in {text!r}; expected a base label, "
+            "sineskew(...), moebius(...) or mixshift(...)"
+        )
+    if not inner.endswith(")"):
+        raise ValueError(f"missing closing parenthesis in {text!r}")
+    inner = inner[:-1]
+    if "(" in inner:
+        raise ValueError(f"{head} takes a base label, not a nested model, in {text!r}")
+    family, takes_base, required, optional = _SKEWED_FORMS[head]
+    positional, keywords = [], {}
+    for part in inner.split(","):
+        key, eq, value = (piece.strip() for piece in part.partition("="))
+        if not key:
+            raise ValueError(f"empty argument in {text!r}")
+        if not eq:
+            positional.append(key)
+        elif key not in required + optional:
+            raise ValueError(
+                f"unknown keyword {key!r} in {text!r}; {head} takes "
+                + ", ".join(f"{name}=" for name in required + optional)
+            )
+        elif key in keywords:
+            raise ValueError(f"keyword {key!r} repeated in {text!r}")
+        else:
+            keywords[key] = _parameter(value, text)
+    if len(positional) != takes_base:
+        wanted = "one base density" if takes_base else "keywords only"
+        raise ValueError(
+            f"{head} takes {wanted}, got {len(positional)} positional "
+            f"argument(s) in {text!r}"
+        )
+    missing = [name for name in required if name not in keywords]
+    if missing:
+        raise ValueError(f"missing keyword {missing[0]!r} in {text!r}")
+    if takes_base:
+        keywords["base"] = parse_base(positional[0])
+    return family(**keywords)
+
+
+def _parameter(value, text):
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"bad number {value!r} in {text!r}") from None

@@ -6,7 +6,7 @@ class CircsymError(Exception):
 
 
 class EmptySampleError(CircsymError, ValueError):
-    """Raised when an operation requires at least one observation."""
+    """Raised when a sample has too few observations for the operation."""
 
 
 class DegenerateSampleError(CircsymError, ValueError):

@@ -144,8 +144,11 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
         angles = angles * _DEG
     if fmt == "grouped":
         angles = np.repeat(angles, counts)
-    orientation = -1.0 if sense == "cw" else 1.0
-    return wrap(zero_angle + orientation * angles)
+    if sense == "cw":
+        angles = -angles
+    if zero_angle:  # adding a zero would turn -0.0 into 0.0
+        angles = zero_angle + angles
+    return wrap(angles)
 
 
 def write_angles(path, angles, unit="radians"):

@@ -34,7 +34,7 @@ from .distributions import (
     VonMises,
     parse_base,
 )
-from .special import check_alpha
+from .special import check_alpha, check_frequency
 from . import symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
@@ -89,7 +89,7 @@ class ScenarioSpec:
             raise ValueError(f"replication count must be at least 100, got {self.reps}")
         check_alpha(self.alpha)
         object.__setattr__(
-            self, "test_ks", tuple(symtests.check_frequency(k) for k in self.test_ks)
+            self, "test_ks", tuple(check_frequency(k) for k in self.test_ks)
         )
         if self.runs_p is not None and not 0.0 < self.runs_p < 1.0:
             raise ValueError(f"runs percentile must lie in (0, 1), got {self.runs_p}")
@@ -310,10 +310,12 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
         return list(zip(tau2_grid, local_power_curve(base, k, k_prime, tau2_grid, alpha)))
     if mode != "empirical":
         raise ValueError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
-    if n is None or reps is None:
-        raise ValueError("empirical mode needs both n and reps")
+    if not all(v is not None and v >= 1 and v % 1 == 0 for v in (n, reps)):
+        raise ValueError("empirical mode needs n and reps, both positive integers; "
+                         f"got n={n!r}, reps={reps!r}")
+    n, reps = int(n), int(reps)
     alpha = check_alpha(alpha)
-    k = symtests.check_frequency(k)
+    k = check_frequency(k)
     streams = []
     for t in tau2_grid:
         lam = t / math.sqrt(n)
@@ -377,15 +379,23 @@ def preset_scenarios(name, reps=None, master_seed=None):
     return specs
 
 
+def _base_label(text):
+    parse_base(text)  # so that a bad label is reported with its line
+    return text
+
+
 _SCENARIO_KEYS = {
     "scenario_id": str,
     "family": str,
-    "base": str,
+    "base": _base_label,
+    "lambdas": lambda text: tuple(float(v) for v in text.split(",")),
     "skew_k": int,
     "moebius_r": float,
     "n": int,
     "reps": int,
     "alpha": float,
+    "test_ks": lambda text: tuple(int(v) for v in text.split(",")),
+    "runs_p": lambda text: None if text.lower() == "none" else float(text),
     "runs_calibration_reps": int,
     "master_seed": int,
 }
@@ -410,20 +420,19 @@ def load_scenario_file(path):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key in _SCENARIO_KEYS:
-                values[key] = _SCENARIO_KEYS[key](value)
-            elif key == "lambdas":
-                values[key] = tuple(float(v) for v in value.split(","))
-            elif key == "test_ks":
-                values[key] = tuple(int(v) for v in value.split(","))
-            elif key == "runs_p":
-                values[key] = None if value.lower() == "none" else float(value)
-            else:
+            if key not in _SCENARIO_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _SCENARIO_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {key} {value!r}: {exc}") from None
     for required in ("scenario_id", "family", "base", "lambdas"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
-    return ScenarioSpec(**values)
+    try:
+        return ScenarioSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_scenario(spec):

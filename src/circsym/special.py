@@ -1,4 +1,5 @@
-"""Modified Bessel functions, the standard normal cdf/quantile pair and the level check.
+"""Modified Bessel functions, the standard normal cdf/quantile pair, and the
+checks of a level and a frequency.
 
 Kept dependency-free. ``bessel_ratio`` gives the von Mises cosine moments
 I_m(kappa)/I_0(kappa) for every finite kappa > 0 without forming either
@@ -110,6 +111,13 @@ def check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level alpha must lie in (0, 1), got {alpha!r}")
     return alpha
+
+
+def check_frequency(k):
+    """The frequency ``k`` as an int; ValueError unless it is a positive integer."""
+    if not (k >= 1 and k % 1 == 0):  # false for nan and inf too
+        raise ValueError(f"frequency k must be a positive integer, got {k!r}")
+    return int(k)
 
 
 def norm_cdf(x):

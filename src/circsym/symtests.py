@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import as_sample, wrap
+from .angles import as_sample, check_angle, wrap
 from .asymptotics import fisher_matrix
-from .errors import DegenerateInformationError, DegenerateSampleError
-from .special import check_alpha, norm_cdf, norm_sf
+from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
+from .special import check_alpha, check_frequency, norm_cdf, norm_sf
 
 ALTERNATIVES = ("two-sided", "left", "right")
 
@@ -68,11 +68,11 @@ class TestResult:
         return out
 
 
-def check_frequency(k):
-    """The frequency ``k`` as an int; ValueError unless it is a positive integer."""
-    if k < 1 or int(k) != k:
-        raise ValueError(f"frequency k must be a positive integer, got {k!r}")
-    return int(k)
+def check_alternative(alternative):
+    """``alternative`` itself; ValueError unless it is one of ``ALTERNATIVES``."""
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    return alternative
 
 
 def p_value(signed, alternative="two-sided"):
@@ -81,9 +81,8 @@ def p_value(signed, alternative="two-sided"):
         return 2.0 * norm_sf(abs(signed))
     if alternative == "right":
         return norm_sf(signed)
-    if alternative == "left":
-        return norm_cdf(signed)
-    raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    check_alternative(alternative)  # raises unless "left"
+    return norm_cdf(signed)
 
 
 def studentized_rows(x, theta, k):
@@ -107,13 +106,14 @@ def studentized_statistic(sample, theta, k):
 
     The absolute value is the published two-sided statistic.
     """
+    theta, k = check_angle(theta), check_frequency(k)
     return _studentized(as_sample(sample), theta, k)
 
 
 def _studentized(arr, theta, k):
-    k = check_frequency(k)
+    """T_k of a canonical sample at a checked theta and k."""
     if arr.size < 2:
-        raise ValueError("studentized statistic needs at least two observations")
+        raise EmptySampleError("studentized statistic needs at least two observations")
     signed = float(studentized_rows(arr, theta, k))
     if math.isnan(signed):
         raise DegenerateSampleError(
@@ -128,33 +128,36 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
     Asymptotically standard normal under any symmetric density, so the
     p-value is distribution-free.
     """
-    alpha = check_alpha(alpha)
+    alpha, alternative = check_alpha(alpha), check_alternative(alternative)
+    theta, k = check_angle(theta), check_frequency(k)
     arr = as_sample(sample)
     signed = _studentized(arr, theta, k)
     return TestResult(
         statistic=signed,
         p_value=p_value(signed, alternative),
         alternative=alternative,
-        method=f"sine-symmetry-studentized:k={int(k)}",
+        method=f"sine-symmetry-studentized:k={k}",
         n=arr.size,
-        theta=wrap(float(theta)),
-        k=int(k),
+        theta=wrap(theta),
+        k=k,
         reject_at=alpha,
     )
 
 
 def parametric_statistic(sample, theta, k, base):
     """Nonnegative parametric statistic |sqrt(n) mean(sin(k(x-theta)))| / sqrt(g22)."""
+    theta, k = check_angle(theta), check_frequency(k)
     return abs(_signed_parametric(as_sample(sample), theta, k, base))
 
 
 def _signed_parametric(arr, theta, k, base):
-    sines = np.sin(check_frequency(k) * (arr - theta))
+    """Signed parametric statistic of a canonical sample at a checked theta and k."""
     g22 = fisher_matrix(base, k).g22
     if g22 <= 0.0:
         raise DegenerateInformationError(
             f"skewness information vanishes for {base.label!r}, k={k}"
         )
+    sines = np.sin(k * (arr - theta))
     return math.sqrt(arr.size) * float(np.mean(sines)) / math.sqrt(g22)
 
 
@@ -164,17 +167,18 @@ def parametric_test(sample, theta, k, base, alternative="two-sided", alpha=0.05)
     Valid (level alpha) only under the stated base; optimal against its
     k-sine-skewed alternatives.
     """
-    alpha = check_alpha(alpha)
+    alpha, alternative = check_alpha(alpha), check_alternative(alternative)
+    theta, k = check_angle(theta), check_frequency(k)
     arr = as_sample(sample)
     signed = _signed_parametric(arr, theta, k, base)
     return TestResult(
         statistic=signed,
         p_value=p_value(signed, alternative),
         alternative=alternative,
-        method=f"sine-symmetry-parametric:{base.label}:k={int(k)}",
+        method=f"sine-symmetry-parametric:{base.label}:k={k}",
         n=arr.size,
-        theta=wrap(float(theta)),
-        k=int(k),
+        theta=wrap(theta),
+        k=k,
         reject_at=alpha,
     )
 
@@ -189,9 +193,10 @@ def rayleigh_cardioid_test(sample, central_direction, alpha=0.05):
     theta = central_direction - pi/2.
     """
     alpha = check_alpha(alpha)
+    central_direction = check_angle(central_direction, "central direction")
     arr = as_sample(sample)
     if arr.size < 2:
-        raise ValueError("uniformity test needs at least two observations")
+        raise EmptySampleError("uniformity test needs at least two observations")
     statistic = math.sqrt(2.0 * arr.size) * float(
         np.mean(np.cos(arr - central_direction))
     )
@@ -201,7 +206,7 @@ def rayleigh_cardioid_test(sample, central_direction, alpha=0.05):
         alternative="right",
         method="rayleigh-cardioid-uniformity",
         n=arr.size,
-        theta=wrap(float(central_direction)),
+        theta=wrap(central_direction),
         reject_at=alpha,
     )
 
@@ -272,12 +277,13 @@ def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAU
     for the same subset size); otherwise the test simulates its own with
     ``rng`` (a fixed default stream when omitted).
     """
-    arr = as_sample(sample)
-    if arr.size < 10:
-        raise ValueError("modified runs test needs at least ten observations")
+    theta = check_angle(theta)
     if not 0.0 < p < 1.0:
         raise ValueError(f"percentile p must lie in (0, 1), got {p!r}")
     alpha = check_alpha(alpha)
+    arr = as_sample(sample)
+    if arr.size < 10:
+        raise EmptySampleError("modified runs test needs at least ten observations")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(_DEFAULT_RUNS_SEED))
 
@@ -302,7 +308,7 @@ def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAU
         alternative="left",
         method=f"modified-runs:p={p:g}",
         n=arr.size,
-        theta=wrap(float(theta)),
+        theta=wrap(theta),
         reject_at=alpha,
         extra={
             "subset_size": m,

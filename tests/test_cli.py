@@ -8,18 +8,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circsym import cli
 from circsym.cli import (
     EXIT_DATA,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
     _parse_grid,
-    _parse_model,
     build_parser,
     main,
 )
-from circsym.distributions import SineSkewed, VonMises, parse_base
-from circsym.io import parse_angle, read_angles, write_angles
+from circsym.distributions import SineSkewed, VonMises, parse_model
+from circsym.errors import (
+    DegenerateInformationError,
+    DegenerateSampleError,
+    EmptySampleError,
+    QuadratureConvergenceError,
+    UnsupportedBaseError,
+)
+from circsym.io import AngleFileError, parse_angle, read_angles, write_angles
 from circsym.montecarlo import derive_stream
 from circsym.symtests import symmetry_test
 
@@ -63,20 +71,20 @@ class TestParsers:
                 _parse_grid(bad)
 
     def test_parse_model_bases_and_skews(self):
-        assert _parse_model("vm:2").label == "vm:2"
-        skew = _parse_model("sineskew(cardioid:0.5,k=2,lam=0.3)")
+        assert parse_model("vm:2").label == "vm:2"
+        skew = parse_model("sineskew(cardioid:0.5,k=2,lam=0.3)")
         assert isinstance(skew, SineSkewed)
         assert (skew.k, skew.lam) == (2, 0.3)
-        moebius = _parse_model("moebius(vm:1,r=0.5,lam=0.1)")
+        moebius = parse_model("moebius(vm:1,r=0.5,lam=0.1)")
         assert moebius.omega == pytest.approx(1 / 3)
-        mix = _parse_model("mixshift(kappa=10,lam=0.4)")
+        mix = parse_model("mixshift(kappa=10,lam=0.4)")
         assert mix.lam == 0.4
 
     def test_parse_model_rejects_junk(self):
         for bad in ("warp:1", "sineskew(vm:1)", "mixshift(vm:1,lam=0.1)",
                     "sineskew(vm:1,lam=0.3", "banana(vm:1,lam=0.1)"):
-            with pytest.raises(UsageError):
-                _parse_model(bad)
+            with pytest.raises(ValueError):
+                parse_model(bad)
 
     def test_threads_env_default(self, monkeypatch):
         monkeypatch.setenv("CIRCSYM_THREADS", "3")
@@ -357,19 +365,90 @@ class TestNoTraceback:
         (["fisher", "--base", "vm:800", "--k", "1", "--json"], EXIT_OK),
         (["fisher", "--base", "wcauchy:0.999", "--k", "1"], EXIT_OK),
         (["fisher", "--base", "vm:1e300", "--k", "1"], EXIT_OK),
+        (["fisher", "--base", "vmmix:1", "--k", "1"], EXIT_USAGE),
+        (["power", "--base", "vmmix:1"], EXIT_USAGE),
+        (["power", "--empirical", "4", "100", "--grid", "0:5:3"], EXIT_USAGE),
+        (["power", "--empirical", "0", "100"], EXIT_USAGE),
+        (["mc", "--preset", "table1", "--reps", "5"], EXIT_USAGE),
+        (["mc", "--scenario", "{reps_abc}"], EXIT_USAGE),
+        (["mc", "--scenario", "{skewed_base}"], EXIT_USAGE),
+        (["test", "{one}", "--theta", "0"], EXIT_DATA),
+        (["uniformity", "{one}", "--direction", "0"], EXIT_DATA),
+        (["test", "{dir}", "--theta", "0"], EXIT_DATA),
+        (["test", "{binary}", "--theta", "0"], EXIT_DATA),
+        (["sample", "--model", "vm:1e300", "-n", "5"], EXIT_OK),
+        (["sample", "--model", "sineskew(vm:1,lam=0.3,k=2.5)", "-n", "5"], EXIT_USAGE),
+        (["sample", "--model", "sineskew(vm:1,lam=0.3,foo=1)", "-n", "5"], EXIT_USAGE),
     ])
     def test_exit_code_without_traceback(self, tmp_path, argv, code):
-        (tmp_path / "nan.txt").write_text("0.5\n-1.25\nnan\n2.0\n", encoding="utf-8")
-        (tmp_path / "ok.txt").write_text("0.5\n-1.25\n1.0\n2.0\n", encoding="utf-8")
-        (tmp_path / "zero_nan.txt").write_text("# zero: nan\n0.5\n-1.25\n", encoding="utf-8")
-        argv = [a.format(nan=tmp_path / "nan.txt", ok=tmp_path / "ok.txt",
-                         zero_nan=tmp_path / "zero_nan.txt") for a in argv]
+        self._check(tmp_path, argv, code)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fisher", "--base", "vm:1", "--k", "1"], EXIT_OK),
+        (["mc", "--preset", "table1"], EXIT_USAGE),
+    ])
+    def test_bad_threads_variable(self, tmp_path, argv, code):
+        self._check(tmp_path, argv, code, CIRCSYM_THREADS="abc")
+
+    def _check(self, tmp_path, argv, code, **env_vars):
+        files = {
+            "nan": "0.5\n-1.25\nnan\n2.0\n",
+            "ok": "0.5\n-1.25\n1.0\n2.0\n",
+            "zero_nan": "# zero: nan\n0.5\n-1.25\n",
+            "one": "0.5\n",
+            "reps_abc": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                        "lambdas = 0\nreps = abc\n",
+            "skewed_base": "scenario_id = s\nfamily = sineskew\n"
+                           "base = sineskew(vm:1,lam=0.1)\nlambdas = 0\n",
+        }
+        paths = {"dir": tmp_path, "binary": tmp_path / "binary"}
+        paths["binary"].write_bytes(bytes(range(256)))
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text, encoding="utf-8")
+        argv = [a.format(**paths) for a in argv]
         src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "circsym.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == code
+                              capture_output=True, text=True, env=env, timeout=60,
+                              cwd=tmp_path)
+        assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         if code != EXIT_OK:
             assert done.stderr.startswith("circsym: ")
+            assert len(done.stderr.splitlines()) == 1
+
+
+class TestExitTable:
+    """``main`` maps each exception a command raises to one exit code."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (UsageError("x"), EXIT_USAGE),
+        (ValueError("x"), EXIT_USAGE),
+        (UnsupportedBaseError("x"), EXIT_USAGE),
+        (AngleFileError("x"), EXIT_DATA),
+        (EmptySampleError("x"), EXIT_DATA),
+        (DegenerateSampleError("x"), EXIT_DATA),
+        (FileNotFoundError("x"), EXIT_DATA),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x"), EXIT_DATA),
+        (DegenerateInformationError("x"), EXIT_NUMERICAL),
+        (QuadratureConvergenceError("x", 0.0), EXIT_NUMERICAL),
+        (OverflowError("x"), EXIT_NUMERICAL),
+    ])
+    def test_exit_code(self, monkeypatch, capsys, exc, code):
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_fisher", command)
+        assert main(["fisher", "--base", "vm:1", "--k", "1"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("circsym: ") and len(err.splitlines()) == 1
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def command(args):
+            raise RuntimeError("a defect, not an input error")
+
+        monkeypatch.setattr(cli, "cmd_fisher", command)
+        with pytest.raises(RuntimeError):
+            main(["fisher", "--base", "vm:1", "--k", "1"])

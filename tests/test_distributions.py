@@ -1,3 +1,8 @@
+import hashlib
+import math
+import re
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +17,7 @@ from circsym.distributions import (
     VonMisesMixture,
     WrappedCauchy,
     parse_base,
+    parse_model,
 )
 from circsym.errors import UnsupportedBaseError
 from circsym.quadrature import integrate_periodic
@@ -203,6 +209,28 @@ class TestSamplers:
         with pytest.raises(ValueError, match="positive integer"):
             VonMises(1.0).sample(np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize("kappa, digest", [
+        (1e-3, "d2fc8c93983d0c91aa97752c0f07523014e751fdba897213cbe3e0b3db5a1895"),
+        (1.0, "06f6154f17d3135e775c7d56d53cf5646d1293394221d7f2ec1eea4d14474fe9"),
+        (700.0, "f4cfacefafe1170a6581c61a93c070b040a56b0f418e30718a84474ce82207ee"),
+        (1e8, "5742030e96013cc6b57464476a46ac98142dc51665e9f73e0630bafc1c04741a"),
+        (1e14, "45a2400158a06f250bdbea47154c4d1e3b4281d92ce199871b853218957396c0"),
+    ])
+    def test_von_mises_draws_pinned(self, kappa, digest):
+        # Best-Fisher draws, recorded before the normal limit was added above 2^47
+        draws = VonMises(kappa).sample(np.random.Generator(np.random.Philox(7)), 1000)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kappa", [1e15, 1e16, 1e17, 1e20, 1e300])
+    def test_huge_kappa_von_mises_is_prompt_and_normal(self, kappa):
+        start = time.perf_counter()
+        draws = VonMises(kappa).sample(np.random.default_rng(9), 20_000)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(draws))
+        # N(0, 1/kappa) limit: unit spread after scaling, no pile-up at 0
+        assert np.std(draws) * math.sqrt(kappa) == pytest.approx(1.0, abs=0.03)
+        assert np.count_nonzero(draws == 0.0) == 0
+
 
 class TestValidation:
     def test_parameter_ranges(self):
@@ -254,7 +282,52 @@ class TestParseBase:
     def test_label_round_trip(self, base):
         assert parse_base(base.label) == base
 
-    @pytest.mark.parametrize("bad", ["vm", "vm:", "vm:abc", "gauss:1", ""])
+    @pytest.mark.parametrize("bad", ["vm", "vm:", "vm:abc", "gauss:1", "",
+                                     "sineskew(vm:1,lam=0.1)", "mixshift(kappa=1,lam=0)"])
     def test_bad_labels_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_base(bad)
+
+
+class TestParseModel:
+    def test_labels_that_read_back_with_g_are_unchanged(self):
+        assert SineSkewed(VonMises(1.0), 0.4, k=2).label == "sineskew(vm:1,k=2,lam=0.4,theta=0)"
+        assert MoebiusSkewed(VonMises(10.0), 0.02, 0.5).label == "moebius(vm:10,r=0.5,lam=0.02)"
+        assert SkewedMixture(1.0, 1.2).label == "mixshift(kappa=1,lam=1.2)"
+        assert VonMises(1e300).label == "vm:1e+300"
+
+    def test_lossy_g_labels_use_repr(self):
+        model = MoebiusSkewed(VonMises(1.0), 0.2 / 3, 0.5)
+        assert model.label == "moebius(vm:1,r=0.5,lam=0.06666666666666667)"
+        assert parse_model(model.label) == model
+        # two bases that print alike with :g no longer share a label
+        assert VonMises(1.0).label != VonMises(1.0000001).label
+
+    def test_optional_keywords_default(self):
+        assert parse_model("sineskew(vm:1,lam=0.3)") == SineSkewed(VonMises(1.0), 0.3)
+        assert parse_model(" sineskew( wcauchy:0.5 , k = 2.0 , lam=-0.4 ) ").k == 2
+
+    @pytest.mark.parametrize("bad, message", [
+        ("sineskew(vm:1,lam=0.3,foo=1)", "unknown keyword 'foo'"),
+        ("sineskew(vm:1,lam=0.3,lam=0.2)", "repeated"),
+        ("sineskew(vm:1,k=2)", "missing keyword 'lam'"),
+        ("moebius(vm:1,lam=0.1)", "missing keyword 'r'"),
+        ("sineskew(vm:1,lam=0.3,k=2.5)", "frequency k must be a positive integer"),
+        ("sineskew(vm:1,lam=0.3,k=inf)", "frequency k must be a positive integer"),
+        ("sineskew(lam=0.3)", "one base density, got 0"),
+        ("sineskew(vm:1,vm:2,lam=0.3)", "one base density, got 2"),
+        ("mixshift(vm:1,kappa=1,lam=0.1)", "keywords only, got 1"),
+        ("sineskew(vm:1,,lam=0.3)", "empty argument"),
+        ("sineskew(vm:1,lam=abc)", "bad number 'abc'"),
+        ("sineskew(vm:1,lam=0.3,theta=nan)", "finite angle"),
+        ("sineskew(sineskew(vm:1,lam=0.1),lam=0.1)", "not a nested model"),
+        ("moebius(mixshift(kappa=1,lam=0),r=0.5,lam=0)", "not a nested model"),
+        ("sineskew(uniform,lam=0.1)x", "closing parenthesis"),
+        ("sineskew(vm:1,lam=0.3", "closing parenthesis"),
+        ("banana(vm:1,lam=0.1)", "unknown model family 'banana'"),
+        ("vm:abc", "bad number 'abc'"),
+        ("warp:1", "unknown model 'warp:1'"),
+    ])
+    def test_strict(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_model(bad)

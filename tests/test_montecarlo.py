@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,11 @@ class TestPowerCurve:
         with pytest.raises(ValueError, match="n and reps"):
             power_curve(VonMises(1.0), 2, 2, [1.0], mode="empirical")
 
+    @pytest.mark.parametrize("n, reps", [(0, 100), (20, 0), (2.5, 100), (20, -3)])
+    def test_empirical_sizes_are_positive_integers(self, n, reps):
+        with pytest.raises(ValueError, match="positive integers"):
+            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=n, reps=reps)
+
     def test_empirical_rejects_non_contiguous_drift(self):
         with pytest.raises(ValueError, match="outside"):
             power_curve(VonMises(1.0), 2, 2, [11.0], mode="empirical", n=100, reps=100)
@@ -402,6 +408,23 @@ class TestScenarioFiles:
         path = tmp_path / "scenario.txt"
         path.write_text("scenario_id = x\nbogus = 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown key"):
+            load_scenario_file(path)
+
+    @pytest.mark.parametrize("line", [
+        "reps = abc", "lambdas = 0, x", "test_ks = 1,two", "runs_p = maybe",
+        "base = sineskew(vm:1,lam=0.1)", "base = gauss:1",
+    ])
+    def test_bad_value_reported_with_its_line(self, tmp_path, line):
+        path = tmp_path / "scenario.txt"
+        path.write_text(f"scenario_id = x\nfamily = sineskew\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: bad"):
+            load_scenario_file(path)
+
+    def test_invalid_scenario_reported_with_its_file(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("scenario_id = x\nfamily = sineskew\nbase = vm:1\n"
+                        "lambdas = 0\nreps = 5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: replication count"):
             load_scenario_file(path)
 
     def test_missing_required_key(self, tmp_path):

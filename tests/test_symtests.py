@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
 from circsym.angles import wrap
-from circsym.distributions import Cardioid, SineSkewed, Uniform, VonMises
-from circsym.errors import DegenerateSampleError
+from circsym.distributions import Cardioid, SineSkewed, Uniform, VonMises, VonMisesMixture
+from circsym.errors import DegenerateSampleError, EmptySampleError
 from circsym.montecarlo import derive_stream
 from circsym.symtests import (
     modified_runs_rows,
@@ -229,6 +230,48 @@ class TestLevelValidation:
         for call in calls:
             with pytest.raises(ValueError, match="alpha"):
                 call()
+
+
+class TestDirectionAndAlternativeValidation:
+    """theta and the alternative are checked before any arithmetic."""
+
+    SAMPLE = np.linspace(-3.0, 3.0, 20)
+    FLAT = np.zeros(20)  # every sine vanishes about 0
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_direction_rejected(self, theta):
+        calls = [
+            lambda: studentized_statistic(self.SAMPLE, theta, 1),
+            lambda: symmetry_test(self.SAMPLE, theta, 1),
+            lambda: parametric_statistic(self.SAMPLE, theta, 1, VonMises(1.0)),
+            lambda: parametric_test(self.SAMPLE, theta, 1, VonMises(1.0)),
+            lambda: rayleigh_cardioid_test(self.SAMPLE, theta),
+            lambda: modified_runs_test(self.SAMPLE, theta),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="finite angle") as info:
+                    call()
+                assert not isinstance(info.value, DegenerateSampleError)
+
+    def test_unknown_alternative_found_before_the_statistic(self):
+        with pytest.raises(ValueError, match="alternative"):
+            symmetry_test(self.FLAT, 0.0, 1, alternative="both")
+        with pytest.raises(ValueError, match="alternative"):
+            parametric_test(self.SAMPLE, 0.0, 1, VonMisesMixture(1.0), alternative="both")
+
+
+class TestTooFewObservations:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: studentized_statistic([0.5], 0.0, 1), "two observations"),
+        (lambda: symmetry_test([0.5], 0.0, 1), "two observations"),
+        (lambda: rayleigh_cardioid_test([0.5], 0.0), "two observations"),
+        (lambda: modified_runs_test(np.linspace(-1, 1, 9), 0.0), "ten observations"),
+    ])
+    def test_is_an_empty_sample_error(self, call, message):
+        with pytest.raises(EmptySampleError, match=message):
+            call()
 
 
 class TestRowKernels:
