@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -30,14 +29,14 @@ from .errors import (
     QuadratureConvergenceError,
 )
 from .asymptotics import fisher_matrix, singularity_report
-from .io import AngleFileError, parse_angle, read_angles, write_angles
+from .io import AngleFileError, format_angles, parse_angle, read_angles, write_angles
 from .montecarlo import (
     DEFAULT_MASTER_SEED,
     PRESETS,
     derive_stream,
     load_scenario_file,
+    override_scenarios,
     power_curve,
-    preset_scenarios,
     run_scenarios,
 )
 from .special import check_alpha, check_frequency
@@ -57,7 +56,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        # main names the program; a subcommand's parser adds the subcommand
+        command = self.prog.partition(" ")[2]
+        raise UsageError(f"{command}: {message}" if command else message)
 
 
 def _alpha(text):
@@ -187,17 +188,10 @@ def cmd_mc(args):
             raise UsageError(
                 f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
             )
-        specs = preset_scenarios(args.preset, reps=args.reps, master_seed=args.seed)
+        specs = PRESETS[args.preset]
     else:
-        spec = load_scenario_file(args.scenario)
-        if args.reps is not None or args.seed is not None:
-            updates = {}
-            if args.reps is not None:
-                updates["reps"] = args.reps
-            if args.seed is not None:
-                updates["master_seed"] = args.seed
-            spec = replace(spec, **updates)
-        specs = (spec,)
+        specs = (load_scenario_file(args.scenario),)
+    specs = override_scenarios(specs, reps=args.reps, master_seed=args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for spec, table in zip(specs, run_scenarios(specs, threads=args.threads)):
@@ -283,11 +277,7 @@ def cmd_sample(args):
         write_angles(args.out, draws, unit=args.unit)
         print(f"wrote {args.out}")
     else:
-        scale = 180.0 / math.pi if args.unit == "degrees" else 1.0
-        print(f"# unit: {args.unit}")
-        print("# format: plain")
-        for value in draws:
-            print(f"{value * scale:.17g}")
+        print(format_angles(draws, unit=args.unit), end="")
     return EXIT_OK
 
 

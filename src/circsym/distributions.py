@@ -5,19 +5,20 @@ reflectively symmetric about 0; :class:`SineSkewed` multiplies a shifted
 base by ``1 + lam * sin(k * (x - theta))``. :class:`MoebiusSkewed` and
 :class:`SkewedMixture` are the additional simulation alternatives.
 
-All pdf methods accept scalars or arrays and are exact formulas; all
-samplers draw from a ``numpy.random.Generator`` and return angles wrapped
-to [-pi, pi). Each symmetric base also states its cosine moments
-rho_m = E[cos(m X)] (``cos_moment``) and its location information
-g11 = E[phi(X)^2] (``location_information``) in closed form; the
-information machinery in ``asymptotics`` is built from these.
-
-Every model has a ``label`` that ``parse_model`` reads back to an equal
-model; ``parse_model`` is the one parser of model descriptors.
+Every model keeps one contract, held by their common base class: ``pdf``
+(and ``score`` where the model has one) is an exact formula that takes a
+scalar or an array and returns a float for a scalar, an array for an
+array; ``sample(rng, n)`` draws n >= 1 angles from a
+``numpy.random.Generator`` and returns them canonical, in [-pi, pi); and
+``label`` is a descriptor that ``parse_model``, the one parser of model
+descriptors, reads back to an equal model. Each symmetric base also states
+its cosine moments rho_m = E[cos(m X)] (``cos_moment``) and its location
+information g11 = E[phi(X)^2] (``location_information``) in closed form;
+the information machinery in ``asymptotics`` is built from these.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -37,11 +38,6 @@ _BISECT_ITER = 80
 _BEST_FISHER_MAX_KAPPA = 2.0**47
 
 
-def _scalar_or_array(value):
-    value = np.asarray(value, dtype=float)
-    return float(value) if value.ndim == 0 else value
-
-
 def _check_kappa(kappa):
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
@@ -54,30 +50,67 @@ def _number(x):
     return text if float(text) == x else repr(x)
 
 
-def _check_count(n):
-    if n < 1 or int(n) != n:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return int(n)
+class _Model:
+    """The contract every model keeps; a model states only its own math.
 
+    A model is a frozen dataclass with ``_pdf`` (and ``_score``) on float
+    arrays and ``_draw(rng, n)``, whose draws need not be canonical. A
+    symmetric base names its label ``_prefix``; a skewed form names its
+    ``_form`` and the order ``_keys`` of its label's keywords.
+    """
 
-@dataclass(frozen=True)
-class Uniform:
-    """Circular uniform density 1/(2*pi)."""
+    in_family = False
+    _form = None
 
-    in_family = True
-    unimodal = False
+    def _evaluate(self, formula, x):
+        value = np.asarray(formula(np.asarray(x, dtype=float)), dtype=float)
+        return float(value) if value.ndim == 0 else value
+
+    def pdf(self, x):
+        return self._evaluate(self._pdf, x)
+
+    def score(self, x):
+        """Location score -f'(x)/f(x)."""
+        return self._evaluate(self._score, x)
+
+    def _score(self, x):
+        raise UnsupportedBaseError(
+            f"{self.label} has no location score; only the symmetric bases "
+            "with a single mode have one"
+        )
+
+    def sample(self, rng, n):
+        """``n`` draws from ``rng``, canonical angles in [-pi, pi)."""
+        if n < 1 or int(n) != n:
+            raise ValueError(f"sample size must be a positive integer, got {n!r}")
+        return wrap(self._draw(rng, int(n)))
 
     @property
     def label(self):
-        return "uniform"
+        text = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            text[f.name] = (value.label if f.name == "base"
+                            else str(value) if f.type is int else _number(value))
+        if self._form is None:
+            return ":".join([self._prefix, *text.values()])
+        args = [text["base"]] if "base" in text else []
+        args += [f"{key}={text[key]}" for key in self._keys]
+        return f"{self._form}({','.join(args)})"
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(np.full_like(x, 1.0 / TWO_PI))
 
-    def score(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(np.zeros_like(x))
+@dataclass(frozen=True)
+class Uniform(_Model):
+    """Circular uniform density 1/(2*pi)."""
+
+    in_family = True
+    _prefix = "uniform"
+
+    def _pdf(self, x):
+        return np.full_like(x, 1.0 / TWO_PI)
+
+    def _score(self, x):
+        return np.zeros_like(x)
 
     def cos_moment(self, m):
         return 1.0 if m == 0 else 0.0
@@ -86,35 +119,28 @@ class Uniform:
     def location_information(self):
         return 0.0
 
-    def sample(self, rng, n):
-        n = _check_count(n)
+    def _draw(self, rng, n):
         return rng.random(n) * TWO_PI - np.pi
 
 
 @dataclass(frozen=True)
-class VonMises:
+class VonMises(_Model):
     """Von Mises density exp(kappa*cos(x)) / (2*pi*I0(kappa))."""
 
     kappa: float
 
     in_family = True
-    unimodal = True
+    _prefix = "vm"
 
     def __post_init__(self):
         _check_kappa(self.kappa)
 
-    @property
-    def label(self):
-        return f"vm:{_number(self.kappa)}"
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         norm = TWO_PI * bessel_i(0, self.kappa)
-        return _scalar_or_array(np.exp(self.kappa * np.cos(x)) / norm)
+        return np.exp(self.kappa * np.cos(x)) / norm
 
-    def score(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(self.kappa * np.sin(x))
+    def _score(self, x):
+        return self.kappa * np.sin(x)
 
     def cos_moment(self, m):
         """I_m(kappa) / I_0(kappa)."""
@@ -125,15 +151,14 @@ class VonMises:
         """g11 = kappa * rho_1."""
         return self.kappa * bessel_ratio(1, self.kappa)
 
-    def sample(self, rng, n):
+    def _draw(self, rng, n):
         """Best-Fisher rejection sampler, vectorized in batches; the normal
-        limit N(0, 1/kappa), wrapped, above ``_BEST_FISHER_MAX_KAPPA``."""
-        n = _check_count(n)
+        limit N(0, 1/kappa) above ``_BEST_FISHER_MAX_KAPPA``."""
         kappa = self.kappa
         if kappa < 1e-9:
             return rng.random(n) * TWO_PI - np.pi
         if kappa > _BEST_FISHER_MAX_KAPPA:
-            return wrap(rng.standard_normal(n) / math.sqrt(kappa))
+            return rng.standard_normal(n) / math.sqrt(kappa)
         tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
         rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
         r = (1.0 + rho * rho) / (2.0 * rho)
@@ -158,33 +183,27 @@ class VonMises:
             angles = np.sign(u3[accept][:take] - 0.5) * np.arccos(np.clip(good[:take], -1.0, 1.0))
             out[filled:filled + take] = angles
             filled += take
-        return wrap(out)
+        return out
 
 
 @dataclass(frozen=True)
-class Cardioid:
+class Cardioid(_Model):
     """Cardioid density (1 + ell*cos(x)) / (2*pi)."""
 
     ell: float
 
     in_family = True
-    unimodal = True
+    _prefix = "cardioid"
 
     def __post_init__(self):
         if not 0.0 < self.ell < 1.0:
             raise ValueError(f"ell must lie in (0, 1), got {self.ell!r}")
 
-    @property
-    def label(self):
-        return f"cardioid:{_number(self.ell)}"
+    def _pdf(self, x):
+        return (1.0 + self.ell * np.cos(x)) / TWO_PI
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array((1.0 + self.ell * np.cos(x)) / TWO_PI)
-
-    def score(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(self.ell * np.sin(x) / (1.0 + self.ell * np.cos(x)))
+    def _score(self, x):
+        return self.ell * np.sin(x) / (1.0 + self.ell * np.cos(x))
 
     def cos_moment(self, m):
         """1 at m = 0, ell/2 at m = 1, then 0."""
@@ -198,9 +217,8 @@ class Cardioid:
         ell = self.ell
         return ell * ell / (1.0 + math.sqrt((1.0 - ell) * (1.0 + ell)))
 
-    def sample(self, rng, n):
+    def _draw(self, rng, n):
         """Invert F(x) = (x + pi + ell*sin(x)) / (2*pi) by Newton iteration."""
-        n = _check_count(n)
         ell = self.ell
         target = rng.random(n) * TWO_PI - np.pi  # solve x + ell*sin(x) = target
         x = target.copy()
@@ -214,7 +232,7 @@ class Cardioid:
             x[bad] = _bisect_increasing(
                 lambda v: v + ell * np.sin(v), target[bad], -np.pi, np.pi
             )
-        return wrap(x)
+        return x
 
 
 def _bisect_increasing(g, target, lo, hi):
@@ -229,36 +247,26 @@ def _bisect_increasing(g, target, lo, hi):
 
 
 @dataclass(frozen=True)
-class WrappedCauchy:
+class WrappedCauchy(_Model):
     """Wrapped Cauchy density with concentration rho in (0, 1)."""
 
     rho: float
 
     in_family = True
-    unimodal = True
+    _prefix = "wcauchy"
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
 
-    @property
-    def label(self):
-        return f"wcauchy:{_number(self.rho)}"
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         rho = self.rho
-        return _scalar_or_array(
-            (1.0 - rho * rho) / (TWO_PI * (1.0 + rho * rho - 2.0 * rho * np.cos(x)))
-        )
+        return (1.0 - rho * rho) / (TWO_PI * (1.0 + rho * rho - 2.0 * rho * np.cos(x)))
 
-    def score(self, x):
+    def _score(self, x):
         # -d/dx log pdf = -2*rho*sin(x) / (1 + rho^2 - 2*rho*cos(x)), negated
-        x = np.asarray(x, dtype=float)
         rho = self.rho
-        return _scalar_or_array(
-            2.0 * rho * np.sin(x) / (1.0 + rho * rho - 2.0 * rho * np.cos(x))
-        )
+        return 2.0 * rho * np.sin(x) / (1.0 + rho * rho - 2.0 * rho * np.cos(x))
 
     def cos_moment(self, m):
         """rho^m."""
@@ -270,75 +278,48 @@ class WrappedCauchy:
         rho = self.rho
         return 2.0 * rho * rho / ((1.0 - rho) * (1.0 + rho)) ** 2
 
-    def sample(self, rng, n):
+    def _draw(self, rng, n):
         """Wrap a linear Cauchy draw with scale -log(rho); exact."""
-        n = _check_count(n)
         scale = -math.log(self.rho)
         u = rng.random(n)
-        return wrap(scale * np.tan(np.pi * (u - 0.5)))
+        return scale * np.tan(np.pi * (u - 0.5))
+
+
+def _mixture_draw(rng, n, kappa, heads, tails):
+    """VM(kappa) draws about centre ``heads`` where a fair coin is below 1/2,
+    about ``tails`` elsewhere; the coins are drawn first."""
+    centers = np.where(rng.random(n) < 0.5, heads, tails)
+    return centers + VonMises(kappa).sample(rng, n)
 
 
 @dataclass(frozen=True)
-class VonMisesMixture:
+class VonMisesMixture(_Model):
     """Equal-weight mixture of VM(kappa) at -pi/4 and +pi/4.
 
-    Symmetric about 0 but bimodal, so it sits outside the unimodal base
-    class; Fisher-matrix operations reject it.
+    Symmetric about 0 but bimodal, so it sits outside the single-mode base
+    class; Fisher-matrix operations reject it and it has no location score.
     """
 
     kappa: float
 
-    in_family = False
-    unimodal = False
+    _prefix = "vmmix"
 
     def __post_init__(self):
         _check_kappa(self.kappa)
 
-    @property
-    def label(self):
-        return f"vmmix:{_number(self.kappa)}"
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         comp = VonMises(self.kappa)
-        return _scalar_or_array(
-            0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
-        )
+        return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
 
-    def score(self, x):
-        raise UnsupportedBaseError(
-            "the bimodal von Mises mixture lies outside the unimodal symmetric "
-            "class; location scores are undefined for it"
-        )
-
-    def sample(self, rng, n):
-        n = _check_count(n)
-        centers = np.where(rng.random(n) < 0.5, -np.pi / 4, np.pi / 4)
-        return wrap(centers + VonMises(self.kappa).sample(rng, n))
+    def _draw(self, rng, n):
+        return _mixture_draw(rng, n, self.kappa, -np.pi / 4, np.pi / 4)
 
 
 BASE_FAMILIES = (Uniform, VonMises, Cardioid, WrappedCauchy, VonMisesMixture)
 
-_BASE_PREFIXES = {
-    "vm": VonMises,
-    "cardioid": Cardioid,
-    "wcauchy": WrappedCauchy,
-    "vmmix": VonMisesMixture,
-}
-
-
-def parse_base(label):
-    """Symmetric base density from its label: ``parse_model`` restricted to
-    ``BASE_FAMILIES``."""
-    model = parse_model(label)
-    if not isinstance(model, BASE_FAMILIES):
-        raise ValueError(f"{label!r} is not a base density; expected uniform, "
-                         "vm:<kappa>, cardioid:<ell>, wcauchy:<rho> or vmmix:<kappa>")
-    return model
-
 
 @dataclass(frozen=True)
-class SineSkewed:
+class SineSkewed(_Model):
     """Sine-skewed perturbation base(x - theta) * (1 + lam*sin(k*(x - theta)))."""
 
     base: object
@@ -346,35 +327,31 @@ class SineSkewed:
     k: int = 1
     theta: float = 0.0
 
+    _form = "sineskew"
+    _keys = ("k", "lam", "theta")
+
     def __post_init__(self):
         if not -1.0 < self.lam < 1.0:
             raise ValueError(f"skewness lam must lie in (-1, 1), got {self.lam!r}")
         object.__setattr__(self, "k", check_frequency(self.k))
         object.__setattr__(self, "theta", wrap(check_angle(self.theta)))
 
-    @property
-    def label(self):
-        return (f"sineskew({self.base.label},k={self.k},lam={_number(self.lam)},"
-                f"theta={_number(self.theta)})")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         u = x - self.theta
-        return _scalar_or_array(self.base.pdf(u) * (1.0 + self.lam * np.sin(self.k * u)))
+        return self.base.pdf(u) * (1.0 + self.lam * np.sin(self.k * u))
 
-    def sample(self, rng, n):
+    def _draw(self, rng, n):
         """Exact reflection sampler: keep a base draw y with probability
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
         the output density exactly the sine-skewed one."""
-        n = _check_count(n)
         y = self.base.sample(rng, n)
         u = rng.random(n)
         keep = u <= 0.5 * (1.0 + self.lam * np.sin(self.k * y))
-        return wrap(self.theta + np.where(keep, y, -y))
+        return self.theta + np.where(keep, y, -y)
 
 
 @dataclass(frozen=True)
-class MoebiusSkewed:
+class MoebiusSkewed(_Model):
     """Moebius-transformed base: x -> lam + 2*atan(omega*tan((x - lam)/2)).
 
     omega = (1 - r)/(1 + r); r in (0, 1). lam = 0 preserves symmetry
@@ -384,6 +361,9 @@ class MoebiusSkewed:
     base: object
     lam: float
     r: float
+
+    _form = "moebius"
+    _keys = ("r", "lam")
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -395,28 +375,21 @@ class MoebiusSkewed:
     def omega(self):
         return (1.0 - self.r) / (1.0 + self.r)
 
-    @property
-    def label(self):
-        return f"moebius({self.base.label},r={_number(self.r)},lam={_number(self.lam)})"
-
-    def pdf(self, x):
+    def _pdf(self, x):
         # change of variables through the inverse transform
-        x = np.asarray(x, dtype=float)
         omega = self.omega
         u = 0.5 * (x - self.lam)
         inverse = self.lam + 2.0 * np.arctan(np.tan(u) / omega)
         jacobian = omega / (omega**2 * np.cos(u) ** 2 + np.sin(u) ** 2)
-        return _scalar_or_array(self.base.pdf(wrap(inverse)) * jacobian)
+        return self.base.pdf(wrap(inverse)) * jacobian
 
-    def sample(self, rng, n):
-        n = _check_count(n)
+    def _draw(self, rng, n):
         x = self.base.sample(rng, n)
-        y = self.lam + 2.0 * np.arctan(self.omega * np.tan(0.5 * (x - self.lam)))
-        return wrap(y)
+        return self.lam + 2.0 * np.arctan(self.omega * np.tan(0.5 * (x - self.lam)))
 
 
 @dataclass(frozen=True)
-class SkewedMixture:
+class SkewedMixture(_Model):
     """VM(kappa) mixture with centers -pi/4 and pi/4 + lam, weights 1/2.
 
     lam = 0 recovers the symmetric bimodal mixture; lam shifts only the
@@ -426,35 +399,37 @@ class SkewedMixture:
     kappa: float
     lam: float
 
+    _form = "mixshift"
+    _keys = ("kappa", "lam")
+
     def __post_init__(self):
         _check_kappa(self.kappa)
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
 
-    @property
-    def label(self):
-        return f"mixshift(kappa={_number(self.kappa)},lam={_number(self.lam)})"
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         comp = VonMises(self.kappa)
-        return _scalar_or_array(
-            0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4 - self.lam))
-        )
+        return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4 - self.lam))
 
-    def sample(self, rng, n):
-        n = _check_count(n)
-        second = rng.random(n) < 0.5
-        centers = np.where(second, np.pi / 4 + self.lam, -np.pi / 4)
-        return wrap(centers + VonMises(self.kappa).sample(rng, n))
+    def _draw(self, rng, n):
+        return _mixture_draw(rng, n, self.kappa, np.pi / 4 + self.lam, -np.pi / 4)
 
 
-# family: (class, whether it takes a base density, required and optional keywords)
-_SKEWED_FORMS = {
-    "sineskew": (SineSkewed, True, ("lam",), ("k", "theta")),
-    "moebius": (MoebiusSkewed, True, ("r", "lam"), ()),
-    "mixshift": (SkewedMixture, False, ("kappa", "lam"), ()),
-}
+_BASE_PREFIXES = {family._prefix: family for family in BASE_FAMILIES}
+_SKEWED_FORMS = {family._form: family for family in (SineSkewed, MoebiusSkewed, SkewedMixture)}
+_BASE_SYNTAX = ", ".join(
+    family._prefix + "".join(f":<{f.name}>" for f in fields(family))
+    for family in BASE_FAMILIES
+)
+
+
+def parse_base(label):
+    """Symmetric base density from its label: ``parse_model`` restricted to
+    ``BASE_FAMILIES``."""
+    model = parse_model(label)
+    if not isinstance(model, BASE_FAMILIES):
+        raise ValueError(f"{label!r} is not a base density; expected {_BASE_SYNTAX}")
+    return model
 
 
 def parse_model(text):
@@ -463,35 +438,36 @@ def parse_model(text):
     A bare base label is the symmetric density itself: ``uniform``,
     ``vm:<kappa>``, ``cardioid:<ell>``, ``wcauchy:<rho>``, ``vmmix:<kappa>``.
     The skewed forms take a base label and keywords, or keywords only:
-    ``sineskew(<base>,lam=,k=1,theta=0)``, ``moebius(<base>,r=,lam=)`` and
-    ``mixshift(kappa=,lam=)``. Angles are radians. ValueError for an unknown
-    family, an unknown, repeated or missing keyword, a bad number or a
-    parameter the model rejects.
+    ``sineskew(<base>,lam=,k=1,theta=0)``, ``moebius(<base>,lam=,r=)`` and
+    ``mixshift(kappa=,lam=)``; a keyword with a default may be left out.
+    Angles are radians. ValueError for an unknown family, an unknown,
+    repeated or missing keyword, a bad number or a parameter the model
+    rejects.
     """
     raw = str(text).strip()
     head, paren, inner = raw.partition("(")
     if not paren:
-        if raw == "uniform":
-            return Uniform()
         prefix, colon, value = raw.partition(":")
-        if not colon or prefix not in _BASE_PREFIXES:
-            raise ValueError(
-                f"unknown model {text!r}; expected uniform, vm:<kappa>, cardioid:<ell>, "
-                "wcauchy:<rho>, vmmix:<kappa> or a skewed form such as sineskew(...)"
-            )
-        return _BASE_PREFIXES[prefix](_parameter(value, text))
+        family = _BASE_PREFIXES.get(prefix)
+        if family is None or bool(colon) != bool(fields(family)):
+            raise ValueError(f"unknown model {text!r}; expected {_BASE_SYNTAX} "
+                             "or a skewed form such as sineskew(...)")
+        return family(*([_parameter(value, text)] if colon else []))
     head = head.strip()
     if head not in _SKEWED_FORMS:
         raise ValueError(
-            f"unknown model family {head!r} in {text!r}; expected a base label, "
-            "sineskew(...), moebius(...) or mixshift(...)"
+            f"unknown model family {head!r} in {text!r}; expected a base label or "
+            + ", ".join(f"{form}(...)" for form in _SKEWED_FORMS)
         )
     if not inner.endswith(")"):
         raise ValueError(f"missing closing parenthesis in {text!r}")
     inner = inner[:-1]
     if "(" in inner:
         raise ValueError(f"{head} takes a base label, not a nested model, in {text!r}")
-    family, takes_base, required, optional = _SKEWED_FORMS[head]
+    family = _SKEWED_FORMS[head]
+    params = [f for f in fields(family) if f.name != "base"]
+    names = [f.name for f in params]
+    takes_base = len(params) < len(fields(family))
     positional, keywords = [], {}
     for part in inner.split(","):
         key, eq, value = (piece.strip() for piece in part.partition("="))
@@ -499,10 +475,10 @@ def parse_model(text):
             raise ValueError(f"empty argument in {text!r}")
         if not eq:
             positional.append(key)
-        elif key not in required + optional:
+        elif key not in names:
             raise ValueError(
                 f"unknown keyword {key!r} in {text!r}; {head} takes "
-                + ", ".join(f"{name}=" for name in required + optional)
+                + ", ".join(f"{name}=" for name in names)
             )
         elif key in keywords:
             raise ValueError(f"keyword {key!r} repeated in {text!r}")
@@ -514,7 +490,7 @@ def parse_model(text):
             f"{head} takes {wanted}, got {len(positional)} positional "
             f"argument(s) in {text!r}"
         )
-    missing = [name for name in required if name not in keywords]
+    missing = [f.name for f in params if f.default is MISSING and f.name not in keywords]
     if missing:
         raise ValueError(f"missing keyword {missing[0]!r} in {text!r}")
     if takes_base:

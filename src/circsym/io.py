@@ -51,6 +51,17 @@ def parse_angle(text, unit="radians"):
     return value
 
 
+def read_text_lines(path):
+    """Yield the lines of a UTF-8 text file, one at a time; a file that is
+    not UTF-8 text raises UnicodeDecodeError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                                 f"{exc.reason} in {path}, which is not UTF-8 text") from None
+
+
 def _check_unit(value, where):
     value = value.strip().lower()
     if value not in UNITS:
@@ -69,23 +80,22 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     """Read an angle file into canonical wrapped radians.
 
     Caller arguments fill in whatever the header does not specify. ``zero``
-    is a string like ``"90deg"`` or a float in the file's unit; ``sense``
-    is ``ccw`` (mathematical, default) or ``cw``.
+    is an angle literal like ``"90deg"``, or a number in the file's unit;
+    ``sense`` is ``ccw`` (mathematical, default) or ``cw``.
     """
     header = {}
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                key, sep, value = body.partition(":")
-                if sep and key.strip().lower() in ("unit", "format", "zero", "sense"):
-                    header[key.strip().lower()] = value.strip()
-                continue
-            rows.append((lineno, line))
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            key, sep, value = body.partition(":")
+            if sep and key.strip().lower() in ("unit", "format", "zero", "sense"):
+                header[key.strip().lower()] = value.strip()
+            continue
+        rows.append((lineno, line))
     if not rows:
         raise AngleFileError(f"{path}: no data lines")
 
@@ -106,16 +116,11 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
         raise AngleFileError(f"{path}: sense must be ccw or cw, got {sense!r}")
     zero_raw = header.get("zero", zero)
     try:
-        if zero_raw is None:
-            zero_angle = 0.0
-        elif isinstance(zero_raw, str):
-            zero_angle = parse_angle(zero_raw, unit)
-        else:
-            zero_angle = float(zero_raw) * (_DEG if unit == "degrees" else 1.0)
+        zero_angle = 0.0 if zero_raw is None else parse_angle(zero_raw, unit)
     except ValueError:
-        zero_angle = math.nan
-    if not math.isfinite(zero_angle):
-        raise AngleFileError(f"{path}: zero direction must be a finite angle, got {zero_raw!r}")
+        raise AngleFileError(
+            f"{path}: zero direction must be a finite angle, got {zero_raw!r}"
+        ) from None
 
     values = []
     counts = []
@@ -151,12 +156,18 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     return wrap(angles)
 
 
-def write_angles(path, angles, unit="radians"):
-    """Write angles one per line with a unit header; round-trips float64."""
-    unit = _check_unit(unit, path)
-    angles = np.asarray(angles, dtype=float)
+def format_angles(angles, unit="radians"):
+    """Angle file text: a unit header, then one angle per line in ``unit``
+    with 17 significant digits, so float64 values round-trip."""
+    unit = _check_unit(unit, "angle file")
     scale = 1.0 / _DEG if unit == "degrees" else 1.0
     lines = [f"# unit: {unit}", "# format: plain"]
-    lines.extend(f"{value * scale:.17g}" for value in angles)
+    lines.extend(f"{value * scale:.17g}" for value in np.asarray(angles, dtype=float))
+    return "\n".join(lines) + "\n"
+
+
+def write_angles(path, angles, unit="radians"):
+    """Write ``format_angles(angles, unit)`` to ``path``."""
+    text = format_angles(angles, unit)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text)

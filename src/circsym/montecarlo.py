@@ -34,6 +34,7 @@ from .distributions import (
     VonMises,
     parse_base,
 )
+from .io import read_text_lines
 from .special import check_alpha, check_frequency
 from . import symtests
 
@@ -60,7 +61,11 @@ def derive_stream(master_seed, scenario_id, replication_index):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One table block: an alternative family swept over a skewness grid."""
+    """One table block: an alternative family swept over a skewness grid.
+
+    ``models`` holds the sampling model at each grid point, built with the
+    spec, so a spec that cannot be sampled is rejected when it is made.
+    """
 
     scenario_id: str
     family: str
@@ -102,6 +107,7 @@ class ScenarioSpec:
                     raise ValueError(
                         f"sine-skew lambda must lie in (-1, 1), got {lam}"
                     )
+        object.__setattr__(self, "models", tuple(self.alternative(lam) for lam in lambdas))
 
     @property
     def test_labels(self):
@@ -191,7 +197,7 @@ def _scenario_stream(spec):
         runs = (m, np.sort(null))
     return _Stream(
         master_seed=spec.master_seed, stream_id=spec.scenario_id,
-        models=tuple(spec.alternative(lam) for lam in spec.lambdas),
+        models=spec.models,
         n=spec.n, test_ks=spec.test_ks, alpha=spec.alpha, reps=spec.reps, runs=runs,
     )
 
@@ -364,19 +370,19 @@ PRESETS = {
 }
 
 
+def override_scenarios(specs, reps=None, master_seed=None):
+    """The scenarios ``specs`` resized to ``reps`` and reseeded with
+    ``master_seed``, each where given."""
+    updates = {name: int(value) for name, value in
+               (("reps", reps), ("master_seed", master_seed)) if value is not None}
+    return tuple(replace(s, **updates) if updates else s for s in specs)
+
+
 def preset_scenarios(name, reps=None, master_seed=None):
     """Scenario list for a named preset, optionally resized or reseeded."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    specs = PRESETS[name]
-    updates = {}
-    if reps is not None:
-        updates["reps"] = int(reps)
-    if master_seed is not None:
-        updates["master_seed"] = int(master_seed)
-    if updates:
-        specs = tuple(replace(s, **updates) for s in specs)
-    return specs
+    return override_scenarios(PRESETS[name], reps, master_seed)
 
 
 def _base_label(text):
@@ -411,21 +417,20 @@ def load_scenario_file(path):
     runs_calibration_reps, master_seed.
     """
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SCENARIO_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _SCENARIO_KEYS[key](value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {key} {value!r}: {exc}") from None
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _SCENARIO_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _SCENARIO_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {key} {value!r}: {exc}") from None
     for required in ("scenario_id", "family", "base", "lambdas"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")

@@ -390,6 +390,14 @@ class TestNoTraceback:
     def test_bad_threads_variable(self, tmp_path, argv, code):
         self._check(tmp_path, argv, code, CIRCSYM_THREADS="abc")
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "{binary}", "--theta", "0"],
+        ["mc", "--scenario", "{binary}"],
+    ])
+    def test_non_utf8_file_is_named(self, tmp_path, argv):
+        stderr = self._check(tmp_path, argv, EXIT_DATA)
+        assert str(tmp_path / "binary") in stderr
+
     def _check(self, tmp_path, argv, code, **env_vars):
         files = {
             "nan": "0.5\n-1.25\nnan\n2.0\n",
@@ -415,9 +423,11 @@ class TestNoTraceback:
                               cwd=tmp_path)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
+        assert "circsym: circsym" not in done.stderr
         if code != EXIT_OK:
             assert done.stderr.startswith("circsym: ")
             assert len(done.stderr.splitlines()) == 1
+        return done.stderr
 
 
 class TestExitTable:

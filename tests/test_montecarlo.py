@@ -422,10 +422,15 @@ class TestScenarioFiles:
 
     def test_invalid_scenario_reported_with_its_file(self, tmp_path):
         path = tmp_path / "scenario.txt"
-        path.write_text("scenario_id = x\nfamily = sineskew\nbase = vm:1\n"
-                        "lambdas = 0\nreps = 5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: replication count"):
-            load_scenario_file(path)
+        for lines, message in [
+            ("family = sineskew\nreps = 5", "replication count"),
+            ("family = moebius\nmoebius_r = 1.5", "r must lie in (0, 1)"),
+            ("family = sineskew\nskew_k = 0", "frequency k must be a positive integer"),
+        ]:
+            path.write_text(f"scenario_id = x\nbase = vm:1\nlambdas = 0, 0.1\n{lines}\n",
+                            encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+                load_scenario_file(path)
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "scenario.txt"

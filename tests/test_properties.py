@@ -19,6 +19,7 @@ from circsym.distributions import (
     parse_model,
 )
 from circsym.io import read_angles, write_angles
+from circsym.montecarlo import FAMILIES, ScenarioSpec, format_scenario, load_scenario_file
 from circsym.symtests import studentized_statistic
 
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -35,10 +36,10 @@ bases = st.one_of(
     st.builds(WrappedCauchy, unit_open),
     st.builds(VonMisesMixture, positive),
 )
+skewness = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True)
 models = st.one_of(
     bases,
-    st.builds(SineSkewed, bases,
-              st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.builds(SineSkewed, bases, skewness,
               k=st.integers(min_value=1, max_value=10**6), theta=finite),
     st.builds(MoebiusSkewed, bases, finite, unit_open),
     st.builds(SkewedMixture, positive, finite),
@@ -72,6 +73,39 @@ def test_angle_files_round_trip_bit_for_bit(tmp_path_factory, angles):
     angles = np.asarray(angles)
     write_angles(path, angles)
     assert read_angles(path).tobytes() == angles.tobytes()
+
+
+def _scenarios(family):
+    """Valid scenario specs of one alternative family."""
+    return st.builds(
+        ScenarioSpec,
+        scenario_id=st.from_regex(r"[A-Za-z0-9_.-]{1,16}", fullmatch=True),
+        family=st.just(family),
+        base=(st.builds(VonMises, positive) if family == "mixshift" else bases).map(
+            lambda base: base.label),
+        lambdas=st.lists(skewness if family == "sineskew" else finite, max_size=4).map(
+            lambda grid: (0.0, *grid)),
+        skew_k=st.integers(min_value=1, max_value=10**6),
+        moebius_r=unit_open,
+        n=st.integers(min_value=10, max_value=10**6),
+        reps=st.integers(min_value=100, max_value=10**9),
+        alpha=unit_open,
+        test_ks=st.lists(st.integers(min_value=1, max_value=50), min_size=1,
+                         max_size=4).map(tuple),
+        runs_p=st.none() | unit_open,
+        runs_calibration_reps=st.integers(min_value=1, max_value=10**6),
+        master_seed=st.integers(min_value=0, max_value=2**63),
+    )
+
+
+@properties
+@given(st.one_of(*map(_scenarios, FAMILIES)))
+@example(ScenarioSpec(scenario_id="m", family="moebius", base="vm:1",
+                      lambdas=(0.0, 0.2 / 3, 0.1 + 0.2), runs_p=None))
+def test_scenario_files_round_trip(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("scenario") / "s.txt"
+    path.write_text(format_scenario(spec), encoding="utf-8")
+    assert load_scenario_file(path) == spec
 
 
 def _statistic(sample, theta, k):
