@@ -29,12 +29,11 @@ from .special import bessel_i, bessel_ratio, check_frequency
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
 _BISECT_ITER = 80
-# Best-Fisher's envelope needs r - 1 ~ 1/(2 kappa), which doubles hold as a
-# whole number of ulps of 1 (2^-52): 16 or more up to kappa = 2^47 ~ 1.4e14,
-# at most 1/32 off. Above it r - 1 decays to a few ulps (kappa (r - 1) reads
-# 0.44 at 1e15 and 2.2 at 1e16, not 1/2) and to none from about 1e17, where
-# no draw is ever accepted; the normal limit N(0, 1/kappa) is used instead,
-# whose error O(1/kappa) is below 1e-14 there.
+# Best-Fisher is exact for any envelope parameter rho in (0, 1); only its
+# acceptance rate depends on rho ~ 1 - kappa^(-1/2), which rounds to 1 from
+# about kappa = 3e32, where no draw would ever be accepted. Above 2^47 ~ 1.4e14
+# the normal limit N(0, 1/kappa) is used instead, whose error O(1/kappa) is
+# below 1e-14 there.
 _BEST_FISHER_MAX_KAPPA = 2.0**47
 
 
@@ -153,7 +152,14 @@ class VonMises(_Model):
 
     def _draw(self, rng, n):
         """Best-Fisher rejection sampler, vectorized in batches; the normal
-        limit N(0, 1/kappa) above ``_BEST_FISHER_MAX_KAPPA``."""
+        limit N(0, 1/kappa) above ``_BEST_FISHER_MAX_KAPPA``.
+
+        The proposal f = cos(x) is kept as 1 - f = (r - 1) (1 - z) / (r + z),
+        with 1 - z = 2 sin^2(pi u1 / 2) and r - 1 = (1 - rho)^2 / (2 rho):
+        both differences are formed without cancellation, and the angle is
+        arccos(f) = 2 arcsin(sqrt((1 - f) / 2)), so draws near 0 keep full
+        relative precision instead of coming in steps of about 2^-26.
+        """
         kappa = self.kappa
         if kappa < 1e-9:
             return rng.random(n) * TWO_PI - np.pi
@@ -161,7 +167,8 @@ class VonMises(_Model):
             return rng.standard_normal(n) / math.sqrt(kappa)
         tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
         rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
-        r = (1.0 + rho * rho) / (2.0 * rho)
+        r_minus_1 = (1.0 - rho) ** 2 / (2.0 * rho)
+        r = 1.0 + r_minus_1
         out = np.empty(n)
         filled = 0
         while filled < n:
@@ -171,16 +178,17 @@ class VonMises(_Model):
             u2 = rng.random(batch)
             u3 = rng.random(batch)
             z = np.cos(np.pi * u1)
-            f = (1.0 + r * z) / (r + z)
-            c = kappa * (r - f)
+            one_minus_f = r_minus_1 * 2.0 * np.sin(0.5 * np.pi * u1) ** 2 / (r + z)
+            c = kappa * (r_minus_1 + one_minus_f)
             accept = (c * (2.0 - c) - u2) > 0.0
             hard = ~accept
             if np.any(hard):
                 with np.errstate(divide="ignore"):
                     accept[hard] = (np.log(c[hard] / u2[hard]) + 1.0 - c[hard]) >= 0.0
-            good = f[accept]
+            good = one_minus_f[accept]
             take = min(todo, good.size)
-            angles = np.sign(u3[accept][:take] - 0.5) * np.arccos(np.clip(good[:take], -1.0, 1.0))
+            half = np.sqrt(np.clip(0.5 * good[:take], 0.0, 1.0))
+            angles = np.sign(u3[accept][:take] - 0.5) * 2.0 * np.arcsin(half)
             out[filled:filled + take] = angles
             filled += take
         return out
@@ -289,7 +297,7 @@ def _mixture_draw(rng, n, kappa, heads, tails):
     """VM(kappa) draws about centre ``heads`` where a fair coin is below 1/2,
     about ``tails`` elsewhere; the coins are drawn first."""
     centers = np.where(rng.random(n) < 0.5, heads, tails)
-    return centers + VonMises(kappa).sample(rng, n)
+    return centers + VonMises(kappa)._draw(rng, n)
 
 
 @dataclass(frozen=True)
@@ -344,7 +352,7 @@ class SineSkewed(_Model):
         """Exact reflection sampler: keep a base draw y with probability
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
         the output density exactly the sine-skewed one."""
-        y = self.base.sample(rng, n)
+        y = self.base._draw(rng, n)
         u = rng.random(n)
         keep = u <= 0.5 * (1.0 + self.lam * np.sin(self.k * y))
         return self.theta + np.where(keep, y, -y)
@@ -384,7 +392,7 @@ class MoebiusSkewed(_Model):
         return self.base.pdf(wrap(inverse)) * jacobian
 
     def _draw(self, rng, n):
-        x = self.base.sample(rng, n)
+        x = self.base._draw(rng, n)
         return self.lam + 2.0 * np.arctan(self.omega * np.tan(0.5 * (x - self.lam)))
 
 

@@ -1,20 +1,24 @@
 """Deterministic replication engine for rejection-frequency tables and power curves.
 
 One engine serves both. A scenario table and each point of an empirical
-power curve are a stream of replications: replication ``rep`` draws one
-sample per sampling model from its own counter-based substream
-``derive_stream(master_seed, stream id, rep)``, in model order, and the
-modified runs test's tie-breaking coins come from the same substream right
-after the sample that needs them. Results are therefore bit-identical for a
-fixed (master seed, stream id) however replications are split over workers.
+power curve are a stream of replications, cut into chunks of
+C = max(1, ``_CHUNK_DRAWS`` // n) replications (a bound on memory, not a
+parameter of the results). Chunk ``c`` has its own counter-based stream
+``derive_stream(master_seed, stream id, c)``: each sampling model, in
+model order, draws the whole chunk in one ``sample(rng, C * n)`` call,
+read as C rows of n, and when the stream has a modified runs test one
+``rng.random(z)`` call right after it gives the fair-coin signs of that
+model's z exact zeros, in row order. Workers get whole chunks, so results
+are bit-identical for a fixed (master seed, stream id) however
+replications are split over workers.
 
-The draws are the only per-replication work. Samples are stored slice by
-slice, ``_SLICE_REPS`` replications at a time (a bound on memory, not a
-parameter of the results), and every statistic is computed over whole
-slices by the row-wise kernels of ``symtests``. With ``threads`` > 1 one
-spawn pool serves the whole call: every scenario of ``run_scenarios`` and
-every grid point of ``power_curve``. Workers return additive integer
-tallies, so the merge is order-independent by construction.
+Every statistic is computed over the whole (models, C, n) block by the
+row-wise kernels of ``symtests``, and a studentized test rejects where
+|T_k| exceeds the two-sided normal critical value, computed once per
+stream. With ``threads`` > 1 one spawn pool serves the whole call: every
+scenario of ``run_scenarios`` and every grid point of ``power_curve``.
+Workers return additive integer tallies, so the merge is
+order-independent by construction.
 """
 
 import concurrent.futures
@@ -35,24 +39,25 @@ from .distributions import (
     parse_base,
 )
 from .io import read_text_lines
-from .special import check_alpha, check_frequency
+from .special import check_alpha, check_frequency, upper_quantile
 from . import symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
 _MODRUN_NULL_TAG = "#modrun-null"
-_SLICE_REPS = 64  # replications whose samples are held and tested together
+_CHUNK_DRAWS = 8192  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
 
 
-def derive_stream(master_seed, scenario_id, replication_index):
-    """Independent, platform-stable substream for one replication.
+def derive_stream(master_seed, scenario_id, index):
+    """Independent, platform-stable substream ``index`` of a named stream.
 
-    The triple is hashed with SHA-256 and the digest seeds a Philox
-    counter-based generator, so substreams are statistically independent
-    and identical runs reproduce identical draws on any machine.
+    The engine uses one per chunk of replications. The triple is hashed
+    with SHA-256 and the digest seeds a Philox counter-based generator, so
+    substreams are statistically independent and identical runs reproduce
+    identical draws on any machine.
     """
-    token = f"circsym|{int(master_seed)}|{scenario_id}|{int(replication_index)}"
+    token = f"circsym|{int(master_seed)}|{scenario_id}|{int(index)}"
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     words = np.frombuffer(digest, dtype=np.uint32)
     seq = np.random.SeedSequence(entropy=[int(w) for w in words])
@@ -98,6 +103,14 @@ class ScenarioSpec:
         )
         if self.runs_p is not None and not 0.0 < self.runs_p < 1.0:
             raise ValueError(f"runs percentile must lie in (0, 1), got {self.runs_p}")
+        if self.runs_calibration_reps < 1:
+            raise ValueError("runs calibration needs at least one replication, "
+                             f"got {self.runs_calibration_reps}")
+        # Every field is checked whatever the family, so no value a family
+        # ignores can reach to_json or format_scenario.
+        object.__setattr__(self, "skew_k", check_frequency(self.skew_k))
+        if not 0.0 < self.moebius_r < 1.0:
+            raise ValueError(f"r must lie in (0, 1), got moebius_r={self.moebius_r!r}")
         base = parse_base(self.base)  # validates the label
         if self.family == "mixshift" and not isinstance(base, VonMises):
             raise ValueError("mixshift scenarios need a vm:<kappa> base")
@@ -202,49 +215,58 @@ def _scenario_stream(spec):
     )
 
 
+def _chunk_reps(n):
+    """Replications per chunk at sample size n."""
+    return max(1, _CHUNK_DRAWS // n)
+
+
 def _replication_block(stream, start, stop):
     """Additive tallies for replications [start, stop) of a stream.
 
-    Returns (rejections, degenerate), each of shape (tests, models): one
-    row per studentized frequency, then the modified runs test if the
-    stream has one. Samples where T_k is undefined count as degenerate and
-    are not rejections.
+    ``start`` lies on a chunk boundary. Returns (rejections, degenerate),
+    each of shape (tests, models): one row per studentized frequency, then
+    the modified runs test if the stream has one. Samples where T_k is
+    undefined count as degenerate and are not rejections.
     """
     n_tests = len(stream.test_ks) + (stream.runs is not None)
     rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
     degenerate = np.zeros_like(rejections)
-    for lo in range(start, stop, _SLICE_REPS):
-        reps = range(lo, min(lo + _SLICE_REPS, stop))
-        samples = np.empty((len(stream.models), len(reps), stream.n))
-        coins = {}
-        for r, rep in enumerate(reps):
-            rng = derive_stream(stream.master_seed, stream.stream_id, rep)
-            for j, model in enumerate(stream.models):
-                sample = model.sample(rng, stream.n)
-                samples[j, r] = sample
-                # Draws are canonical angles, so sin(x - 0) vanishes exactly
-                # where x == 0; the runs test's coins for those follow the draw.
-                if stream.runs is not None and not sample.all():
-                    zeros = np.count_nonzero(sample == 0.0)
-                    coins[j * len(reps) + r] = rng.random(zeros) < 0.5
+    size = _chunk_reps(stream.n)
+    critical = upper_quantile(stream.alpha / 2.0)
+    for lo in range(start, stop, size):
+        rows = min(size, stop - lo)
+        rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
+        samples = np.empty((len(stream.models), rows, stream.n))
+        coins = []
+        for j, model in enumerate(stream.models):
+            samples[j] = model.sample(rng, rows * stream.n).reshape(rows, stream.n)
+            # Draws are canonical angles, so sin(x - 0) vanishes exactly
+            # where x == 0; the runs test's coins for those follow the draw.
+            if stream.runs is not None:
+                coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
         for i, k in enumerate(stream.test_ks):
             signed = symtests.studentized_rows(samples, 0.0, k)
             degenerate[i] += np.count_nonzero(np.isnan(signed), axis=1)
-            for j, row in enumerate(signed):
-                rejections[i, j] += sum(symtests.p_value(t) < stream.alpha for t in row)
+            rejections[i] += np.count_nonzero(np.abs(signed) > critical, axis=1)
         if stream.runs is not None:
             m, null = stream.runs
+            # modified_runs_rows asks for coins row by row in the flattened
+            # (model, row) order, which is the order they were drawn in
+            flips = iter(np.concatenate(coins))
             counts = symtests.modified_runs_rows(
-                samples, 0.0, m, lambda row, _count: coins[row]
+                samples, 0.0, m, lambda _row, count: np.fromiter(flips, bool, count)
             )
             rejected = symtests.runs_p_values(counts, null) < stream.alpha
             rejections[-1] += np.count_nonzero(rejected, axis=1)
     return rejections, degenerate
 
 
-def _block_bounds(total, pieces):
-    size = math.ceil(total / pieces)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+def _block_bounds(stream, pieces):
+    """At most ``pieces`` blocks of whole chunks covering a stream's replications."""
+    size = _chunk_reps(stream.n)
+    chunks = math.ceil(stream.reps / size)
+    step = math.ceil(chunks / pieces) * size
+    return [(lo, min(lo + step, stream.reps)) for lo in range(0, stream.reps, step)]
 
 
 def _tallies(streams, threads):
@@ -263,7 +285,7 @@ def _tallies(streams, threads):
     ) as pool:
         pending = [
             [pool.submit(_replication_block, stream, lo, hi)
-             for lo, hi in _block_bounds(stream.reps, threads * 4)]
+             for lo, hi in _block_bounds(stream, threads * 4)]
             for stream in streams
         ]
         for futures in pending:

@@ -10,7 +10,7 @@ Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
 ``modified_runs_rows`` for the modified runs count. The single-sample
 tests call the kernels on one row; the Monte Carlo engine calls them on
-whole slices of replications.
+whole chunks of replications.
 """
 
 import math

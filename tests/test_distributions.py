@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from circsym import distributions
 from circsym.distributions import (
     Cardioid,
     MoebiusSkewed,
@@ -31,6 +32,17 @@ BASE_GRID = [
     WrappedCauchy(0.1), WrappedCauchy(0.5), WrappedCauchy(0.9),
     VonMisesMixture(1.0), VonMisesMixture(10.0),
 ]
+
+
+# SHA-256 of 1000 Best-Fisher draws from Philox(7), recorded when angles
+# were first taken from 1 - f without cancellation
+VON_MISES_DIGESTS = {
+    1e-3: "fb4eeaf5a1f0eb3e511010cd1f2b92b3f04c0bf382e2235d50f5f3abd5547090",
+    1.0: "7db453717e6495a67726350192a7fdd2b6a4b2d6494851d9991873661d138658",
+    700.0: "28b539455775bff66cddc341364d90312ffd1edbc9219e894a5f8889d7d4a8ba",
+    1e8: "6c39204932fe85c23487dfbaa27835722a161a2ed5d5f5f666442a04dff1da89",
+    1e14: "a986bc9144c40ee842cd854e2141fff091fe168c386a6f4e271990507a6b9db9",
+}
 
 
 def _grid(n=1024):
@@ -209,17 +221,36 @@ class TestSamplers:
         with pytest.raises(ValueError, match="positive integer"):
             VonMises(1.0).sample(np.random.default_rng(0), 0)
 
-    @pytest.mark.parametrize("kappa, digest", [
-        (1e-3, "d2fc8c93983d0c91aa97752c0f07523014e751fdba897213cbe3e0b3db5a1895"),
-        (1.0, "06f6154f17d3135e775c7d56d53cf5646d1293394221d7f2ec1eea4d14474fe9"),
-        (700.0, "f4cfacefafe1170a6581c61a93c070b040a56b0f418e30718a84474ce82207ee"),
-        (1e8, "5742030e96013cc6b57464476a46ac98142dc51665e9f73e0630bafc1c04741a"),
-        (1e14, "45a2400158a06f250bdbea47154c4d1e3b4281d92ce199871b853218957396c0"),
-    ])
-    def test_von_mises_draws_pinned(self, kappa, digest):
-        # Best-Fisher draws, recorded before the normal limit was added above 2^47
+    @pytest.mark.parametrize("kappa", sorted(VON_MISES_DIGESTS))
+    def test_von_mises_draws_pinned(self, kappa):
         draws = VonMises(kappa).sample(np.random.Generator(np.random.Philox(7)), 1000)
-        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == VON_MISES_DIGESTS[kappa]
+
+    def test_best_fisher_angles_are_not_quantized(self):
+        # kappa = 1e14 is below the normal limit's threshold: Best-Fisher draws
+        kappa = 1e14
+        draws = VonMises(kappa).sample(np.random.default_rng(10), 100_000)
+        assert np.count_nonzero(draws == 0.0) == 0
+        assert np.unique(np.abs(draws)).size == draws.size
+        assert np.std(draws) * math.sqrt(kappa) == pytest.approx(1.0, abs=0.03)
+
+    @pytest.mark.parametrize("model", [
+        SineSkewed(WrappedCauchy(0.5), 0.4, k=2, theta=1.0),
+        MoebiusSkewed(VonMises(1.0), 0.3, 0.5),
+        SkewedMixture(10.0, 0.4),
+    ], ids=lambda model: model._form)
+    def test_skewed_draws_are_wrapped_once(self, monkeypatch, model):
+        calls = []
+        real = distributions.wrap
+
+        def counting(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(distributions, "wrap", counting)
+        draws = model.sample(np.random.default_rng(11), 500)
+        assert len(calls) == 1
+        assert np.all((draws >= -np.pi) & (draws < np.pi))
 
     @pytest.mark.parametrize("kappa", [1e15, 1e16, 1e17, 1e20, 1e300])
     def test_huge_kappa_von_mises_is_prompt_and_normal(self, kappa):

@@ -89,6 +89,17 @@ class TestScenarioSpec:
             ScenarioSpec(scenario_id="x", family="mixshift", base="cardioid:0.5",
                          lambdas=(0.0, 0.4))
 
+    @pytest.mark.parametrize("family, values, message", [
+        ("sineskew", dict(moebius_r=1.5), "r must lie in (0, 1)"),
+        ("mixshift", dict(skew_k=0, moebius_r=-3), "frequency k"),
+        ("mixshift", dict(moebius_r=-3), "r must lie in (0, 1)"),
+        ("moebius", dict(runs_calibration_reps=0), "calibration"),
+    ], ids=["sineskew-r", "mixshift-k-r", "mixshift-r", "moebius-calibration"])
+    def test_fields_a_family_ignores_are_validated(self, family, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioSpec(scenario_id="x", family=family, base="vm:1",
+                         lambdas=(0.0, 0.2), **values)
+
     def test_mixshift_lambda_beyond_one_allowed(self):
         spec = ScenarioSpec(scenario_id="x", family="mixshift", base="vm:1",
                             lambdas=(0.0, 1.2))
@@ -156,28 +167,34 @@ class TestRunScenario:
 def _reference_tallies(stream):
     """Tallies of the per-sample loop: one test call per statistic and sample.
 
-    Every stream given here with a runs test uses the default p = 0.6.
+    It walks the engine's chunks of max(1, 8192 // n) replications: chunk c
+    draws every row of a model in one call on ``derive_stream(seed, id, c)``,
+    and the runs test of each row then takes that row's tie-breaking coins
+    from the same stream, before the next model draws. Every stream given
+    here with a runs test uses the default p = 0.6.
     """
     n_tests = len(stream.test_ks) + (stream.runs is not None)
     rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
     degenerate = np.zeros_like(rejections)
-    for rep in range(stream.reps):
-        rng = derive_stream(stream.master_seed, stream.stream_id, rep)
+    size = max(1, 8192 // stream.n)
+    for chunk, lo in enumerate(range(0, stream.reps, size)):
+        rows = min(size, stream.reps - lo)
+        rng = derive_stream(stream.master_seed, stream.stream_id, chunk)
         for j, model in enumerate(stream.models):
-            sample = model.sample(rng, stream.n)
-            for i, k in enumerate(stream.test_ks):
-                try:
-                    result = symmetry_test(sample, 0.0, k, alpha=stream.alpha)
-                except DegenerateSampleError:
-                    degenerate[i, j] += 1
-                    continue
-                rejections[i, j] += result.reject
-            if stream.runs is not None:
-                result = modified_runs_test(
-                    sample, 0.0, p=0.6, alpha=stream.alpha, rng=rng,
-                    null_counts=stream.runs[1],
-                )
-                rejections[-1, j] += result.reject
+            for sample in model.sample(rng, rows * stream.n).reshape(rows, stream.n):
+                for i, k in enumerate(stream.test_ks):
+                    try:
+                        result = symmetry_test(sample, 0.0, k, alpha=stream.alpha)
+                    except DegenerateSampleError:
+                        degenerate[i, j] += 1
+                        continue
+                    rejections[i, j] += result.reject
+                if stream.runs is not None:
+                    result = modified_runs_test(
+                        sample, 0.0, p=0.6, alpha=stream.alpha, rng=rng,
+                        null_counts=stream.runs[1],
+                    )
+                    rejections[-1, j] += result.reject
     return rejections, degenerate
 
 
@@ -189,26 +206,42 @@ def _reference_table(spec):
 
 class _Snapped:
     """Von Mises draws rounded to multiples of 1/2, so exact zeros and tied
-    distances are common; a fifth of the samples are all zero."""
+    distances are common; about a fifth of the rows of ``n`` draws are all
+    zero."""
 
-    def sample(self, rng, n):
-        x = np.round(VonMises(1.0).sample(rng, n) * 2.0) / 2.0
-        if rng.random() < 0.2:
-            x[:] = 0.0
+    def __init__(self, n):
+        self.n = n
+
+    def sample(self, rng, size):
+        x = np.round(VonMises(1.0).sample(rng, size) * 2.0) / 2.0
+        rows = x.reshape(-1, self.n)
+        rows[rng.random(len(rows)) < 0.2] = 0.0
         return x
 
 
+class _Spy:
+    """Von Mises draws that record the size of every sample call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def sample(self, rng, size):
+        self.sizes.append(size)
+        return VonMises(1.0).sample(rng, size)
+
+
 # SHA-256 of the concatenated to_json() of every preset scenario (presets in
-# sorted order) at 100 replications, as produced by the per-sample loop
-# (``_reference_tallies``) before the engine computed statistics in slices.
+# sorted order) at 100 replications, and an empirical power curve, both
+# recorded when the engine moved to one stream per chunk of replications; the
+# per-sample loop (``_reference_tallies``) gives the same digests.
 PRESET_DIGESTS = {
-    1729: "68935373039be8c7565b7c50e3bb08165fccfc0151f64103d1886b49ec3114de",
-    99: "3c0a130af7184ed6ed18daffe884915c3ff7fba59ebb818cf7b65434c888a4d3",
+    1729: "9a33a2c53c030ea62b90e75caf5e19d45438d822dbac87e1eb2e6bff074d6f73",
+    99: "360e1c312c721020be983e3e0d80cf2f40fac814553e76a0e43de5f9ca8377fe",
 }
 POWER_ARGS = (VonMises(1.0), 2, 2, [0.0, 1.0, 2.0, 3.0, 4.0])
 POWER_KWARGS = dict(mode="empirical", n=200, reps=150, master_seed=7)
-POWER_POINTS = [(0.0, 0.07333333333333333), (1.0, 0.12), (2.0, 0.32), (3.0, 0.52),
-                (4.0, 0.8133333333333334)]
+POWER_POINTS = [(0.0, 0.04), (1.0, 0.14), (2.0, 0.32), (3.0, 0.5066666666666667),
+                (4.0, 0.82)]
 
 
 class TestEngine:
@@ -249,7 +282,7 @@ class TestEngine:
     def test_per_sample_loop_across_slices_and_workers(self):
         spec = ScenarioSpec(scenario_id="ref_slices", family="sineskew", base="vm:1",
                             lambdas=(0.0, 0.4), n=12,
-                            reps=2 * montecarlo._SLICE_REPS + 37,
+                            reps=2 * montecarlo._chunk_reps(12) + 37,
                             runs_calibration_reps=2000, master_seed=9)
         frequencies, degenerate = _reference_table(spec)
         for threads in (1, 2):
@@ -260,9 +293,9 @@ class TestEngine:
     def test_zero_sines_and_degenerate_samples(self):
         m = runs_subset_size(16, 0.6)
         stream = montecarlo._Stream(
-            master_seed=3, stream_id="snapped", models=(_Snapped(), _Snapped()),
+            master_seed=3, stream_id="snapped", models=(_Snapped(16), _Snapped(16)),
             n=16, test_ks=(1, 2), alpha=0.2,
-            reps=montecarlo._SLICE_REPS + 20,
+            reps=montecarlo._chunk_reps(16) + 20,
             runs=(m, np.sort(simulate_runs_null(m, 500, np.random.default_rng(1)))),
         )
         rejections, degenerate = montecarlo._replication_block(stream, 0, stream.reps)
@@ -270,6 +303,17 @@ class TestEngine:
         assert degenerate[:2].min() > 0  # the all-zero samples
         assert rejections.tolist() == expected_rejections.tolist()
         assert degenerate.tolist() == expected_degenerate.tolist()
+
+    @pytest.mark.parametrize("n", [12, 500, montecarlo._CHUNK_DRAWS + 100])
+    def test_sample_calls_stay_within_the_chunk_bound(self, n):
+        spy = _Spy()
+        stream = montecarlo._Stream(master_seed=4, stream_id="spy", models=(spy, spy),
+                                    n=n, test_ks=(1,), alpha=0.05,
+                                    reps=2 * montecarlo._chunk_reps(n) + 1)
+        montecarlo._replication_block(stream, 0, stream.reps)
+        assert max(spy.sizes) <= max(montecarlo._CHUNK_DRAWS, n)
+        assert sum(spy.sizes) == 2 * stream.reps * n
+        assert len(spy.sizes) == 2 * 3
 
     def test_one_pool_per_run(self, monkeypatch, tmp_path, capsys):
         starts = []
