@@ -93,7 +93,7 @@ def trig_moment(sample, theta, m, kind="sin"):
         The empirical moment, always in [-1, 1].
     """
     theta = check_angle(theta)
-    if m < 1 or int(m) != m:
+    if not (m >= 1 and m % 1 == 0):  # false for nan and inf too
         raise ValueError(f"moment order must be a positive integer, got {m!r}")
     arr = as_sample(sample)
     centered = m * (arr - theta)

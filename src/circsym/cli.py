@@ -79,6 +79,13 @@ def _frequency(text):
         ) from None
 
 
+def _threads(text):
+    """argparse type of --threads (and CIRCSYM_THREADS): a positive integer."""
+    if not str(text).strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"threads must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _frequencies(text):
     """argparse type of a comma list of frequencies, at least one."""
     ks = [_frequency(part) for part in str(text).split(",") if part.strip()]
@@ -287,7 +294,7 @@ def build_parser():
                                  "a known median direction, with replication "
                                  "and power tooling.")
     parser.add_argument("--version", action="version", version=f"circsym {__version__}")
-    # a string default goes through type=int, so a bad value is a usage error
+    # a string default goes through the option's type, so a bad value is a usage error
     default_threads = os.environ.get("CIRCSYM_THREADS", "1")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -316,7 +323,7 @@ def build_parser():
     sub.add_argument("--scenario", default=None, help="scenario file path")
     sub.add_argument("--reps", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=default_threads)
+    sub.add_argument("--threads", type=_threads, default=default_threads)
     sub.add_argument("--out", choices=("csv", "json", "both"), default="csv")
     sub.add_argument("--outdir", default=".")
     sub.set_defaults(func=cmd_mc)
@@ -331,7 +338,7 @@ def build_parser():
     sub.add_argument("--empirical", nargs=2, type=int, metavar=("N", "REPS"),
                      default=None, help="add simulated columns at sample size N")
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    sub.add_argument("--threads", type=int, default=default_threads)
+    sub.add_argument("--threads", type=_threads, default=default_threads)
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sub.set_defaults(func=cmd_power)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .angles import TWO_PI, check_angle, wrap
 from .errors import UnsupportedBaseError
-from .special import bessel_i, bessel_ratio, check_frequency
+from .special import bessel_i0e, bessel_ratio, check_frequency
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
@@ -124,7 +124,7 @@ class Uniform(_Model):
 
 @dataclass(frozen=True)
 class VonMises(_Model):
-    """Von Mises density exp(kappa*cos(x)) / (2*pi*I0(kappa))."""
+    """Von Mises density exp(kappa*(cos(x) - 1)) / (2*pi*I0(kappa)*e^-kappa)."""
 
     kappa: float
 
@@ -135,8 +135,8 @@ class VonMises(_Model):
         _check_kappa(self.kappa)
 
     def _pdf(self, x):
-        norm = TWO_PI * bessel_i(0, self.kappa)
-        return np.exp(self.kappa * np.cos(x)) / norm
+        cosm1 = -2.0 * np.sin(0.5 * x) ** 2  # cos(x) - 1 without cancellation
+        return np.exp(self.kappa * cosm1) / (TWO_PI * bessel_i0e(self.kappa))
 
     def _score(self, x):
         return self.kappa * np.sin(x)

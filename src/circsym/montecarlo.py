@@ -13,12 +13,13 @@ are bit-identical for a fixed (master seed, stream id) however
 replications are split over workers.
 
 Every statistic is computed over the whole (models, C, n) block by the
-row-wise kernels of ``symtests``, and a studentized test rejects where
-|T_k| exceeds the two-sided normal critical value, computed once per
-stream. With ``threads`` > 1 one spawn pool serves the whole call: every
-scenario of ``run_scenarios`` and every grid point of ``power_curve``.
-Workers return additive integer tallies, so the merge is
-order-independent by construction.
+row-wise kernels of ``symtests``. A studentized test rejects where |T_k|
+exceeds z_{alpha/2}, the modified runs test where the run count is at
+most the largest c with P(R <= c) < alpha (``symtests.runs_null_cdf``);
+both are computed once per stream. With ``threads`` > 1 one spawn pool
+serves the whole call: every scenario of ``run_scenarios`` and every grid
+point of ``power_curve``. Workers return additive integer tallies, so the
+merge is order-independent by construction.
 """
 
 import concurrent.futures
@@ -45,7 +46,6 @@ from . import symtests
 FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
-_MODRUN_NULL_TAG = "#modrun-null"
 _CHUNK_DRAWS = 8192  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
 
 
@@ -83,7 +83,6 @@ class ScenarioSpec:
     alpha: float = 0.05
     test_ks: tuple = (1, 2, 3)
     runs_p: float | None = 0.6
-    runs_calibration_reps: int = 10_000
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
@@ -101,11 +100,8 @@ class ScenarioSpec:
         object.__setattr__(
             self, "test_ks", tuple(check_frequency(k) for k in self.test_ks)
         )
-        if self.runs_p is not None and not 0.0 < self.runs_p < 1.0:
-            raise ValueError(f"runs percentile must lie in (0, 1), got {self.runs_p}")
-        if self.runs_calibration_reps < 1:
-            raise ValueError("runs calibration needs at least one replication, "
-                             f"got {self.runs_calibration_reps}")
+        if self.runs_p is not None:
+            symtests.runs_subset_size(self.n, self.runs_p)  # validates the percentile
         # Every field is checked whatever the family, so no value a family
         # ignores can reach to_json or format_scenario.
         object.__setattr__(self, "skew_k", check_frequency(self.skew_k))
@@ -198,16 +194,11 @@ class _Stream:
     test_ks: tuple
     alpha: float
     reps: int
-    runs: tuple | None = None  # (subset size m, sorted null run counts)
+    runs: int | None = None  # subset size m of the modified runs test
 
 
 def _scenario_stream(spec):
-    runs = None
-    if spec.runs_p is not None:
-        rng = derive_stream(spec.master_seed, spec.scenario_id + _MODRUN_NULL_TAG, 0)
-        m = symtests.runs_subset_size(spec.n, spec.runs_p)
-        null = symtests.simulate_runs_null(m, spec.runs_calibration_reps, rng)
-        runs = (m, np.sort(null))
+    runs = None if spec.runs_p is None else symtests.runs_subset_size(spec.n, spec.runs_p)
     return _Stream(
         master_seed=spec.master_seed, stream_id=spec.scenario_id,
         models=spec.models,
@@ -233,6 +224,9 @@ def _replication_block(stream, start, stop):
     degenerate = np.zeros_like(rejections)
     size = _chunk_reps(stream.n)
     critical = upper_quantile(stream.alpha / 2.0)
+    if stream.runs is not None:  # the largest c with P(R <= c) < alpha, 0 if none
+        null_cdf = symtests.runs_null_cdf(np.arange(1, stream.runs + 1), stream.runs)
+        runs_critical = np.count_nonzero(null_cdf < stream.alpha)
     for lo in range(start, stop, size):
         rows = min(size, stop - lo)
         rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
@@ -249,15 +243,10 @@ def _replication_block(stream, start, stop):
             degenerate[i] += np.count_nonzero(np.isnan(signed), axis=1)
             rejections[i] += np.count_nonzero(np.abs(signed) > critical, axis=1)
         if stream.runs is not None:
-            m, null = stream.runs
-            # modified_runs_rows asks for coins row by row in the flattened
-            # (model, row) order, which is the order they were drawn in
-            flips = iter(np.concatenate(coins))
-            counts = symtests.modified_runs_rows(
-                samples, 0.0, m, lambda _row, count: np.fromiter(flips, bool, count)
-            )
-            rejected = symtests.runs_p_values(counts, null) < stream.alpha
-            rejections[-1] += np.count_nonzero(rejected, axis=1)
+            # the coins were drawn in the row-major (model, row) order it takes
+            counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
+                                                 lambda _count: np.concatenate(coins))
+            rejections[-1] += np.count_nonzero(counts <= runs_critical, axis=1)
     return rejections, degenerate
 
 
@@ -273,15 +262,18 @@ def _tallies(streams, threads):
     """Yield the (rejections, degenerate) tallies of each stream, in order.
 
     With threads > 1 the replication blocks of every stream go to one spawn
-    pool, started once for the whole list.
+    pool, started once for the whole list; ValueError unless ``threads`` is
+    a positive integer.
     """
+    if not (threads >= 1 and threads % 1 == 0):
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if threads == 1:
         for stream in streams:
             yield _replication_block(stream, 0, stream.reps)
         return
     ctx = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=threads, mp_context=ctx
+        max_workers=int(threads), mp_context=ctx
     ) as pool:
         pending = [
             [pool.submit(_replication_block, stream, lo, hi)
@@ -304,7 +296,7 @@ def run_scenarios(specs, threads=1):
     specs = list(specs)
     streams = [_scenario_stream(spec) for spec in specs]
     for spec, (rejections, degenerate) in zip(
-        specs, _tallies(streams, max(1, int(threads)))
+        specs, _tallies(streams, threads)
     ):
         freqs = rejections / float(spec.reps)
         yield TableResult(
@@ -357,7 +349,7 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
             models=(SineSkewed(base, lam, k=k_prime),),
             n=n, test_ks=(k,), alpha=alpha, reps=reps,
         ))
-    tallies = _tallies(streams, max(1, int(threads)))
+    tallies = _tallies(streams, threads)
     return [(t, int(rejections[0, 0]) / float(reps))
             for t, (rejections, _) in zip(tau2_grid, tallies)]
 
@@ -424,7 +416,6 @@ _SCENARIO_KEYS = {
     "alpha": float,
     "test_ks": lambda text: tuple(int(v) for v in text.split(",")),
     "runs_p": lambda text: None if text.lower() == "none" else float(text),
-    "runs_calibration_reps": int,
     "master_seed": int,
 }
 
@@ -436,7 +427,7 @@ def load_scenario_file(path):
     scenario_id, family (sineskew|moebius|mixshift), base (e.g. vm:1),
     lambdas (comma-separated, must include 0), skew_k, moebius_r, n, reps,
     alpha, test_ks (comma-separated), runs_p (a number or ``none``),
-    runs_calibration_reps, master_seed.
+    master_seed.
     """
     values = {}
     for lineno, raw in enumerate(read_text_lines(path), start=1):

@@ -4,7 +4,8 @@ The studentized statistic is kept in signed form internally; its absolute
 value is the published two-sided statistic, while the sign carries the
 direction needed for one-sided alternatives (positive skewness inflates
 the sine moment). All asymptotic tests compare against the standard
-normal.
+normal. The modified runs test has an exact null law instead:
+R - 1 ~ Binomial(m - 1, 1/2) (``runs_null_cdf``).
 
 Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
@@ -26,7 +27,6 @@ from .special import check_alpha, check_frequency, norm_cdf, norm_sf
 ALTERNATIVES = ("two-sided", "left", "right")
 
 _DEFAULT_RUNS_SEED = 0x5D3A7C1B
-_DEFAULT_CALIBRATION_REPS = 10_000
 
 
 @dataclass
@@ -219,7 +219,8 @@ def runs_count(signs):
 
 
 def simulate_runs_null(m, reps, rng):
-    """Run counts of ``reps`` i.i.d. fair-coin sign vectors of length m."""
+    """Run counts of ``reps`` i.i.d. fair-coin sign vectors (length m): draws
+    from the law ``runs_null_cdf`` gives exactly."""
     counts = np.empty(reps, dtype=np.int64)
     block = max(1, min(reps, 4_000_000 // max(m, 1)))
     done = 0
@@ -230,8 +231,26 @@ def simulate_runs_null(m, reps, rng):
     return counts
 
 
+def runs_null_cdf(counts, m):
+    """P(R <= count) for the runs R among m >= 1 i.i.d. fair-coin signs.
+
+    The m - 1 neighbouring pairs change sign independently with probability
+    1/2, so R - 1 ~ Binomial(N = m - 1, 1/2). Its pmf is built up from the
+    mode by pmf(j + 1) / pmf(j) = (N - j) / (j + 1) and mirrored, so 2^-N is
+    never formed: any m works, and tails below the smallest double read 0.
+    """
+    n = int(m) - 1
+    j = np.arange((n + 1) // 2, n)
+    upper = np.cumprod(np.concatenate(([1.0], (n - j) / (j + 1.0))))
+    cdf = np.cumsum(np.concatenate(([0.0], upper[np.abs(2 * np.arange(n + 1) - n) // 2])))
+    return cdf[np.clip(counts, 0, n + 1)] / cdf[-1]  # cdf[r] = P(R <= r) up to scale
+
+
 def runs_subset_size(n, p):
-    """Observations the modified runs test keeps: ceil(p n), within [2, n]."""
+    """Observations the modified runs test keeps: ceil(p n), within [2, n];
+    ValueError unless the percentile p lies in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"runs percentile p must lie in (0, 1), got {p!r}")
     return min(n, max(2, math.ceil(p * n)))
 
 
@@ -242,69 +261,42 @@ def modified_runs_rows(x, theta, m, coin_flips):
     signs of sin(x - theta) are ordered by circular distance
     |wrap(x - theta)| (stable sort) and the runs among the ``m`` closest
     are counted. A sine that vanishes exactly gets a fair-coin sign:
-    ``coin_flips(row, count)`` returns ``count`` booleans (True for +1) for
-    the zeros of row ``row`` of ``x`` flattened to 2-D, in order.
+    ``coin_flips(count)`` is called once and returns ``count`` booleans
+    (True for +1), one for each zero of ``x`` in row-major order.
     """
     centered = wrap(x - theta)
     signs = np.sign(np.sin(centered)).astype(np.int8)
-    flat = signs.reshape(-1, signs.shape[-1])
-    for row in np.flatnonzero(~flat.all(axis=1)):
-        zeros = flat[row] == 0
-        flat[row, zeros] = np.where(coin_flips(row, int(np.count_nonzero(zeros))), 1, -1)
+    zeros = signs == 0
+    signs[zeros] = np.where(coin_flips(int(np.count_nonzero(zeros))), 1, -1)
     order = np.argsort(np.abs(centered), axis=-1, kind="stable")[..., :m]
     return runs_count(np.take_along_axis(signs, order, axis=-1))
 
 
-def runs_p_values(counts, sorted_null):
-    """One-sided p-values (1 + #{null <= count}) / (reps + 1) against a sorted null."""
-    below = np.searchsorted(sorted_null, counts, side="right")
-    return (1.0 + below) / (sorted_null.size + 1.0)
-
-
-def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAULT_CALIBRATION_REPS,
-                       rng=None, null_counts=None):
+def modified_runs_test(sample, theta, p=0.6, alpha=0.05, rng=None):
     """Percentile-modified runs test of symmetry about theta.
 
     Observations are ordered by circular distance |wrap(x - theta)|; the
     signs of sin(x - theta) for the ceil(p*n) closest observations form
-    the sequence whose run count is the statistic. Small run counts signal
-    sign clustering, hence asymmetry; the one-sided Monte Carlo p-value is
-    (1 + #{simulated <= observed}) / (reps + 1). Under the null the signs
-    are i.i.d. fair coins independent of the distances, so the calibration
-    is exact up to Monte Carlo error.
-
-    ``null_counts`` may carry a precomputed calibration table (run counts
-    for the same subset size); otherwise the test simulates its own with
-    ``rng`` (a fixed default stream when omitted).
+    the sequence whose run count R is the statistic. Small run counts
+    signal sign clustering, hence asymmetry. Under the null the signs are
+    i.i.d. fair coins independent of the distances, so the one-sided
+    p-value P(R <= observed) is exact (``runs_null_cdf``). A sine that
+    vanishes exactly gets a fair-coin sign from ``rng`` (a fixed default
+    stream when omitted).
     """
-    theta = check_angle(theta)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"percentile p must lie in (0, 1), got {p!r}")
-    alpha = check_alpha(alpha)
+    theta, alpha = check_angle(theta), check_alpha(alpha)
     arr = as_sample(sample)
     if arr.size < 10:
         raise EmptySampleError("modified runs test needs at least ten observations")
+    m = runs_subset_size(arr.size, p)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(_DEFAULT_RUNS_SEED))
-
-    randomized = []
-
-    def coin_flips(_row, count):
-        randomized.append(count)
-        return rng.random(count) < 0.5
-
-    m = runs_subset_size(arr.size, p)
-    observed = int(modified_runs_rows(arr, theta, m, coin_flips))
-    distances = np.abs(wrap(arr - theta))
-    tie_pairs = int(np.count_nonzero(np.diff(np.sort(distances)) == 0.0))
-    if null_counts is None:
-        null_counts = simulate_runs_null(m, calibration_reps, rng)
-    sorted_null = np.sort(np.asarray(null_counts))
-    reps = int(sorted_null.size)
-
+    observed = int(modified_runs_rows(arr, theta, m, lambda count: rng.random(count) < 0.5))
+    centered = wrap(arr - theta)
+    tie_pairs = int(np.count_nonzero(np.diff(np.sort(np.abs(centered))) == 0.0))
     return TestResult(
         statistic=float(observed),
-        p_value=float(runs_p_values(observed, sorted_null)),
+        p_value=float(runs_null_cdf(observed, m)),
         alternative="left",
         method=f"modified-runs:p={p:g}",
         n=arr.size,
@@ -312,8 +304,7 @@ def modified_runs_test(sample, theta, p=0.6, alpha=0.05, calibration_reps=_DEFAU
         reject_at=alpha,
         extra={
             "subset_size": m,
-            "calibration_reps": reps,
             "tied_distance_pairs": tie_pairs,
-            "zero_sines_randomized": sum(randomized),
+            "zero_sines_randomized": int(np.count_nonzero(np.sin(centered) == 0.0)),
         },
     )

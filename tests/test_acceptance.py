@@ -331,8 +331,7 @@ def test_criterion_8_uniformity_test(acceptance):
 def test_criterion_9_determinism(acceptance, tmp_path, capsys):
     failures = []
     spec = ScenarioSpec(scenario_id="gate_det", family="sineskew", base="vm:1",
-                        lambdas=(0.0, 0.5), n=20, reps=100,
-                        runs_calibration_reps=2000, master_seed=13)
+                        lambdas=(0.0, 0.5), n=20, reps=100, master_seed=13)
     tables = [run_scenario(spec, threads=t) for t in (1, 2, 3)]
     if not (tables[0].to_csv() == tables[1].to_csv() == tables[2].to_csv()):
         failures.append("scenario CSV differs across thread counts")

@@ -89,6 +89,12 @@ class TestTrigMoment:
             for kind in ("sin", "cos"):
                 assert abs(trig_moment(sample, 0.2, m, kind=kind)) <= 1.0
 
+    @pytest.mark.parametrize("m", [0, -1, 1.5, float("nan"), float("inf"), -float("inf")])
+    def test_bad_order_rejected(self, m):
+        with pytest.raises(ValueError, match="moment order") as info:
+            trig_moment([0.1, 0.2], 0.0, m)
+        assert not isinstance(info.value, ArithmeticError)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             trig_moment([0.1], 0.0, 1, kind="tan")

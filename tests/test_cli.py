@@ -379,6 +379,7 @@ class TestNoTraceback:
         (["sample", "--model", "vm:1e300", "-n", "5"], EXIT_OK),
         (["sample", "--model", "sineskew(vm:1,lam=0.3,k=2.5)", "-n", "5"], EXIT_USAGE),
         (["sample", "--model", "sineskew(vm:1,lam=0.3,foo=1)", "-n", "5"], EXIT_USAGE),
+        (["mc", "--scenario", "{calibration}"], EXIT_USAGE),
     ])
     def test_exit_code_without_traceback(self, tmp_path, argv, code):
         self._check(tmp_path, argv, code)
@@ -389,6 +390,16 @@ class TestNoTraceback:
     ])
     def test_bad_threads_variable(self, tmp_path, argv, code):
         self._check(tmp_path, argv, code, CIRCSYM_THREADS="abc")
+
+    # each is refused by the argument parser, before any replication or pool
+    @pytest.mark.parametrize("argv, env_vars", [
+        (["mc", "--preset", "table1", "--threads", "0"], {}),
+        (["power", "--empirical", "30", "100", "--threads", "-3"], {}),
+        (["mc", "--preset", "table1"], {"CIRCSYM_THREADS": "0"}),
+    ], ids=["mc-0", "power-minus-3", "env-0"])
+    def test_threads_must_be_positive(self, tmp_path, argv, env_vars):
+        stderr = self._check(tmp_path, argv, EXIT_USAGE, **env_vars)
+        assert "threads must be a positive integer" in stderr
 
     @pytest.mark.parametrize("argv", [
         ["test", "{binary}", "--theta", "0"],
@@ -408,6 +419,8 @@ class TestNoTraceback:
                         "lambdas = 0\nreps = abc\n",
             "skewed_base": "scenario_id = s\nfamily = sineskew\n"
                            "base = sineskew(vm:1,lam=0.1)\nlambdas = 0\n",
+            "calibration": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                           "lambdas = 0\nruns_calibration_reps = 2000\n",
         }
         paths = {"dir": tmp_path, "binary": tmp_path / "binary"}
         paths["binary"].write_bytes(bytes(range(256)))
@@ -462,3 +475,32 @@ class TestExitTable:
         monkeypatch.setattr(cli, "cmd_fisher", command)
         with pytest.raises(RuntimeError):
             main(["fisher", "--base", "vm:1", "--k", "1"])
+
+
+_NUMPY_ONLY_SCRIPT = """
+import sys
+from circsym.cli import main
+
+requests = [
+    ["sample", "--model", "vm:1", "-n", "40", "--seed", "3", "--out", "x.txt"],
+    ["test", "x.txt", "--theta", "0"],
+    ["uniformity", "x.txt", "--direction", "0"],
+    ["fisher", "--base", "vm:1", "--k", "1"],
+    ["power", "--base", "vm:1", "--grid", "0,1"],
+    ["mc", "--preset", "table1", "--reps", "100", "--outdir", "out"],
+]
+codes = [main(argv) for argv in requests]
+loaded = sorted(name for name in ("scipy", "hypothesis", "pytest") if name in sys.modules)
+print(codes, loaded, file=sys.stderr)
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    """Every command runs without importing a test dependency."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

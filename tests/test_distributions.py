@@ -57,6 +57,32 @@ class TestPdfValues:
         # exp(1) / (2*pi*I0(1)), pinned from an independent Bessel evaluation
         assert VonMises(1.0).pdf(0.0) == pytest.approx(0.34171048862346315, rel=1e-13)
 
+    @pytest.mark.parametrize("kappa", np.geomspace(1e-3, 1e8, 45))
+    def test_von_mises_matches_scipy_at_any_kappa(self, kappa):
+        from scipy import special as sp_special
+        from scipy import stats as sp_stats
+
+        tail = np.geomspace(1e-9, 1.0, 30)
+        x = np.concatenate((_grid(101), tail, -tail, [0.0]))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = VonMises(kappa).pdf(x)
+        expected = sp_stats.vonmises.pdf(x, kappa)
+        # 1e-13 relative, widened by the condition number of exp at the
+        # exponent kappa*(cos x - 1): a rounding of that exponent alone
+        # moves the density by |exponent| ulps in the far tail
+        exponent = np.abs(kappa * sp_special.cosm1(x))
+        tolerance = (1e-13 + 4.0 * np.finfo(float).eps * exponent) * expected
+        assert np.all(np.abs(got - expected) <= tolerance)
+        assert got[-1] == pytest.approx(expected[-1], rel=1e-13)  # the mode
+
+    def test_large_kappa_densities_are_finite(self):
+        x = _grid(257)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for model in (VonMises(800.0), VonMisesMixture(800.0),
+                          SkewedMixture(800.0, 0.1)):
+                values = model.pdf(x)
+                assert np.all(np.isfinite(values)) and values.max() > 1.0
+
     def test_wrapped_cauchy_closed_form(self):
         rho = 0.5
         x = 1.3

@@ -25,7 +25,6 @@ from circsym.montecarlo import (
 from circsym.symtests import (
     modified_runs_test,
     runs_subset_size,
-    simulate_runs_null,
     symmetry_test,
 )
 
@@ -37,7 +36,6 @@ SMALL_SPEC = ScenarioSpec(
     skew_k=1,
     n=30,
     reps=120,
-    runs_calibration_reps=2000,
     master_seed=77,
 )
 
@@ -93,12 +91,20 @@ class TestScenarioSpec:
         ("sineskew", dict(moebius_r=1.5), "r must lie in (0, 1)"),
         ("mixshift", dict(skew_k=0, moebius_r=-3), "frequency k"),
         ("mixshift", dict(moebius_r=-3), "r must lie in (0, 1)"),
-        ("moebius", dict(runs_calibration_reps=0), "calibration"),
-    ], ids=["sineskew-r", "mixshift-k-r", "mixshift-r", "moebius-calibration"])
+    ], ids=["sineskew-r", "mixshift-k-r", "mixshift-r"])
     def test_fields_a_family_ignores_are_validated(self, family, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ScenarioSpec(scenario_id="x", family=family, base="vm:1",
                          lambdas=(0.0, 0.2), **values)
+
+    @pytest.mark.parametrize("runs_p", [0.0, 1.0, 1.5, float("nan")])
+    def test_runs_percentile_has_one_check(self, runs_p):
+        message = "runs percentile p must lie in (0, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                         lambdas=(0.0, 0.2), runs_p=runs_p)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            modified_runs_test(np.linspace(-1.0, 1.0, 20), 0.0, p=runs_p)
 
     def test_mixshift_lambda_beyond_one_allowed(self):
         spec = ScenarioSpec(scenario_id="x", family="mixshift", base="vm:1",
@@ -192,7 +198,6 @@ def _reference_tallies(stream):
                 if stream.runs is not None:
                     result = modified_runs_test(
                         sample, 0.0, p=0.6, alpha=stream.alpha, rng=rng,
-                        null_counts=stream.runs[1],
                     )
                     rejections[-1, j] += result.reject
     return rejections, degenerate
@@ -233,10 +238,12 @@ class _Spy:
 # SHA-256 of the concatenated to_json() of every preset scenario (presets in
 # sorted order) at 100 replications, and an empirical power curve, both
 # recorded when the engine moved to one stream per chunk of replications; the
-# per-sample loop (``_reference_tallies``) gives the same digests.
+# per-sample loop (``_reference_tallies``) gives the same digests. The digests
+# were re-recorded when the runs calibration key left to_json(); every
+# frequency, and so every to_csv(), stayed the same.
 PRESET_DIGESTS = {
-    1729: "9a33a2c53c030ea62b90e75caf5e19d45438d822dbac87e1eb2e6bff074d6f73",
-    99: "360e1c312c721020be983e3e0d80cf2f40fac814553e76a0e43de5f9ca8377fe",
+    1729: "0ef6120136cab7cfbbf254ec1b6370c08b7a96286b670bd4b870788f80ded542",
+    99: "ecde74717cfe454606f401a7fb081711743b20ded65055737d919f4de6bb4dd4",
 }
 POWER_ARGS = (VonMises(1.0), 2, 2, [0.0, 1.0, 2.0, 3.0, 4.0])
 POWER_KWARGS = dict(mode="empirical", n=200, reps=150, master_seed=7)
@@ -261,14 +268,11 @@ class TestEngine:
 
     @pytest.mark.parametrize("spec", [
         ScenarioSpec(scenario_id="ref_sine", family="sineskew", base="cardioid:0.5",
-                     lambdas=(0.0, 0.5), skew_k=2, n=30, reps=300,
-                     runs_calibration_reps=2000, master_seed=5),
+                     lambdas=(0.0, 0.5), skew_k=2, n=30, reps=300, master_seed=5),
         ScenarioSpec(scenario_id="ref_moebius", family="moebius", base="wcauchy:0.5",
-                     lambdas=(0.0, 0.1), n=25, reps=120, runs_calibration_reps=2000,
-                     master_seed=6),
+                     lambdas=(0.0, 0.1), n=25, reps=120, master_seed=6),
         ScenarioSpec(scenario_id="ref_mix", family="mixshift", base="vm:10",
-                     lambdas=(0.0, 0.6), n=20, reps=120, runs_calibration_reps=2000,
-                     master_seed=7),
+                     lambdas=(0.0, 0.6), n=20, reps=120, master_seed=7),
         ScenarioSpec(scenario_id="ref_noruns", family="sineskew", base="vm:1",
                      lambdas=(0.0, 0.3), test_ks=(1, 4), n=15, reps=120,
                      runs_p=None, master_seed=8),
@@ -282,8 +286,7 @@ class TestEngine:
     def test_per_sample_loop_across_slices_and_workers(self):
         spec = ScenarioSpec(scenario_id="ref_slices", family="sineskew", base="vm:1",
                             lambdas=(0.0, 0.4), n=12,
-                            reps=2 * montecarlo._chunk_reps(12) + 37,
-                            runs_calibration_reps=2000, master_seed=9)
+                            reps=2 * montecarlo._chunk_reps(12) + 37, master_seed=9)
         frequencies, degenerate = _reference_table(spec)
         for threads in (1, 2):
             table = run_scenario(spec, threads=threads)
@@ -291,12 +294,11 @@ class TestEngine:
             assert [list(row) for row in table.degenerate] == degenerate
 
     def test_zero_sines_and_degenerate_samples(self):
-        m = runs_subset_size(16, 0.6)
         stream = montecarlo._Stream(
             master_seed=3, stream_id="snapped", models=(_Snapped(16), _Snapped(16)),
             n=16, test_ks=(1, 2), alpha=0.2,
             reps=montecarlo._chunk_reps(16) + 20,
-            runs=(m, np.sort(simulate_runs_null(m, 500, np.random.default_rng(1)))),
+            runs=runs_subset_size(16, 0.6),
         )
         rejections, degenerate = montecarlo._replication_block(stream, 0, stream.reps)
         expected_rejections, expected_degenerate = _reference_tallies(stream)
@@ -314,6 +316,18 @@ class TestEngine:
         assert max(spy.sizes) <= max(montecarlo._CHUNK_DRAWS, n)
         assert sum(spy.sizes) == 2 * stream.reps * n
         assert len(spy.sizes) == 2 * 3
+
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, float("nan")])
+    def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
+            run_scenario(SMALL_SPEC, threads=threads)
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
+            power_curve(VonMises(1.0), 1, 1, [0.0], mode="empirical", n=20, reps=40,
+                        threads=threads)
 
     def test_one_pool_per_run(self, monkeypatch, tmp_path, capsys):
         starts = []
@@ -448,10 +462,11 @@ class TestScenarioFiles:
         assert spec.runs_p is None
         assert spec.lambdas == (0.0, 0.3)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "runs_calibration_reps"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "scenario.txt"
-        path.write_text("scenario_id = x\nbogus = 1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown key"):
+        path.write_text(f"scenario_id = x\n{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             load_scenario_file(path)
 
     @pytest.mark.parametrize("line", [

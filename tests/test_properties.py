@@ -93,7 +93,6 @@ def _scenarios(family):
         test_ks=st.lists(st.integers(min_value=1, max_value=50), min_size=1,
                          max_size=4).map(tuple),
         runs_p=st.none() | unit_open,
-        runs_calibration_reps=st.integers(min_value=1, max_value=10**6),
         master_seed=st.integers(min_value=0, max_value=2**63),
     )
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from circsym.symtests import (
     parametric_test,
     rayleigh_cardioid_test,
     runs_count,
+    runs_null_cdf,
     runs_subset_size,
     simulate_runs_null,
     studentized_rows,
@@ -294,9 +296,8 @@ class TestRowKernels:
         sample = np.round(rng.uniform(-3.0, 3.0, 30) * 2.0) / 2.0  # several exact zeros
         zeros = int(np.count_nonzero(sample == 0.0))
         assert zeros >= 2
-        table = simulate_runs_null(18, 1000, np.random.default_rng(14))
         used = np.random.Generator(np.random.Philox(21))
-        result = modified_runs_test(sample, 0.0, p=0.6, rng=used, null_counts=table)
+        result = modified_runs_test(sample, 0.0, p=0.6, rng=used)
         assert result.extra["zero_sines_randomized"] == zeros
 
         # the statistic by hand: coins fill the zero signs in order, then the
@@ -314,15 +315,22 @@ class TestRowKernels:
         rows = np.round(rng.uniform(-3.0, 3.0, size=(3, 25)) * 2.0) / 2.0
         rows[2] = 0.0
         m = runs_subset_size(25, 0.6)
-        table = simulate_runs_null(m, 1000, np.random.default_rng(16))
-        streams = [np.random.Generator(np.random.Philox(30 + i)) for i in range(3)]
-        counts = modified_runs_rows(
-            rows, 0.0, m, lambda row, count: streams[row].random(count) < 0.5
-        )
+        calls = []
+        shared = np.random.Generator(np.random.Philox(30))
+
+        def coin_flips(count):
+            calls.append(count)
+            return shared.random(count) < 0.5
+
+        counts = modified_runs_rows(rows, 0.0, m, coin_flips)
+        assert calls == [np.count_nonzero(rows == 0.0)]  # one call, every zero
+        # the coins fill the zeros in row order: each single-row test takes
+        # its row's coins from the same stream in turn
+        fresh = np.random.Generator(np.random.Philox(30))
         for i in range(3):
-            single = modified_runs_test(rows[i], 0.0, rng=np.random.Generator(
-                np.random.Philox(30 + i)), null_counts=table)
+            single = modified_runs_test(rows[i], 0.0, rng=fresh)
             assert counts[i] == single.statistic
+        assert shared.random() == fresh.random()
 
 
 class TestRunsMachinery:
@@ -331,6 +339,37 @@ class TestRunsMachinery:
         assert runs_count([1, -1, 1, -1]) == 4
         assert runs_count([1, 1, -1, -1, 1]) == 3
         assert runs_count([]) == 0
+
+    @staticmethod
+    def _exact_cdf(count, m):
+        """P(R <= count) from R - 1 ~ Binomial(m - 1, 1/2), in exact arithmetic."""
+        below = sum(math.comb(m - 1, j) for j in range(max(0, min(count, m))))
+        return Fraction(below, 2 ** (m - 1))
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 60, 200, 300])
+    def test_null_cdf_matches_exact_arithmetic(self, m):
+        counts = np.arange(0, m + 2)
+        cdf = runs_null_cdf(counts, m)
+        for count, value in zip(counts, cdf):
+            exact = float(self._exact_cdf(int(count), m))
+            assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_null_cdf_for_a_million_signs(self):
+        # 2^-(m - 1) underflows long before m = 10^6; the law must not
+        m = 10**6
+        cdf = runs_null_cdf(np.arange(0, m + 2), m)
+        assert np.isfinite(cdf).all()
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf.min() == 0.0 and cdf.max() == 1.0
+        # R - 1 is symmetric about (m - 1) / 2, so P(R <= m / 2) = 1/2
+        assert cdf[m // 2] == pytest.approx(0.5, abs=1e-9)
+
+    def test_simulated_null_matches_exact_law(self):
+        m = 60
+        counts = simulate_runs_null(m, 200_000, np.random.default_rng(17))
+        grid = np.arange(1, m + 1)
+        empirical = np.searchsorted(np.sort(counts), grid, side="right") / counts.size
+        assert np.max(np.abs(empirical - runs_null_cdf(grid, m))) < 0.005
 
     def test_null_simulation_moments(self):
         # runs among m fair coins: mean 1 + (m-1)/2, variance (m-1)/4
@@ -352,18 +391,23 @@ class TestModifiedRuns:
     def test_single_run_tiny_p(self):
         rng = np.random.default_rng(8)
         sample = wrap(0.5 + np.abs(rng.uniform(0.1, 2.9, size=60)))
-        result = modified_runs_test(sample, 0.5, p=0.6, calibration_reps=4000)
+        result = modified_runs_test(sample, 0.5, p=0.6)
+        m = result.extra["subset_size"]
+        assert m == 36
         assert result.statistic == 1.0
-        assert result.p_value == pytest.approx(1.0 / 4001.0, abs=1e-9)
+        # one run means no sign change among m - 1 fair pairs
+        assert result.p_value == pytest.approx(2.0 ** -(m - 1), rel=1e-12)
 
-    def test_injected_null_table_matches_own_simulation(self):
+    def test_p_value_is_the_exact_null_cdf(self):
         rng = np.random.default_rng(9)
         sample = VonMises(1.0).sample(rng, 50)
-        table = simulate_runs_null(30, 5000, np.random.default_rng(10))
-        a = modified_runs_test(sample, 0.0, null_counts=table)
-        b = modified_runs_test(sample, 0.0, null_counts=table)
+        a = modified_runs_test(sample, 0.0)
+        b = modified_runs_test(sample, 0.0)
         assert a.p_value == b.p_value
-        assert a.extra["calibration_reps"] == 5000
+        assert a.extra["subset_size"] == 30
+        exact = TestRunsMachinery._exact_cdf(int(a.statistic), 30)
+        assert a.p_value == pytest.approx(float(exact), rel=1e-12)
+        assert "calibration_reps" not in a.extra
 
     def test_metadata_fields(self):
         rng = np.random.default_rng(11)
@@ -384,18 +428,15 @@ class TestModifiedRuns:
     def test_valid_but_conservative_and_consistent(self):
         # the discrete runs count keeps the exact test below nominal level,
         # while strong skewness still multiplies the rejection rate
-        table = simulate_runs_null(60, 10_000, np.random.default_rng(5))
         model = SineSkewed(VonMises(1.0), 0.8, k=1)
         reps = 600
         null_rejections = skew_rejections = 0
         for i in range(reps):
             rng = derive_stream(50, "modrun-size", i)
-            flat = modified_runs_test(rng.uniform(-np.pi, np.pi, 100), 0.0,
-                                      null_counts=table)
+            flat = modified_runs_test(rng.uniform(-np.pi, np.pi, 100), 0.0)
             null_rejections += flat.p_value < 0.05
             rng = derive_stream(51, "modrun-power", i)
-            skewed = modified_runs_test(model.sample(rng, 100), 0.0,
-                                        null_counts=table)
+            skewed = modified_runs_test(model.sample(rng, 100), 0.0)
             skew_rejections += skewed.p_value < 0.05
         size = null_rejections / reps
         power = skew_rejections / reps
