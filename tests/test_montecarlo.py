@@ -462,11 +462,17 @@ class TestScenarioFiles:
         assert spec.runs_p is None
         assert spec.lambdas == (0.0, 0.3)
 
-    @pytest.mark.parametrize("key", ["bogus", "runs_calibration_reps"])
-    def test_unknown_key_rejected(self, tmp_path, key):
+    def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.txt"
-        path.write_text(f"scenario_id = x\n{key} = 1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        path.write_text("scenario_id = x\nbogus = 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key 'bogus'"):
+            load_scenario_file(path)
+
+    def test_removed_calibration_key_rejected(self, tmp_path):
+        # The runs test's null law is exact, so no calibration size is read.
+        path = tmp_path / "scenario.txt"
+        path.write_text("scenario_id = x\nruns_calibration_reps = 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key 'runs_calibration_reps'"):
             load_scenario_file(path)
 
     @pytest.mark.parametrize("line", [
