@@ -54,7 +54,7 @@ from .montecarlo import (
     run_scenario,
     run_scenarios,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_periodic
+from .quadrature import integrate_periodic
 from .symtests import (
     TestResult,
     modified_runs_test,
@@ -67,7 +67,7 @@ from .symtests import (
 
 __all__ = [
     "TWO_PI", "wrap", "as_sample", "trig_moment",
-    "QuadratureSpec", "DEFAULT_QUADRATURE", "integrate_periodic",
+    "integrate_periodic",
     "Uniform", "VonMises", "Cardioid", "WrappedCauchy", "VonMisesMixture",
     "SineSkewed", "MoebiusSkewed", "SkewedMixture", "BASE_FAMILIES", "parse_base",
     "parse_model",

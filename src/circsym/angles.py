@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .errors import EmptySampleError
+from .special import check_integer
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,8 +94,7 @@ def trig_moment(sample, theta, m, kind="sin"):
         The empirical moment, always in [-1, 1].
     """
     theta = check_angle(theta)
-    if not (m >= 1 and m % 1 == 0):  # false for nan and inf too
-        raise ValueError(f"moment order must be a positive integer, got {m!r}")
+    m = check_integer(m, "moment order")
     arr = as_sample(sample)
     centered = m * (arr - theta)
     if kind == "sin":

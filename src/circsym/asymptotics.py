@@ -11,7 +11,10 @@ All are closed forms in the base's cosine moments rho_m = E[cos(m X)]:
 integration by parts gives g12 = -int sin(k x) f0'(x) dx = k rho_k,
 g22 = (1 - rho_2k)/2, the cross constant is
 C(k, k') = (rho_|k-k'| - rho_(k+k'))/2, and each base states its own g11.
-The test suite checks every identity against periodic quadrature.
+The differences of moments come from ``base.cos_moment_gap``, which forms
+them without cancellation as the moments approach 1 (von Mises at large
+kappa, wrapped Cauchy with rho near 1). The test suite checks every
+identity against periodic quadrature.
 """
 
 import math
@@ -25,8 +28,7 @@ from .special import check_alpha, check_frequency, norm_cdf, upper_quantile
 
 # Separates exact Cauchy-Schwarz equality (sine-skewed von Mises with
 # k = 1) from genuinely positive gaps: the closed forms leave a von Mises
-# k = 1 gap of rounding size, which grows like 1e-16 * kappa, below 1e-11
-# for kappa <= 1e4.
+# k = 1 gap of rounding size (at most a few 1e-16) at every kappa.
 SINGULARITY_GAP_THRESHOLD = 1e-8
 
 
@@ -90,7 +92,7 @@ def fisher_matrix(base, k):
     return FisherMatrix(
         g11=base.location_information,
         g12=k * base.cos_moment(k),
-        g22=0.5 * (1.0 - base.cos_moment(2 * k)),
+        g22=0.5 * base.cos_moment_gap(0, 2 * k),
         k=k,
         base_label=base.label,
     )
@@ -100,7 +102,7 @@ def cross_corr(base, k, k_prime):
     """Cross-frequency constant int sin(kx) sin(k'x) f0(x) dx, symmetric in (k, k')."""
     _require_family(base)
     lo, hi = sorted((check_frequency(k), check_frequency(k_prime)))
-    return 0.5 * (base.cos_moment(hi - lo) - base.cos_moment(hi + lo))
+    return 0.5 * base.cos_moment_gap(hi - lo, hi + lo)
 
 
 def local_power(base, k, k_prime, tau2, alpha=0.05):

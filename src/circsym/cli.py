@@ -22,12 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .distributions import parse_base, parse_model
-from .errors import (
-    DegenerateInformationError,
-    DegenerateSampleError,
-    EmptySampleError,
-    QuadratureConvergenceError,
-)
+from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .asymptotics import fisher_matrix, singularity_report
 from .io import AngleFileError, format_angles, parse_angle, read_angles, write_angles
 from .montecarlo import (
@@ -366,8 +361,7 @@ def build_parser():
 EXIT_TABLE = (
     ((AngleFileError, EmptySampleError, DegenerateSampleError, OSError,
       UnicodeDecodeError), EXIT_DATA, "data error: "),
-    ((QuadratureConvergenceError, DegenerateInformationError, ArithmeticError),
-     EXIT_NUMERICAL, "numerical failure: "),
+    ((DegenerateInformationError, ArithmeticError), EXIT_NUMERICAL, "numerical failure: "),
     ((UsageError, ValueError), EXIT_USAGE, ""),
 )
 

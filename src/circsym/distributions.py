@@ -24,7 +24,7 @@ import numpy as np
 
 from .angles import TWO_PI, check_angle, wrap
 from .errors import UnsupportedBaseError
-from .special import bessel_i0e, bessel_ratio, check_frequency
+from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
@@ -80,9 +80,12 @@ class _Model:
 
     def sample(self, rng, n):
         """``n`` draws from ``rng``, canonical angles in [-pi, pi)."""
-        if n < 1 or int(n) != n:
-            raise ValueError(f"sample size must be a positive integer, got {n!r}")
-        return wrap(self._draw(rng, int(n)))
+        return wrap(self._draw(rng, check_integer(n, "sample size")))
+
+    def cos_moment_gap(self, a, b):
+        """rho_a - rho_b of a symmetric base, for a < b with b - a even: the
+        direct difference, exact where the moments are (uniform, cardioid)."""
+        return self.cos_moment(a) - self.cos_moment(b)
 
     @property
     def label(self):
@@ -144,6 +147,18 @@ class VonMises(_Model):
     def cos_moment(self, m):
         """I_m(kappa) / I_0(kappa)."""
         return bessel_ratio(m, self.kappa)
+
+    def cos_moment_gap(self, a, b):
+        """rho_a - rho_b as the sum of 2j (rho_j / kappa) over j = a+1, a+3,
+        ..., b-1, from I_(j-1) - I_(j+1) = (2j/kappa) I_j. Its terms are
+        positive, so nothing cancels as the moments near 1 at large kappa.
+        Below kappa = 1 the moments are far from 1 and the direct difference
+        loses nothing; it also stays right at subnormal kappa, where the
+        recurrence for rho_j breaks down."""
+        kappa = self.kappa
+        if kappa < 1.0:
+            return super().cos_moment_gap(a, b)
+        return sum(2.0 * j * (self.cos_moment(j) / kappa) for j in range(a + 1, b, 2))
 
     @property
     def location_information(self):
@@ -279,6 +294,11 @@ class WrappedCauchy(_Model):
     def cos_moment(self, m):
         """rho^m."""
         return self.rho**m
+
+    def cos_moment_gap(self, a, b):
+        """rho^a - rho^b = -rho^a expm1((b - a) log rho), which keeps full
+        relative precision as rho nears 1."""
+        return -self.rho**a * math.expm1((b - a) * math.log(self.rho))
 
     @property
     def location_information(self):

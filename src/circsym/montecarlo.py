@@ -40,7 +40,7 @@ from .distributions import (
     parse_base,
 )
 from .io import read_text_lines
-from .special import check_alpha, check_frequency, upper_quantile
+from .special import check_alpha, check_frequency, check_integer, upper_quantile
 from . import symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
@@ -92,10 +92,10 @@ class ScenarioSpec:
         object.__setattr__(self, "lambdas", lambdas)
         if not any(v == 0.0 for v in lambdas):
             raise ValueError("the skewness grid must include 0 (null column)")
-        if self.n < 10:
-            raise ValueError(f"sample size must be at least 10, got {self.n}")
-        if self.reps < 100:
-            raise ValueError(f"replication count must be at least 100, got {self.reps}")
+        object.__setattr__(self, "n", check_integer(self.n, "sample size n", 10))
+        object.__setattr__(self, "reps", check_integer(self.reps, "replication count reps", 100))
+        object.__setattr__(self, "master_seed",
+                           check_integer(self.master_seed, "master_seed", least=None))
         check_alpha(self.alpha)
         object.__setattr__(
             self, "test_ks", tuple(check_frequency(k) for k in self.test_ks)
@@ -265,15 +265,14 @@ def _tallies(streams, threads):
     pool, started once for the whole list; ValueError unless ``threads`` is
     a positive integer.
     """
-    if not (threads >= 1 and threads % 1 == 0):
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    threads = check_integer(threads, "threads")
     if threads == 1:
         for stream in streams:
             yield _replication_block(stream, 0, stream.reps)
         return
     ctx = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=int(threads), mp_context=ctx
+        max_workers=threads, mp_context=ctx
     ) as pool:
         pending = [
             [pool.submit(_replication_block, stream, lo, hi)
@@ -386,8 +385,8 @@ PRESETS = {
 
 def override_scenarios(specs, reps=None, master_seed=None):
     """The scenarios ``specs`` resized to ``reps`` and reseeded with
-    ``master_seed``, each where given."""
-    updates = {name: int(value) for name, value in
+    ``master_seed``, each where given; ``ScenarioSpec`` checks both."""
+    updates = {name: value for name, value in
                (("reps", reps), ("master_seed", master_seed)) if value is not None}
     return tuple(replace(s, **updates) if updates else s for s in specs)
 

@@ -1,14 +1,18 @@
 """Modified Bessel functions, the standard normal cdf/quantile pair, and the
-checks of a level and a frequency.
+checks of a level, a frequency and an integer.
 
 Kept dependency-free. ``bessel_ratio`` gives the von Mises cosine moments
 I_m(kappa)/I_0(kappa) for every finite kappa > 0 without forming either
 function; ``bessel_i0e`` gives I_0(kappa) e^-kappa for every kappa, from
 the raw series ``bessel_i`` (which overflows above kappa ~ 700) or the
-large-argument expansion. The test suite checks them against SciPy.
+large-argument expansion. The normal cdf and survival function come from
+``math.erfc``, which keeps both tails; the quantile is the standard
+library's ``statistics.NormalDist().inv_cdf``. The test suite checks them
+against SciPy.
 """
 
 import math
+import statistics
 
 _BESSEL_RTOL = 1e-15
 _BESSEL_MAX_TERMS = 500
@@ -20,6 +24,8 @@ _LOG_TINY = math.log(math.ulp(0.0)) - 1.0
 # used: the backward recurrence needs a start order growing like sqrt(kappa).
 _HANKEL_MIN_KAPPA = 1e3
 
+_STANDARD_NORMAL = statistics.NormalDist()
+
 
 def bessel_i(m, z):
     """Modified Bessel function of the first kind, integer order m >= 0.
@@ -30,11 +36,9 @@ def bessel_i(m, z):
     (z up to ~50); all terms are positive so truncation error is bounded by
     the first neglected term.
     """
-    if m < 0 or int(m) != m:
-        raise ValueError(f"order must be a nonnegative integer, got {m!r}")
+    m = check_integer(m, "order", least=0)
     if z < 0:
         raise ValueError(f"argument must be nonnegative, got {z!r}")
-    m = int(m)
     half = z / 2.0
     # j = 0 term: half^m / m!
     term = half**m / math.factorial(m)
@@ -69,11 +73,10 @@ def bessel_ratio(m, kappa):
     each. Relative error about 1e-14 or better against SciPy for m <= 12
     over kappa in [1e-3, 1e8].
     """
-    if m < 0 or int(m) != m:
-        raise ValueError(f"order must be a nonnegative integer, got {m!r}")
+    m = check_integer(m, "order", least=0)
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"argument must be finite and positive, got {kappa!r}")
-    m, kappa = int(m), float(kappa)
+    kappa = float(kappa)
     if m == 0:
         return 1.0
     # r_j < kappa/(2j), so the ratio is below (kappa/2)^m / m!
@@ -122,11 +125,21 @@ def check_alpha(alpha):
     return alpha
 
 
+def check_integer(value, name, least=1):
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer (an integral float too) of at least ``least``, or of any size
+    when ``least`` is None."""
+    if not (value >= (-math.inf if least is None else least)
+            and value % 1 == 0):  # false for nan and inf too
+        wanted = {None: "an integer", 0: "a nonnegative integer",
+                  1: "a positive integer"}.get(least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return int(value)
+
+
 def check_frequency(k):
     """The frequency ``k`` as an int; ValueError unless it is a positive integer."""
-    if not (k >= 1 and k % 1 == 0):  # false for nan and inf too
-        raise ValueError(f"frequency k must be a positive integer, got {k!r}")
-    return int(k)
+    return check_integer(k, "frequency k")
 
 
 def norm_cdf(x):
@@ -139,59 +152,16 @@ def norm_sf(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _norm_pdf(x):
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation coefficients for the initial guess.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
 def norm_quantile(p):
-    """Standard normal quantile Phi^{-1}(p) for p in (0, 1).
-
-    Rational approximation (Acklam) polished by two Newton steps with the
-    erfc-based cdf; absolute error well below 1e-12 across (0, 1).
-    """
+    """Standard normal quantile Phi^{-1}(p) for p in (0, 1), by the standard
+    library's ``NormalDist.inv_cdf`` (Wichura's AS241, about 1e-16 relative)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile requires p in (0, 1), got {p!r}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((( _C[0]*q + _C[1])*q + _C[2])*q + _C[3])*q + _C[4])*q + _C[5]) / \
-            (((( _D[0]*q + _D[1])*q + _D[2])*q + _D[3])*q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((( _A[0]*r + _A[1])*r + _A[2])*r + _A[3])*r + _A[4])*r + _A[5])*q / \
-            ((((( _B[0]*r + _B[1])*r + _B[2])*r + _B[3])*r + _B[4])*r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((( _C[0]*q + _C[1])*q + _C[2])*q + _C[3])*q + _C[4])*q + _C[5]) / \
-            (((( _D[0]*q + _D[1])*q + _D[2])*q + _D[3])*q + 1.0)
-    # Newton polish against whichever tail keeps full precision: the cdf
-    # loses resolution near 1, the survival function near 0.
-    q = 1.0 - p
-    for _ in range(2):
-        pdf = _norm_pdf(x)
-        if pdf == 0.0:
-            break
-        if p <= 0.5:
-            x -= (norm_cdf(x) - p) / pdf
-        else:
-            x += (norm_sf(x) - q) / pdf
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def upper_quantile(alpha):
-    """The alpha upper quantile z_alpha with Phi(z_alpha) = 1 - alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {alpha!r}")
-    return norm_quantile(1.0 - alpha)
+    """The alpha upper quantile z_alpha with Phi(z_alpha) = 1 - alpha, as
+    -Phi^{-1}(alpha): 1 - alpha is never formed, so any alpha keeps full
+    precision."""
+    return -norm_quantile(alpha)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,6 +256,37 @@ class TestSingularity:
             report = singularity_report(VonMises(float(kappa)), 1)
             assert abs(report.normalized_gap) < 1e-11, kappa
             assert report.singular
+
+    def test_von_mises_k1_gap_at_rounding_size_up_to_huge_kappa(self):
+        # g22 and C(k, k') sum positive terms, so nothing cancels as rho_m -> 1
+        for kappa in np.geomspace(1.0, 1e300, 61):
+            report = singularity_report(VonMises(float(kappa)), 1)
+            assert abs(report.normalized_gap) < 1e-15, kappa
+            assert report.singular
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_von_mises_g22_limit_at_huge_kappa(self, k):
+        # g22 = (1 - rho_2k)/2 ~ k^2 / kappa as kappa -> infinity
+        kappa = 1e300
+        assert fisher_matrix(VonMises(kappa), k).g22 * kappa == pytest.approx(k * k, rel=1e-14)
+        assert cross_corr(VonMises(kappa), k, k) * kappa == pytest.approx(k * k, rel=1e-14)
+        assert cross_corr(VonMises(kappa), k, k + 1) * kappa == pytest.approx(
+            k * (k + 1), rel=1e-14)
+
+    def test_von_mises_g22_at_subnormal_kappa(self):
+        # the moments vanish there, so g22 = (1 - rho_2k)/2 is its uniform value
+        assert fisher_matrix(VonMises(1e-310), 1).g22 == 0.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_wrapped_cauchy_near_one_against_exact_arithmetic(self, k):
+        rho = 1.0 - 1e-12
+        exact = Fraction(rho)
+        g22 = (1 - exact ** (2 * k)) / 2
+        assert fisher_matrix(WrappedCauchy(rho), k).g22 == pytest.approx(
+            float(g22), rel=1e-14, abs=0.0)
+        cross = (exact - exact ** (2 * k + 1)) / 2
+        assert cross_corr(WrappedCauchy(rho), k, k + 1) == pytest.approx(
+            float(cross), rel=1e-14, abs=0.0)
 
     def test_wrapped_cauchy_gap_value(self):
         # det 1/12 over g11*g22 = 1/3 for rho = 0.5, k = 1

@@ -24,7 +24,6 @@ from circsym.errors import (
     DegenerateInformationError,
     DegenerateSampleError,
     EmptySampleError,
-    QuadratureConvergenceError,
     UnsupportedBaseError,
 )
 from circsym.io import AngleFileError, parse_angle, read_angles, write_angles
@@ -255,6 +254,13 @@ class TestPowerCommand:
         assert lines[2] == "tau2,analytic_kprime2,empirical_kprime2"
         assert len(lines) == 5
 
+    def test_tiny_level(self, capsys):
+        # z_(alpha/2) is formed from alpha itself, never from 1 - alpha/2
+        assert main(["power", "--base", "vm:1", "--k", "2", "--kprime", "2",
+                     "--grid", "0,1", "--alpha", "1e-20"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[3:]
+        assert [row.split(",")[1] for row in rows] == ["0.000000", "0.000000"]
+
 
 class TestFisherCommand:
     def test_von_mises_k1_singular(self, capsys):
@@ -456,7 +462,7 @@ class TestExitTable:
         (FileNotFoundError("x"), EXIT_DATA),
         (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x"), EXIT_DATA),
         (DegenerateInformationError("x"), EXIT_NUMERICAL),
-        (QuadratureConvergenceError("x", 0.0), EXIT_NUMERICAL),
+        (FloatingPointError("x"), EXIT_NUMERICAL),
         (OverflowError("x"), EXIT_NUMERICAL),
     ])
     def test_exit_code(self, monkeypatch, capsys, exc, code):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestScenarioSpec:
                          lambdas=(0.0, 0.2), runs_p=runs_p)
         with pytest.raises(ValueError, match=re.escape(message)):
             modified_runs_test(np.linspace(-1.0, 1.0, 20), 0.0, p=runs_p)
+
+    @pytest.mark.parametrize("values, message", [
+        (dict(n=20.5), "sample size n must be an integer of at least 10, got 20.5"),
+        (dict(n=9), "sample size n must be an integer of at least 10, got 9"),
+        (dict(reps=200.5), "replication count reps must be an integer of at least 100"),
+        (dict(master_seed=2.5), "master_seed must be an integer, got 2.5"),
+        (dict(master_seed=float("nan")), "master_seed must be an integer"),
+    ], ids=["n", "n-small", "reps", "seed", "seed-nan"])
+    def test_counts_and_seed_must_be_integers(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                         lambdas=(0.0, 0.2), **values)
+
+    def test_integral_floats_are_stored_as_int(self):
+        spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                            lambdas=(0.0, 0.2), n=50.0, reps=200.0, master_seed=2.0)
+        assert [(v, type(v)) for v in (spec.n, spec.reps, spec.master_seed)] == [
+            (50, int), (200, int), (2, int)]
+        assert "# seed: 2\n" in run_scenario(replace(spec, reps=100)).to_csv()
 
     def test_mixshift_lambda_beyond_one_allowed(self):
         spec = ScenarioSpec(scenario_id="x", family="mixshift", base="vm:1",
@@ -422,6 +442,18 @@ class TestPresets:
     def test_preset_resize(self):
         specs = preset_scenarios("table1", reps=150, master_seed=3)
         assert all(s.reps == 150 and s.master_seed == 3 for s in specs)
+
+    @pytest.mark.parametrize("reps, master_seed, field", [
+        (150.7, None, "reps"), (None, 3.9, "master_seed"), (150.7, 3.9, "reps"),
+    ])
+    def test_preset_resize_rejects_non_integers(self, reps, master_seed, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            preset_scenarios("table1", reps=reps, master_seed=master_seed)
+
+    def test_preset_resize_stores_integral_floats_as_int(self):
+        specs = preset_scenarios("table1", reps=150.0, master_seed=3.0)
+        assert all(type(s.reps) is int and type(s.master_seed) is int for s in specs)
+        assert specs == preset_scenarios("table1", reps=150, master_seed=3)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="unknown preset"):

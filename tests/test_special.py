@@ -7,6 +7,7 @@ from scipy import stats as sp_stats
 from circsym.special import (
     bessel_i,
     bessel_ratio,
+    check_integer,
     norm_cdf,
     norm_quantile,
     norm_sf,
@@ -120,3 +121,33 @@ class TestNormalQuantile:
     def test_upper_quantile_alias(self):
         assert upper_quantile(0.05) == pytest.approx(sp_stats.norm.ppf(0.95), rel=1e-13)
         assert upper_quantile(0.025) == pytest.approx(1.959963984540054, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-10, 1e-13, 1e-17, 1e-20, 1e-300])
+    def test_upper_quantile_small_levels(self, alpha):
+        # 1 - alpha rounds to 1 below about 1.1e-16; z_alpha must not depend on it
+        assert upper_quantile(alpha) == pytest.approx(sp_stats.norm.isf(alpha), rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, float("nan")])
+    def test_upper_quantile_domain_enforced(self, bad):
+        with pytest.raises(ValueError, match="requires p in"):
+            upper_quantile(bad)
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value, least, expected", [
+        (3, 1, 3), (3.0, 1, 3), (0, 0, 0), (10.0, 10, 10), (-7.0, None, -7),
+        (np.int64(5), 1, 5),
+    ])
+    def test_integral_values_pass_as_int(self, value, least, expected):
+        result = check_integer(value, "x", least)
+        assert result == expected and type(result) is int
+
+    @pytest.mark.parametrize("value, least, wanted", [
+        (0, 1, "a positive integer"), (1.5, 1, "a positive integer"),
+        (-1, 0, "a nonnegative integer"), (9, 10, "an integer of at least 10"),
+        (2.5, None, "an integer"), (float("nan"), None, "an integer"),
+        (float("inf"), 1, "a positive integer"), (-float("inf"), None, "an integer"),
+    ])
+    def test_others_rejected_by_name(self, value, least, wanted):
+        with pytest.raises(ValueError, match=f"^widgets must be {wanted}, got"):
+            check_integer(value, "widgets", least)
