@@ -27,19 +27,23 @@ def wrap(x):
     -------
     float or np.ndarray
         Value(s) congruent to ``x`` modulo 2*pi, in [-pi, pi). Scalar in,
-        scalar out.
+        scalar out; an array comes back as a new array, never as ``x``.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot wrap non-finite angle")
-    wrapped = np.mod(arr + np.pi, TWO_PI) - np.pi
-    # mod can return exactly 2*pi for inputs just below -pi due to rounding
-    wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
-    # the mod arithmetic perturbs values by an ulp; stay exact where possible
-    wrapped = np.where((arr >= -np.pi) & (arr < np.pi), arr, wrapped)
+    arr = np.array(x, dtype=float)  # a copy: callers keep the arrays they pass
+    # canonical values are returned as they are, so the mod arithmetic, which
+    # perturbs them by an ulp, runs only when some value is outside; the
+    # comparisons are false for nan and +-inf
+    canonical = (arr >= -np.pi) & (arr < np.pi)
+    if not np.all(canonical):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("cannot wrap non-finite angle")
+        wrapped = np.mod(arr + np.pi, TWO_PI) - np.pi
+        # mod can return exactly 2*pi for inputs just below -pi due to rounding
+        wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
+        arr = np.where(canonical, arr, wrapped)
     if np.ndim(x) == 0 and not isinstance(x, np.ndarray):
-        return float(wrapped)
-    return wrapped
+        return float(arr)
+    return arr
 
 
 def check_angle(value, name="theta"):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .angles import as_sample, check_angle
 from .errors import DegenerateInformationError, UnsupportedBaseError
-from .special import check_alpha, check_frequency, norm_cdf, upper_quantile
+from .special import check_alpha, check_frequency, norm_cdf, norm_sf, upper_quantile
 
 # Separates exact Cauchy-Schwarz equality (sine-skewed von Mises with
 # k = 1) from genuinely positive gaps: the closed forms leave a von Mises
@@ -109,8 +109,9 @@ def local_power(base, k, k_prime, tau2, alpha=0.05):
     """Asymptotic power of the frequency-k test against contiguous
     k'-sine-skewed alternatives drifting at rate tau2 / sqrt(n).
 
-    Evaluates 1 - Phi(z - s) + Phi(-z - s) with z the alpha/2 upper normal
-    quantile and shift s = g22^{-1/2} * C(k, k') * tau2.
+    Evaluates 1 - Phi(z - s) + Phi(-z - s), the upper tail as a survival
+    function so that it keeps full precision at small alpha, with z the
+    alpha/2 upper normal quantile and shift s = g22^{-1/2} * C(k, k') * tau2.
     """
     (power,) = local_power_curve(base, k, k_prime, [tau2], alpha)
     return power
@@ -129,8 +130,7 @@ def local_power_curve(base, k, k_prime, tau2_grid, alpha=0.05):
         )
     z = upper_quantile(alpha / 2.0)
     slope = cross_corr(base, k, k_prime) / math.sqrt(g22)
-    return [(1.0 - norm_cdf(z - slope * t)) + norm_cdf(-z - slope * t)
-            for t in tau2_grid]
+    return [norm_sf(z - slope * t) + norm_cdf(-z - slope * t) for t in tau2_grid]
 
 
 def singularity_report(base, k):

@@ -29,11 +29,10 @@ from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
 _BISECT_ITER = 80
-# Best-Fisher is exact for any envelope parameter rho in (0, 1); only its
-# acceptance rate depends on rho ~ 1 - kappa^(-1/2), which rounds to 1 from
-# about kappa = 3e32, where no draw would ever be accepted. Above 2^47 ~ 1.4e14
-# the normal limit N(0, 1/kappa) is used instead, whose error O(1/kappa) is
-# below 1e-14 there.
+# Best-Fisher is exact for any envelope r > 1, and its envelope is formed
+# without cancellation, but 4 kappa^2 overflows from about kappa = 1e154.
+# Above 2^47 ~ 1.4e14 the normal limit N(0, 1/kappa) is used instead, whose
+# error O(1/kappa) is below 1e-14 there.
 _BEST_FISHER_MAX_KAPPA = 2.0**47
 
 
@@ -153,8 +152,7 @@ class VonMises(_Model):
         ..., b-1, from I_(j-1) - I_(j+1) = (2j/kappa) I_j. Its terms are
         positive, so nothing cancels as the moments near 1 at large kappa.
         Below kappa = 1 the moments are far from 1 and the direct difference
-        loses nothing; it also stays right at subnormal kappa, where the
-        recurrence for rho_j breaks down."""
+        loses nothing."""
         kappa = self.kappa
         if kappa < 1.0:
             return super().cos_moment_gap(a, b)
@@ -166,47 +164,78 @@ class VonMises(_Model):
         return self.kappa * bessel_ratio(1, self.kappa)
 
     def _draw(self, rng, n):
-        """Best-Fisher rejection sampler, vectorized in batches; the normal
-        limit N(0, 1/kappa) above ``_BEST_FISHER_MAX_KAPPA``.
+        """Best-Fisher rejection sampler from a wrapped Cauchy envelope,
+        vectorized in batches; the normal limit N(0, 1/kappa) above
+        ``_BEST_FISHER_MAX_KAPPA``.
 
-        The proposal f = cos(x) is kept as 1 - f = (r - 1) (1 - z) / (r + z),
-        with 1 - z = 2 sin^2(pi u1 / 2) and r - 1 = (1 - rho)^2 / (2 rho):
-        both differences are formed without cancellation, and the angle is
-        arccos(f) = 2 arcsin(sqrt((1 - f) / 2)), so draws near 0 keep full
-        relative precision instead of coming in steps of about 2^-26.
+        The envelope's rho = (tau - sqrt(2 tau)) / (2 kappa), tau = 1 + q,
+        q = sqrt(1 + 4 kappa^2), enters only through
+        r = (1 + rho^2) / (2 rho) = (1 + q) / (2 kappa), so
+        c0 = kappa (r - 1) = (1 + 1/(q + 2 kappa)) / 2 is formed without
+        cancellation (rho as written rounds to 0 below kappa ~ 1e-8). The
+        acceptance rate 1/M of the envelope is
+
+            p(kappa) = kappa I0e(kappa) (1 - rho^2) e^(1 - kappa (r - 1)) / (2 rho)
+                     = I0e(kappa) sqrt((1 + q) / 2) e^(1 - c0),
+
+        from 1 at kappa = 0 down to e^(1/2) / sqrt(2 pi) ~ 0.658 as kappa
+        grows. A batch for ``todo`` more draws holds
+        todo / p + 4 sqrt(todo) + 16 proposals, some four standard
+        deviations more than needed, so one batch nearly always suffices.
         """
         kappa = self.kappa
         if kappa < 1e-9:
             return rng.random(n) * TWO_PI - np.pi
         if kappa > _BEST_FISHER_MAX_KAPPA:
             return rng.standard_normal(n) / math.sqrt(kappa)
-        tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
-        rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
-        r_minus_1 = (1.0 - rho) ** 2 / (2.0 * rho)
-        r = 1.0 + r_minus_1
+        c0, rate = self._envelope()
         out = np.empty(n)
         filled = 0
         while filled < n:
             todo = n - filled
-            batch = max(16, int(todo / 0.6) + 1)
-            u1 = rng.random(batch)
-            u2 = rng.random(batch)
-            u3 = rng.random(batch)
-            z = np.cos(np.pi * u1)
-            one_minus_f = r_minus_1 * 2.0 * np.sin(0.5 * np.pi * u1) ** 2 / (r + z)
-            c = kappa * (r_minus_1 + one_minus_f)
-            accept = (c * (2.0 - c) - u2) > 0.0
-            hard = ~accept
-            if np.any(hard):
-                with np.errstate(divide="ignore"):
-                    accept[hard] = (np.log(c[hard] / u2[hard]) + 1.0 - c[hard]) >= 0.0
-            good = one_minus_f[accept]
-            take = min(todo, good.size)
-            half = np.sqrt(np.clip(0.5 * good[:take], 0.0, 1.0))
-            angles = np.sign(u3[accept][:take] - 0.5) * 2.0 * np.arcsin(half)
-            out[filled:filled + take] = angles
+            batch = int(todo / rate + 4.0 * math.sqrt(todo) + 16.0)
+            angles = self._best_fisher(rng, batch, c0)
+            take = min(todo, angles.size)
+            out[filled:filled + take] = angles[:take]
             filled += take
         return out
+
+    def _envelope(self):
+        """c0 = kappa (r - 1) and the acceptance rate p(kappa) of ``_draw``."""
+        kappa = self.kappa
+        q = math.sqrt(1.0 + 4.0 * kappa * kappa)
+        c0 = 0.5 + 0.5 / (q + 2.0 * kappa)
+        rate = bessel_i0e(kappa) * math.sqrt(0.5 + 0.5 * q) * math.exp(1.0 - c0)
+        return c0, min(1.0, rate)
+
+    def _best_fisher(self, rng, proposals, c0):
+        """The angles accepted among ``proposals`` Best-Fisher proposals.
+
+        Two uniforms per proposal: u1 = 2u - 1 on [-1, 1) gives the proposal
+        z = cos(pi u1) through s^2 = sin^2(pi u1 / 2) alone, and its sign the
+        sign of the angle; u2 is the acceptance uniform. The proposal
+        f = (1 + r z) / (r + z) = cos(x) is kept as
+
+            1 - f = (r - 1) (1 - z) / (r + z),  1 - z = 2 s^2,
+            r + z = (r - 1) + 2 (1 - s^2),
+
+        so x = 2 arcsin(sqrt((1 - f) / 2)) keeps full relative precision near
+        0 instead of coming in steps of about 2^-26. With c = kappa (r - f)
+        = c0 + kappa (1 - f) the proposal is kept when u2 <= c e^(1 - c).
+        That exact test runs over the whole batch: Best and Fisher's squeeze
+        c (2 - c) only spares the exponential on the entries it decides, and
+        picking those out costs more than the exponential.
+        """
+        kappa = self.kappa
+        r_minus_1 = c0 / kappa
+        u1 = 2.0 * rng.random(proposals) - 1.0
+        u2 = rng.random(proposals)
+        s2 = np.sin(0.5 * np.pi * u1) ** 2
+        one_minus_f = r_minus_1 * 2.0 * s2 / (r_minus_1 + 2.0 * (1.0 - s2))
+        c = c0 + kappa * one_minus_f
+        accept = c * np.exp(1.0 - c) >= u2
+        half = np.sqrt(np.minimum(0.5 * one_minus_f[accept], 1.0))
+        return np.copysign(2.0 * np.arcsin(half), u1[accept])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ _BESSEL_MAX_TERMS = 500
 _RATIO_RTOL = 1e-16
 _RATIO_DOUBLINGS = 8
 _LOG_TINY = math.log(math.ulp(0.0)) - 1.0
+# Below this the leading term (kappa/2)^m / m! is the ratio to rounding (the
+# next term is a relative kappa^2/4); the recurrence's 2j/kappa would
+# overflow at subnormal kappa.
+_SERIES_MAX_KAPPA = 1e-8
 # From here on, and while m^2 <= kappa, the large-argument expansion is
 # used: the backward recurrence needs a start order growing like sqrt(kappa).
 _HANKEL_MIN_KAPPA = 1e3
@@ -63,10 +67,11 @@ def bessel_i0e(kappa):
 def bessel_ratio(m, kappa):
     """I_m(kappa) / I_0(kappa) for integer m >= 0 and finite kappa > 0.
 
-    Below kappa = 1e3, or when m^2 > kappa, by Miller's backward
-    recurrence r_j = I_j/I_{j-1} = 1/(2j/kappa + r_{j+1}) from r = 0 at a
-    start order that doubles until the product r_1 ... r_m stops changing
-    (Amos, ACM TOMS 1974). The first start order is below
+    Below kappa = 1e-8 by the leading term (kappa/2)^m / m! of the power
+    series. From there up to kappa = 1e3, or when m^2 > kappa, by Miller's
+    backward recurrence r_j = I_j/I_{j-1} = 1/(2j/kappa + r_{j+1}) from
+    r = 0 at a start order that doubles until the product r_1 ... r_m stops
+    changing (Amos, ACM TOMS 1974). The first start order is below
     max(2m, 32) + 2 max(m, 32), so the cost grows with m but not with
     kappa. Otherwise as the quotient of the large-argument (Hankel)
     expansions of I_m and I_0, whose terms then shrink at least twofold
@@ -82,6 +87,8 @@ def bessel_ratio(m, kappa):
     # r_j < kappa/(2j), so the ratio is below (kappa/2)^m / m!
     if m * math.log(0.5 * kappa) - math.lgamma(m + 1) < _LOG_TINY:
         return 0.0
+    if kappa < _SERIES_MAX_KAPPA:
+        return (0.5 * kappa) ** m / math.factorial(m)
     if kappa >= _HANKEL_MIN_KAPPA and m * m <= kappa:
         return _hankel_series(m, kappa) / _hankel_series(0, kappa)
     top = max(2 * m, 32) + int(2.0 * math.sqrt(kappa))

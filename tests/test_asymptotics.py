@@ -225,6 +225,17 @@ class TestLocalPower:
         with pytest.raises(ValueError, match="alpha"):
             local_power(VonMises(1.0), 1, 1, 1.0, alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [0.05, 1e-10, 1e-20, 1e-300])
+    def test_zero_drift_gives_small_level(self, alpha):
+        from circsym.special import upper_quantile
+
+        # 1e-14 relative, widened by the conditioning of the tail: z is a
+        # double, and a relative error e in z moves Phi(-z) by about z^2 e
+        z = upper_quantile(alpha / 2.0)
+        rel = max(1e-14, 4.0 * z * z * np.finfo(float).eps)
+        power = local_power(VonMises(1.0), 2, 2, 0.0, alpha)
+        assert power == pytest.approx(alpha, rel=rel, abs=0.0)
+
     def test_matches_direct_formula(self):
         from circsym.special import norm_cdf, upper_quantile
 

@@ -34,14 +34,15 @@ BASE_GRID = [
 ]
 
 
-# SHA-256 of 1000 Best-Fisher draws from Philox(7), recorded when angles
-# were first taken from 1 - f without cancellation
+# SHA-256 of 1000 Best-Fisher draws from Philox(7), re-recorded when the
+# sampler moved to two uniforms per proposal, the first also giving the sign
+# of the angle, and to batches sized by its closed-form acceptance rate
 VON_MISES_DIGESTS = {
-    1e-3: "fb4eeaf5a1f0eb3e511010cd1f2b92b3f04c0bf382e2235d50f5f3abd5547090",
-    1.0: "7db453717e6495a67726350192a7fdd2b6a4b2d6494851d9991873661d138658",
-    700.0: "28b539455775bff66cddc341364d90312ffd1edbc9219e894a5f8889d7d4a8ba",
-    1e8: "6c39204932fe85c23487dfbaa27835722a161a2ed5d5f5f666442a04dff1da89",
-    1e14: "a986bc9144c40ee842cd854e2141fff091fe168c386a6f4e271990507a6b9db9",
+    1e-3: "bc79b373513dcce9e23f02310c4722201aba37011d2599636af1b71b1a71e18d",
+    1.0: "af774a9ed7f614eb85efd9b11bc6c8421ed2ee1ea9c2efd38064cb999e81273f",
+    700.0: "448aefc0ba27127f5ed7368b81fc7def834586078be5bb1c7eca643e6e19db87",
+    1e8: "5258df603a371c61b9892b4a1cb83d1e4249fbcb82c6b62352acc00850bdd291",
+    1e14: "9d28a513858b59d945806c09330f43420ec5ff0bd38ad3f27b4e4d338931bf84",
 }
 
 
@@ -287,6 +288,45 @@ class TestSamplers:
         # N(0, 1/kappa) limit: unit spread after scaling, no pile-up at 0
         assert np.std(draws) * math.sqrt(kappa) == pytest.approx(1.0, abs=0.03)
         assert np.count_nonzero(draws == 0.0) == 0
+
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.1, 1.0, 10.0, 700.0, 1e8, 1e14])
+    def test_best_fisher_acceptance_rate_is_closed_form(self, kappa):
+        model = VonMises(kappa)
+        c0, rate = model._envelope()
+        proposals = 400_000
+        kept = model._best_fisher(np.random.default_rng(12), proposals, c0).size
+        band = 5.0 * math.sqrt(rate * (1.0 - rate) / proposals) + 1.0 / proposals
+        assert abs(kept / proposals - rate) <= band
+
+    @pytest.mark.parametrize("kappa", [1e-8, 1e-3, 0.5, 1.0, 10.0, 700.0, 1e8])
+    def test_von_mises_draws_follow_the_density(self, kappa):
+        model = VonMises(kappa)
+        draws = np.sort(model.sample(np.random.default_rng(13), 200_000))
+        n = draws.size
+        # Kolmogorov-Smirnov distance at 255 order statistics, against
+        # P(X <= x) = 1/2 +- (mass between 0 and |x|) from the quadrature
+        # oracle; 1.95 / sqrt(n) is the 0.001 critical value of the full sup
+        index = np.arange(n // 256, n, n // 256)[:255]
+        cdf = np.array([_symmetric_cdf(model, x) for x in draws[index]])
+        distance = np.max(np.maximum(np.abs((index + 1) / n - cdf), np.abs(index / n - cdf)))
+        assert distance < 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 1.0, 10.0, 700.0, 1e8])
+    def test_von_mises_signs_are_fair_and_draws_canonical(self, kappa):
+        n = 200_000
+        draws = VonMises(kappa).sample(np.random.default_rng(14), n)
+        # the sign comes from the same uniform as the proposal
+        assert abs(np.count_nonzero(draws > 0.0) / n - 0.5) <= 5.0 * 0.5 / math.sqrt(n)
+        assert np.all(draws < np.pi) and np.all(draws >= -np.pi)
+
+
+def _symmetric_cdf(model, x):
+    """P(X <= x) of a base symmetric about 0, from its density by the
+    quadrature oracle on [0, |x|] mapped onto one period."""
+    width = abs(x)
+    mass = integrate_periodic(lambda s: model.pdf(width * (s + np.pi) / TWO_PI) * width / TWO_PI)
+    return 0.5 + math.copysign(mass, x)
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,44 @@ def test_wrap_is_idempotent_and_canonical(x):
     once = wrap(x)
     assert -math.pi <= once < math.pi
     assert wrap(once) == once
+
+
+def _wrap_by_mod(arr):
+    """The mod/where formula that ``wrap`` applies to every value it is given."""
+    wrapped = np.mod(arr + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.where(wrapped >= np.pi, wrapped - 2.0 * np.pi, wrapped)
+    return np.where((arr >= -np.pi) & (arr < np.pi), arr, wrapped)
+
+
+seam = st.sampled_from([math.pi, -math.pi, -0.0, np.nextafter(-math.pi, -4.0)])
+angle_lists = st.lists(st.one_of(canonical, finite, seam), max_size=40)
+
+
+@properties
+@given(angle_lists)
+@example([0.5, -0.0, -math.pi])
+@example([math.pi, 7.0, -0.0])
+def test_wrap_matches_mod_formula_on_a_new_array(values):
+    x = np.array(values, dtype=float)
+    kept = x.copy()
+    expected = _wrap_by_mod(kept)
+    out = wrap(x)
+    assert out.tobytes() == expected.tobytes()
+    assert out is not x
+    out += 1.0
+    assert x.tobytes() == kept.tobytes()
+    for value, wrapped in zip(values, expected):
+        scalar = wrap(value)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == wrapped.tobytes()
+
+
+@properties
+@given(angle_lists, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 40))
+def test_wrap_rejects_non_finite_anywhere(values, bad, position):
+    values.insert(min(position, len(values)), bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        wrap(np.array(values))
 
 
 @properties

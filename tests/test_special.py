@@ -73,6 +73,10 @@ class TestBesselRatio:
             sp_special.ive(140, 1.0) / sp_special.ive(0, 1.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-310, 1e-320])
+    def test_tiny_and_subnormal_kappa(self, kappa):
+        assert bessel_ratio(1, kappa) == pytest.approx(kappa / 2.0, rel=1e-12, abs=0.0)
+
     def test_order_zero_is_one(self):
         assert bessel_ratio(0, 3.0) == 1.0
 
