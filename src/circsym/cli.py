@@ -74,6 +74,10 @@ def _frequency(text):
         ) from None
 
 
+_THREADS_HELP = ("worker threads, at most one per core (default 1, or CIRCSYM_THREADS); "
+                 "output is byte-identical at any count")
+
+
 def _threads(text):
     """argparse type of --threads (and CIRCSYM_THREADS): a positive integer."""
     if not str(text).strip().isdigit() or int(text) < 1:
@@ -318,7 +322,8 @@ def build_parser():
     sub.add_argument("--scenario", default=None, help="scenario file path")
     sub.add_argument("--reps", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=_threads, default=default_threads)
+    sub.add_argument("--threads", type=_threads, default=default_threads,
+                     help=_THREADS_HELP)
     sub.add_argument("--out", choices=("csv", "json", "both"), default="csv")
     sub.add_argument("--outdir", default=".")
     sub.set_defaults(func=cmd_mc)
@@ -333,7 +338,8 @@ def build_parser():
     sub.add_argument("--empirical", nargs=2, type=int, metavar=("N", "REPS"),
                      default=None, help="add simulated columns at sample size N")
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    sub.add_argument("--threads", type=_threads, default=default_threads)
+    sub.add_argument("--threads", type=_threads, default=default_threads,
+                     help=_THREADS_HELP)
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sub.set_defaults(func=cmd_power)
 

@@ -311,14 +311,19 @@ class WrappedCauchy(_Model):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
 
+    def _denominator(self, x):
+        """1 + rho^2 - 2 rho cos x, written without cancellation near the
+        mode as rho nears 1."""
+        rho = self.rho
+        return (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * x) ** 2
+
     def _pdf(self, x):
         rho = self.rho
-        return (1.0 - rho * rho) / (TWO_PI * (1.0 + rho * rho - 2.0 * rho * np.cos(x)))
+        return (1.0 - rho) * (1.0 + rho) / (TWO_PI * self._denominator(x))
 
     def _score(self, x):
         # -d/dx log pdf = -2*rho*sin(x) / (1 + rho^2 - 2*rho*cos(x)), negated
-        rho = self.rho
-        return 2.0 * rho * np.sin(x) / (1.0 + rho * rho - 2.0 * rho * np.cos(x))
+        return 2.0 * self.rho * np.sin(x) / self._denominator(x)
 
     def cos_moment(self, m):
         """rho^m."""

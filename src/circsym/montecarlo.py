@@ -16,17 +16,20 @@ Every statistic is computed over the whole (models, C, n) block by the
 row-wise kernels of ``symtests``. A studentized test rejects where |T_k|
 exceeds z_{alpha/2}, the modified runs test where the run count is at
 most the largest c with P(R <= c) < alpha (``symtests.runs_null_cdf``);
-both are computed once per stream. With ``threads`` > 1 one spawn pool
+both are computed once per stream. With ``threads`` > 1 one thread pool
 serves the whole call: every scenario of ``run_scenarios`` and every grid
-point of ``power_curve``. Workers return additive integer tallies, so the
-merge is order-independent by construction.
+point of ``power_curve``. numpy releases the interpreter lock inside its
+array kernels and generator fills, each chunk has its own Generator and the
+models are frozen, so blocks share nothing mutable. Workers return additive
+integer tallies, so the merge is order-independent by construction.
 """
 
-import concurrent.futures
+import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
 import hashlib
 import json
 import math
-import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -261,19 +264,18 @@ def _block_bounds(stream, pieces):
 def _tallies(streams, threads):
     """Yield the (rejections, degenerate) tallies of each stream, in order.
 
-    With threads > 1 the replication blocks of every stream go to one spawn
-    pool, started once for the whole list; ValueError unless ``threads`` is
-    a positive integer.
+    With threads > 1 the replication blocks of every stream go to one
+    thread pool of at most ``threads`` workers, capped at the core count and
+    started once for the whole list; ValueError unless ``threads`` is a
+    positive integer.
     """
     threads = check_integer(threads, "threads")
     if threads == 1:
         for stream in streams:
             yield _replication_block(stream, 0, stream.reps)
         return
-    ctx = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=threads, mp_context=ctx
-    ) as pool:
+    pool = ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+    try:
         pending = [
             [pool.submit(_replication_block, stream, lo, hi)
              for lo, hi in _block_bounds(stream, threads * 4)]
@@ -282,6 +284,10 @@ def _tallies(streams, threads):
         for futures in pending:
             blocks = [future.result() for future in futures]
             yield sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+    finally:
+        # Threads cannot be interrupted: on an error, an interrupt or an
+        # abandoned generator, drop the queued blocks; running ones finish.
+        pool.shutdown(cancel_futures=True)
 
 
 def run_scenarios(specs, threads=1):
@@ -289,8 +295,8 @@ def run_scenarios(specs, threads=1):
 
     Samples where a statistic is undefined count as non-rejections and are
     reported in the result's ``degenerate`` field. With ``threads`` > 1 a
-    single pool of spawned workers serves every scenario; the tables are
-    byte-identical to ``threads=1``.
+    single thread pool serves every scenario; the tables are byte-identical
+    to ``threads=1``.
     """
     specs = list(specs)
     streams = [_scenario_stream(spec) for spec in specs]
@@ -320,9 +326,9 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
     ``analytic`` evaluates the limiting power at each local drift tau2;
     ``empirical`` simulates at the contiguous skewness lambda = tau2/sqrt(n)
     and tallies rejections, each grid point a stream of the replication
-    engine (one pool for the whole grid when ``threads`` > 1); samples where
-    T_k is undefined count as non-rejections. Returns a list of
-    (tau2, power) pairs.
+    engine (one thread pool for the whole grid when ``threads`` > 1);
+    samples where T_k is undefined count as non-rejections. Returns a list
+    of (tau2, power) pairs.
     """
     tau2_grid = [float(t) for t in tau2_grid]
     if mode == "analytic":

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ class TestPdfValues:
         x = 1.3
         expected = (1 - rho**2) / (TWO_PI * (1 + rho**2 - 2 * rho * np.cos(x)))
         assert WrappedCauchy(rho).pdf(x) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("bits", [20, 27, 34])
+    def test_wrapped_cauchy_mode_as_rho_nears_one(self, bits):
+        rho = 1.0 - 2.0**-bits  # 1 - rho is exact
+        model = WrappedCauchy(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mode = model.pdf(0.0)
+            scores = model.score(np.array([0.0, 2.0**-bits, 1.0]))
+        assert mode == pytest.approx((1.0 + rho) / (TWO_PI * (1.0 - rho)), rel=1e-14, abs=0)
+        # at x = 1 - rho the score is 2 rho / ((1 + rho) x) up to O(x^2)
+        assert scores[1] == pytest.approx(2.0 * rho / ((1.0 + rho) * 2.0**-bits),
+                                          rel=1e-11, abs=0)
+        assert scores[0] == 0.0 and np.isfinite(scores[2])
 
     def test_skewed_density_at_center_equals_base_mode(self):
         base = VonMises(2.0)

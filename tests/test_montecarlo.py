@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +247,16 @@ class _Snapped:
         return x
 
 
+def _snapped_stream():
+    """Two snapped models over two chunks, with a runs test."""
+    return montecarlo._Stream(
+        master_seed=3, stream_id="snapped", models=(_Snapped(16), _Snapped(16)),
+        n=16, test_ks=(1, 2), alpha=0.2,
+        reps=montecarlo._chunk_reps(16) + 20,
+        runs=runs_subset_size(16, 0.6),
+    )
+
+
 class _Spy:
     """Von Mises draws that record the size of every sample call."""
 
@@ -315,17 +328,23 @@ class TestEngine:
             assert [list(row) for row in table.degenerate] == degenerate
 
     def test_zero_sines_and_degenerate_samples(self):
-        stream = montecarlo._Stream(
-            master_seed=3, stream_id="snapped", models=(_Snapped(16), _Snapped(16)),
-            n=16, test_ks=(1, 2), alpha=0.2,
-            reps=montecarlo._chunk_reps(16) + 20,
-            runs=runs_subset_size(16, 0.6),
-        )
+        stream = _snapped_stream()
         rejections, degenerate = montecarlo._replication_block(stream, 0, stream.reps)
         expected_rejections, expected_degenerate = _reference_tallies(stream)
         assert degenerate[:2].min() > 0  # the all-zero samples
         assert rejections.tolist() == expected_rejections.tolist()
         assert degenerate.tolist() == expected_degenerate.tolist()
+
+    def test_models_need_not_pickle(self):
+        class Local(_Snapped):
+            """A class local to a function cannot be pickled, so a process
+            pool could not send it; the thread pool runs both chunks."""
+
+        stream = replace(_snapped_stream(), models=(Local(16), Local(16)))
+        expected = [t.tolist() for t in _reference_tallies(stream)]
+        for threads in (1, 2):
+            (tallies,) = montecarlo._tallies([stream], threads)
+            assert [t.tolist() for t in tallies] == expected
 
     @pytest.mark.parametrize("n", [12, 500, montecarlo._CHUNK_DRAWS + 100])
     def test_sample_calls_stay_within_the_chunk_bound(self, n):
@@ -343,7 +362,7 @@ class TestEngine:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="threads must be a positive integer"):
             run_scenario(SMALL_SPEC, threads=threads)
         with pytest.raises(ValueError, match="threads must be a positive integer"):
@@ -352,14 +371,13 @@ class TestEngine:
 
     def test_one_pool_per_run(self, monkeypatch, tmp_path, capsys):
         starts = []
-        real = montecarlo.concurrent.futures.ProcessPoolExecutor
 
-        class CountingPool(real):
+        class CountingPool(montecarlo.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 starts.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
         outputs = {}
         for threads in ("1", "2"):
             outdir = tmp_path / threads
@@ -375,6 +393,52 @@ class TestEngine:
                            threads=2) == power_curve(VonMises(1.0), 1, 1, grid,
                                                      mode="empirical", n=20, reps=40)
         assert len(starts) == 2
+
+    @pytest.mark.parametrize("cores", [os.cpu_count(), None], ids=["cores", "unknown"])
+    def test_workers_capped_at_the_core_count(self, monkeypatch, cores):
+        workers = []
+
+        class InlinePool:
+            """Records its size and runs each block at submission."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        assert run_scenario(SMALL_SPEC, threads=10**6).to_json() == \
+            run_scenario(SMALL_SPEC).to_json()
+        assert power_curve(*POWER_ARGS, **POWER_KWARGS, threads=10**6) == POWER_POINTS
+        assert workers == [cores or 1] * 2  # one pool per run, never 10**6 threads
+
+    def test_a_failed_block_cancels_the_queued_ones(self, monkeypatch):
+        started = []
+        block = montecarlo._replication_block
+
+        def slow(stream, lo, hi):
+            started.append(stream.stream_id)
+            if stream.stream_id == "s0":
+                raise RuntimeError("block failed")
+            time.sleep(0.2)
+            return block(stream, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_replication_block", slow)
+        streams = [montecarlo._Stream(master_seed=1, stream_id=f"s{i}",
+                                      models=(VonMises(1.0),), n=20, test_ks=(1,),
+                                      alpha=0.05, reps=100)
+                   for i in range(20)]
+        with pytest.raises(RuntimeError, match="block failed"):
+            list(montecarlo._tallies(streams, 2))
+        # only the blocks running when s0 failed were let finish
+        assert len(started) < len(streams)
 
 
 class TestPowerCurve:

@@ -396,7 +396,7 @@ class TestModifiedRuns:
         assert m == 36
         assert result.statistic == 1.0
         # one run means no sign change among m - 1 fair pairs
-        assert result.p_value == pytest.approx(2.0 ** -(m - 1), rel=1e-12)
+        assert result.p_value == pytest.approx(2.0 ** -(m - 1), rel=1e-12, abs=0)
 
     def test_p_value_is_the_exact_null_cdf(self):
         rng = np.random.default_rng(9)
