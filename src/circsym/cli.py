@@ -74,8 +74,8 @@ def _frequency(text):
         ) from None
 
 
-_THREADS_HELP = ("worker threads, at most one per core (default 1, or CIRCSYM_THREADS); "
-                 "output is byte-identical at any count")
+_THREADS_HELP = ("worker threads, at most one per core but one (default 1, or "
+                 "CIRCSYM_THREADS); output is byte-identical at any count")
 
 
 def _threads(text):

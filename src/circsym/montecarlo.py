@@ -16,12 +16,13 @@ Every statistic is computed over the whole (models, C, n) block by the
 row-wise kernels of ``symtests``. A studentized test rejects where |T_k|
 exceeds z_{alpha/2}, the modified runs test where the run count is at
 most the largest c with P(R <= c) < alpha (``symtests.runs_null_cdf``);
-both are computed once per stream. With ``threads`` > 1 one thread pool
-serves the whole call: every scenario of ``run_scenarios`` and every grid
-point of ``power_curve``. numpy releases the interpreter lock inside its
-array kernels and generator fills, each chunk has its own Generator and the
-models are frozen, so blocks share nothing mutable. Workers return additive
-integer tallies, so the merge is order-independent by construction.
+both are computed once per stream. With ``threads`` > 1 one thread pool,
+which leaves one core free, serves the whole call: every scenario of
+``run_scenarios`` and every grid point of ``power_curve``. numpy releases
+the interpreter lock inside its array kernels and generator fills, each
+chunk has its own Generator and the models are frozen, so blocks share
+nothing mutable. Workers return additive integer tallies, so the merge is
+order-independent by construction.
 """
 
 import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
@@ -265,16 +266,20 @@ def _tallies(streams, threads):
     """Yield the (rejections, degenerate) tallies of each stream, in order.
 
     With threads > 1 the replication blocks of every stream go to one
-    thread pool of at most ``threads`` workers, capped at the core count and
-    started once for the whole list; ValueError unless ``threads`` is a
-    positive integer.
+    thread pool of at most ``threads`` workers, capped at one less than the
+    core count (at least one) and started once for the whole list;
+    ValueError unless ``threads`` is a positive integer.
     """
     threads = check_integer(threads, "threads")
     if threads == 1:
         for stream in streams:
             yield _replication_block(stream, 0, stream.reps)
         return
-    pool = ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+    # One core stays free. Blocks hold the interpreter lock between numpy
+    # calls, so with a worker on every core each one waits on the others
+    # being scheduled, and a run's speed swings with the host's other load.
+    cores = os.cpu_count() or 1
+    pool = ThreadPoolExecutor(max_workers=min(threads, max(1, cores - 1)))
     try:
         pending = [
             [pool.submit(_replication_block, stream, lo, hi)

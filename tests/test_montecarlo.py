@@ -394,7 +394,8 @@ class TestEngine:
                                                      mode="empirical", n=20, reps=40)
         assert len(starts) == 2
 
-    @pytest.mark.parametrize("cores", [os.cpu_count(), None], ids=["cores", "unknown"])
+    @pytest.mark.parametrize("cores", [os.cpu_count(), None, 1, 8],
+                             ids=["cores", "unknown", "one", "eight"])
     def test_workers_capped_at_the_core_count(self, monkeypatch, cores):
         workers = []
 
@@ -417,7 +418,8 @@ class TestEngine:
         assert run_scenario(SMALL_SPEC, threads=10**6).to_json() == \
             run_scenario(SMALL_SPEC).to_json()
         assert power_curve(*POWER_ARGS, **POWER_KWARGS, threads=10**6) == POWER_POINTS
-        assert workers == [cores or 1] * 2  # one pool per run, never 10**6 threads
+        # one pool per run, one core left free, never 10**6 threads
+        assert workers == [max(1, (cores or 1) - 1)] * 2
 
     def test_a_failed_block_cancels_the_queued_ones(self, monkeypatch):
         started = []
