@@ -8,13 +8,19 @@ base by ``1 + lam * sin(k * (x - theta))``. :class:`MoebiusSkewed` and
 Every model keeps one contract, held by their common base class: ``pdf``
 (and ``score`` where the model has one) is an exact formula that takes a
 scalar or an array and returns a float for a scalar, an array for an
-array; ``sample(rng, n)`` draws n >= 1 angles from a
-``numpy.random.Generator`` and returns them canonical, in [-pi, pi); and
-``label`` is a descriptor that ``parse_model``, the one parser of model
-descriptors, reads back to an equal model. Each symmetric base also states
-its cosine moments rho_m = E[cos(m X)] (``cos_moment``) and its location
-information g11 = E[phi(X)^2] (``location_information``) in closed form;
-the information machinery in ``asymptotics`` is built from these.
+array; ``sample(rng, n, out=None)`` draws n >= 1 angles from a
+``numpy.random.Generator`` into ``out`` (a new array when it is None) and
+returns them canonical, in [-pi, pi); and ``label`` is a descriptor that
+``parse_model``, the one parser of model descriptors, reads back to an
+equal model. Each symmetric base also states its cosine moments
+rho_m = E[cos(m X)] (``cos_moment``) and its location information
+g11 = E[phi(X)^2] (``location_information``) in closed form; the
+information machinery in ``asymptotics`` is built from these.
+
+A model draws through one method, ``_draw(rng, out)``, which fills ``out``
+in place and takes its temporaries from ``workspace``: inside the
+replication engine those are arrays reused from chunk to chunk, elsewhere
+fresh ones, and the draws are the same either way.
 """
 
 import math
@@ -25,6 +31,7 @@ import numpy as np
 from .angles import TWO_PI, check_angle, wrap
 from .errors import UnsupportedBaseError
 from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
+from .workspace import scratch, temporaries
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 64
@@ -52,9 +59,10 @@ class _Model:
     """The contract every model keeps; a model states only its own math.
 
     A model is a frozen dataclass with ``_pdf`` (and ``_score``) on float
-    arrays and ``_draw(rng, n)``, whose draws need not be canonical. A
-    symmetric base names its label ``_prefix``; a skewed form names its
-    ``_form`` and the order ``_keys`` of its label's keywords.
+    arrays and ``_draw(rng, out)``, which fills the float array ``out`` with
+    draws that need not be canonical. A symmetric base names its label
+    ``_prefix``; a skewed form names its ``_form`` and the order ``_keys`` of
+    its label's keywords.
     """
 
     in_family = False
@@ -77,9 +85,18 @@ class _Model:
             "with a single mode have one"
         )
 
-    def sample(self, rng, n):
-        """``n`` draws from ``rng``, canonical angles in [-pi, pi)."""
-        return wrap(self._draw(rng, check_integer(n, "sample size")))
+    def sample(self, rng, n, out=None):
+        """``n`` draws from ``rng``, canonical angles in [-pi, pi), written to
+        ``out`` and returned; ``out`` is a new array when None, else a
+        C-contiguous float64 array of shape (n,)."""
+        n = check_integer(n, "sample size")
+        if out is None:
+            out = np.empty(n)
+        elif out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape ({n},)")
+        self._draw(rng, out)
+        out[...] = wrap(out)
+        return out
 
     def cos_moment_gap(self, a, b):
         """rho_a - rho_b of a symmetric base, for a < b with b - a even: the
@@ -120,8 +137,14 @@ class Uniform(_Model):
     def location_information(self):
         return 0.0
 
-    def _draw(self, rng, n):
-        return rng.random(n) * TWO_PI - np.pi
+    def _draw(self, rng, out):
+        _uniform_draw(rng, out)
+
+
+def _uniform_draw(rng, out):
+    rng.random(out=out)
+    out *= TWO_PI
+    out -= np.pi
 
 
 @dataclass(frozen=True)
@@ -163,7 +186,7 @@ class VonMises(_Model):
         """g11 = kappa * rho_1."""
         return self.kappa * bessel_ratio(1, self.kappa)
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, out):
         """Best-Fisher rejection sampler from a wrapped Cauchy envelope,
         vectorized in batches; the normal limit N(0, 1/kappa) above
         ``_BEST_FISHER_MAX_KAPPA``.
@@ -185,11 +208,14 @@ class VonMises(_Model):
         """
         kappa = self.kappa
         if kappa < 1e-9:
-            return rng.random(n) * TWO_PI - np.pi
+            _uniform_draw(rng, out)
+            return
         if kappa > _BEST_FISHER_MAX_KAPPA:
-            return rng.standard_normal(n) / math.sqrt(kappa)
+            rng.standard_normal(out=out)
+            out /= math.sqrt(kappa)
+            return
         c0, rate = self._envelope()
-        out = np.empty(n)
+        n = out.size
         filled = 0
         while filled < n:
             todo = n - filled
@@ -198,7 +224,6 @@ class VonMises(_Model):
             take = min(todo, angles.size)
             out[filled:filled + take] = angles[:take]
             filled += take
-        return out
 
     def _envelope(self):
         """c0 = kappa (r - 1) and the acceptance rate p(kappa) of ``_draw``."""
@@ -225,17 +250,41 @@ class VonMises(_Model):
         That exact test runs over the whole batch: Best and Fisher's squeeze
         c (2 - c) only spares the exponential on the entries it decides, and
         picking those out costs more than the exponential.
+
+        The angles are a scratch array: read them before the next draw.
         """
         kappa = self.kappa
         r_minus_1 = c0 / kappa
-        u1 = 2.0 * rng.random(proposals) - 1.0
-        u2 = rng.random(proposals)
-        s2 = np.sin(0.5 * np.pi * u1) ** 2
-        one_minus_f = r_minus_1 * 2.0 * s2 / (r_minus_1 + 2.0 * (1.0 - s2))
-        c = c0 + kappa * one_minus_f
-        accept = c * np.exp(1.0 - c) >= u2
-        half = np.sqrt(np.minimum(0.5 * one_minus_f[accept], 1.0))
-        return np.copysign(2.0 * np.arcsin(half), u1[accept])
+        u1, one_minus_f, c, bound = temporaries(proposals, 4)
+        rng.random(out=u1)
+        np.multiply(2.0, u1, out=u1)
+        np.subtract(u1, 1.0, out=u1)
+        np.multiply(0.5 * np.pi, u1, out=one_minus_f)
+        np.sin(one_minus_f, out=one_minus_f)
+        np.square(one_minus_f, out=one_minus_f)  # s^2
+        np.subtract(1.0, one_minus_f, out=c)
+        np.multiply(2.0, c, out=c)
+        np.add(r_minus_1, c, out=c)  # r + z
+        np.multiply(r_minus_1 * 2.0, one_minus_f, out=one_minus_f)
+        np.divide(one_minus_f, c, out=one_minus_f)
+        np.multiply(kappa, one_minus_f, out=c)
+        np.add(c0, c, out=c)
+        np.subtract(1.0, c, out=bound)
+        np.exp(bound, out=bound)
+        np.multiply(c, bound, out=bound)
+        # u2 reuses the array of c, which is done with; no draw comes between
+        # u1 and u2, so the stream is read in the same order
+        u2 = rng.random(out=c)
+        (accept,) = temporaries(proposals, 1, bool)
+        np.greater_equal(bound, u2, out=accept)
+        kept = np.count_nonzero(accept)
+        half = np.compress(accept, one_minus_f, out=u2[:kept])
+        np.multiply(0.5, half, out=half)
+        np.minimum(half, 1.0, out=half)
+        np.sqrt(half, out=half)
+        np.arcsin(half, out=half)
+        np.multiply(2.0, half, out=half)
+        return np.copysign(half, np.compress(accept, u1, out=bound[:kept]), out=half)
 
 
 @dataclass(frozen=True)
@@ -269,22 +318,37 @@ class Cardioid(_Model):
         ell = self.ell
         return ell * ell / (1.0 + math.sqrt((1.0 - ell) * (1.0 + ell)))
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, out):
         """Invert F(x) = (x + pi + ell*sin(x)) / (2*pi) by Newton iteration."""
         ell = self.ell
-        target = rng.random(n) * TWO_PI - np.pi  # solve x + ell*sin(x) = target
-        x = target.copy()
+        n = out.size
+        target, g, work = temporaries(n, 3)  # solve x + ell*sin(x) = target
+        (small,) = temporaries(n, 1, bool)
+        _uniform_draw(rng, target)
+        x = out
+        np.copyto(x, target)
+
+        def residual():  # |g| after g = x + ell*sin(x) - target
+            np.sin(x, out=g)
+            np.multiply(ell, g, out=g)
+            np.add(x, g, out=g)
+            np.subtract(g, target, out=g)
+            np.abs(g, out=work)
+            return work
+
         for _ in range(_NEWTON_MAX_ITER):
-            g = x + ell * np.sin(x) - target
-            if np.all(np.abs(g) < _NEWTON_TOL):
+            if np.all(np.less(residual(), _NEWTON_TOL, out=small)):
                 break
-            x -= g / (1.0 + ell * np.cos(x))
-        bad = np.abs(x + ell * np.sin(x) - target) >= 1e-10
+            np.cos(x, out=work)
+            np.multiply(ell, work, out=work)
+            np.add(1.0, work, out=work)
+            np.divide(g, work, out=g)
+            x -= g
+        bad = np.greater_equal(residual(), 1e-10, out=small)
         if np.any(bad):
             x[bad] = _bisect_increasing(
                 lambda v: v + ell * np.sin(v), target[bad], -np.pi, np.pi
             )
-        return x
 
 
 def _bisect_increasing(g, target, lo, hi):
@@ -340,18 +404,26 @@ class WrappedCauchy(_Model):
         rho = self.rho
         return 2.0 * rho * rho / ((1.0 - rho) * (1.0 + rho)) ** 2
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, out):
         """Wrap a linear Cauchy draw with scale -log(rho); exact."""
-        scale = -math.log(self.rho)
-        u = rng.random(n)
-        return scale * np.tan(np.pi * (u - 0.5))
+        rng.random(out=out)
+        out -= 0.5
+        out *= np.pi
+        np.tan(out, out=out)
+        out *= -math.log(self.rho)
 
 
-def _mixture_draw(rng, n, kappa, heads, tails):
+def _mixture_draw(rng, out, kappa, heads, tails):
     """VM(kappa) draws about centre ``heads`` where a fair coin is below 1/2,
     about ``tails`` elsewhere; the coins are drawn first."""
-    centers = np.where(rng.random(n) < 0.5, heads, tails)
-    return centers + VonMises(kappa)._draw(rng, n)
+    centers = scratch("centers", out.size)  # held across the von Mises draw
+    rng.random(out=centers)
+    (to_heads,) = temporaries(out.size, 1, bool)
+    np.less(centers, 0.5, out=to_heads)
+    centers.fill(tails)
+    np.copyto(centers, heads, where=to_heads)
+    VonMises(kappa)._draw(rng, out)
+    out += centers
 
 
 @dataclass(frozen=True)
@@ -373,8 +445,8 @@ class VonMisesMixture(_Model):
         comp = VonMises(self.kappa)
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
 
-    def _draw(self, rng, n):
-        return _mixture_draw(rng, n, self.kappa, -np.pi / 4, np.pi / 4)
+    def _draw(self, rng, out):
+        _mixture_draw(rng, out, self.kappa, -np.pi / 4, np.pi / 4)
 
 
 BASE_FAMILIES = (Uniform, VonMises, Cardioid, WrappedCauchy, VonMisesMixture)
@@ -402,14 +474,23 @@ class SineSkewed(_Model):
         u = x - self.theta
         return self.base.pdf(u) * (1.0 + self.lam * np.sin(self.k * u))
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, out):
         """Exact reflection sampler: keep a base draw y with probability
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
         the output density exactly the sine-skewed one."""
-        y = self.base._draw(rng, n)
-        u = rng.random(n)
-        keep = u <= 0.5 * (1.0 + self.lam * np.sin(self.k * y))
-        return self.theta + np.where(keep, y, -y)
+        self.base._draw(rng, out)
+        n = out.size
+        u, keep = temporaries(n, 2)
+        (flip,) = temporaries(n, 1, bool)
+        rng.random(out=u)
+        np.multiply(self.k, out, out=keep)
+        np.sin(keep, out=keep)
+        np.multiply(self.lam, keep, out=keep)
+        np.add(1.0, keep, out=keep)
+        np.multiply(0.5, keep, out=keep)  # keep y where u <= this
+        np.greater(u, keep, out=flip)
+        np.negative(out, out=out, where=flip)
+        out += self.theta
 
 
 @dataclass(frozen=True)
@@ -445,9 +526,15 @@ class MoebiusSkewed(_Model):
         jacobian = omega / (omega**2 * np.cos(u) ** 2 + np.sin(u) ** 2)
         return self.base.pdf(wrap(inverse)) * jacobian
 
-    def _draw(self, rng, n):
-        x = self.base._draw(rng, n)
-        return self.lam + 2.0 * np.arctan(self.omega * np.tan(0.5 * (x - self.lam)))
+    def _draw(self, rng, out):
+        self.base._draw(rng, out)
+        out -= self.lam
+        out *= 0.5
+        np.tan(out, out=out)
+        out *= self.omega
+        np.arctan(out, out=out)
+        out *= 2.0
+        out += self.lam
 
 
 @dataclass(frozen=True)
@@ -473,8 +560,8 @@ class SkewedMixture(_Model):
         comp = VonMises(self.kappa)
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4 - self.lam))
 
-    def _draw(self, rng, n):
-        return _mixture_draw(rng, n, self.kappa, np.pi / 4 + self.lam, -np.pi / 4)
+    def _draw(self, rng, out):
+        _mixture_draw(rng, out, self.kappa, np.pi / 4 + self.lam, -np.pi / 4)
 
 
 _BASE_PREFIXES = {family._prefix: family for family in BASE_FAMILIES}

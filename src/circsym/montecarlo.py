@@ -23,6 +23,14 @@ the interpreter lock inside its array kernels and generator fills, each
 chunk has its own Generator and the models are frozen, so blocks share
 nothing mutable. Workers return additive integer tallies, so the merge is
 order-independent by construction.
+
+Each block draws its chunks into one (models, C, n) sample array, with
+``model.sample(rng, C * n, out=...)``. Each call makes one
+``workspace.Workspace``, in which every thread that runs blocks has its own
+scratch arrays for the samplers and the statistic kernels; a thread
+reuses them from chunk to chunk and block to block, and they are freed
+when the call ends. Scratch values are written before they are read, so
+the workspace has no effect on draws.
 """
 
 import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
@@ -45,6 +53,7 @@ from .distributions import (
 )
 from .io import read_text_lines
 from .special import check_alpha, check_frequency, check_integer, upper_quantile
+from .workspace import Workspace, using
 from . import symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
@@ -221,7 +230,8 @@ def _replication_block(stream, start, stop):
     ``start`` lies on a chunk boundary. Returns (rejections, degenerate),
     each of shape (tests, models): one row per studentized frequency, then
     the modified runs test if the stream has one. Samples where T_k is
-    undefined count as degenerate and are not rejections.
+    undefined count as degenerate and are not rejections. Every chunk is
+    drawn into the same sample array.
     """
     n_tests = len(stream.test_ks) + (stream.runs is not None)
     rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
@@ -231,13 +241,14 @@ def _replication_block(stream, start, stop):
     if stream.runs is not None:  # the largest c with P(R <= c) < alpha, 0 if none
         null_cdf = symtests.runs_null_cdf(np.arange(1, stream.runs + 1), stream.runs)
         runs_critical = np.count_nonzero(null_cdf < stream.alpha)
+    block = np.empty((len(stream.models), min(size, stop - start), stream.n))
     for lo in range(start, stop, size):
         rows = min(size, stop - lo)
         rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
-        samples = np.empty((len(stream.models), rows, stream.n))
+        samples = block[:, :rows]
         coins = []
         for j, model in enumerate(stream.models):
-            samples[j] = model.sample(rng, rows * stream.n).reshape(rows, stream.n)
+            model.sample(rng, rows * stream.n, out=samples[j].reshape(-1))
             # Draws are canonical angles, so sin(x - 0) vanishes exactly
             # where x == 0; the runs test's coins for those follow the draw.
             if stream.runs is not None:
@@ -254,6 +265,12 @@ def _replication_block(stream, start, stop):
     return rejections, degenerate
 
 
+def _block_using(work, stream, start, stop):
+    """``_replication_block`` with its scratch arrays taken from ``work``."""
+    with using(work):
+        return _replication_block(stream, start, stop)
+
+
 def _block_bounds(stream, pieces):
     """At most ``pieces`` blocks of whole chunks covering a stream's replications."""
     size = _chunk_reps(stream.n)
@@ -268,12 +285,15 @@ def _tallies(streams, threads):
     With threads > 1 the replication blocks of every stream go to one
     thread pool of at most ``threads`` workers, capped at one less than the
     core count (at least one) and started once for the whole list;
-    ValueError unless ``threads`` is a positive integer.
+    ValueError unless ``threads`` is a positive integer. One workspace
+    serves the call: each thread that runs blocks reuses its own scratch
+    arrays from block to block, and they are dropped when the call ends.
     """
     threads = check_integer(threads, "threads")
+    work = Workspace()
     if threads == 1:
         for stream in streams:
-            yield _replication_block(stream, 0, stream.reps)
+            yield _block_using(work, stream, 0, stream.reps)
         return
     # One core stays free. Blocks hold the interpreter lock between numpy
     # calls, so with a worker on every core each one waits on the others
@@ -282,7 +302,7 @@ def _tallies(streams, threads):
     pool = ThreadPoolExecutor(max_workers=min(threads, max(1, cores - 1)))
     try:
         pending = [
-            [pool.submit(_replication_block, stream, lo, hi)
+            [pool.submit(_block_using, work, stream, lo, hi)
              for lo, hi in _block_bounds(stream, threads * 4)]
             for stream in streams
         ]

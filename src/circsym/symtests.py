@@ -11,7 +11,8 @@ Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
 ``modified_runs_rows`` for the modified runs count. The single-sample
 tests call the kernels on one row; the Monte Carlo engine calls them on
-whole chunks of replications.
+whole chunks of replications, and the kernels then take their largest
+temporaries from the engine's workspace (``workspace.temporaries``).
 """
 
 import math
@@ -23,6 +24,7 @@ from .angles import as_sample, check_angle, wrap
 from .asymptotics import fisher_matrix
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .special import check_alpha, check_frequency, norm_cdf, norm_sf
+from .workspace import temporaries
 
 ALTERNATIVES = ("two-sided", "left", "right")
 
@@ -94,10 +96,15 @@ def studentized_rows(x, theta, k):
     with the uncentered second moment in the denominator. A row whose sines
     all vanish gets NaN: T_k is undefined there.
     """
-    sines = np.sin(k * (x - theta))
-    denom_sq = np.mean(sines**2, axis=-1)
+    (sines,) = temporaries(x.size, 1)
+    sines = sines.reshape(x.shape)
+    np.subtract(x, theta, out=sines)
+    np.multiply(k, sines, out=sines)
+    np.sin(sines, out=sines)
+    mean_sine = np.mean(sines, axis=-1)
+    denom_sq = np.mean(np.square(sines, out=sines), axis=-1)  # squares in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        signed = math.sqrt(x.shape[-1]) * np.mean(sines, axis=-1) / np.sqrt(denom_sq)
+        signed = math.sqrt(x.shape[-1]) * mean_sine / np.sqrt(denom_sq)
     return np.where(denom_sq == 0.0, np.nan, signed)
 
 
@@ -260,15 +267,19 @@ def modified_runs_rows(x, theta, m, coin_flips):
     Observations lie along the last axis and must be canonical angles. The
     signs of sin(x - theta) are ordered by circular distance
     |wrap(x - theta)| (stable sort) and the runs among the ``m`` closest
-    are counted. A sine that vanishes exactly gets a fair-coin sign:
+    are counted; on a canonical angle c = wrap(x - theta), sin(c) has the
+    sign of c, zero included, so no sine is formed. A sine that vanishes
+    exactly gets a fair-coin sign:
     ``coin_flips(count)`` is called once and returns ``count`` booleans
     (True for +1), one for each zero of ``x`` in row-major order.
     """
-    centered = wrap(x - theta)
-    signs = np.sign(np.sin(centered)).astype(np.int8)
+    (shifted,) = temporaries(x.size, 1)
+    centered = wrap(np.subtract(x, theta, out=shifted.reshape(x.shape)))
+    signs = np.sign(centered, out=np.empty(x.shape, np.int8), casting="unsafe")
     zeros = signs == 0
     signs[zeros] = np.where(coin_flips(int(np.count_nonzero(zeros))), 1, -1)
-    order = np.argsort(np.abs(centered), axis=-1, kind="stable")[..., :m]
+    distances = np.abs(centered, out=centered)
+    order = np.argsort(distances, axis=-1, kind="stable")[..., :m]
     return runs_count(np.take_along_axis(signs, order, axis=-1))
 
 

@@ -23,6 +23,7 @@ from circsym.distributions import (
 )
 from circsym.errors import UnsupportedBaseError
 from circsym.quadrature import integrate_periodic
+from circsym.workspace import Workspace, using
 
 TWO_PI = 2.0 * np.pi
 
@@ -226,6 +227,36 @@ class TestSamplers:
     def test_trig_moments_match_quadrature(self, model):
         rng = np.random.default_rng(20_08_08)
         assert _moment_gap(model, rng) < 0.015
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("model", [
+        *BASE_GRID, VonMises(1e-10), VonMises(1e16),
+        SineSkewed(VonMises(1.0), 0.4, k=2),
+        SineSkewed(WrappedCauchy(0.9), -0.3, k=3, theta=2.5),
+        SineSkewed(Cardioid(0.5), 0.5, theta=-1.0),
+        MoebiusSkewed(WrappedCauchy(0.5), 0.3, 0.5),
+        MoebiusSkewed(VonMisesMixture(1.0), -0.7, 0.2),
+        SkewedMixture(1.0, 0.4), SkewedMixture(10.0, -2.0),
+    ], ids=lambda m: m.label)
+    def test_sample_into_out_matches_a_new_array(self, model, n):
+        rng, fresh = (np.random.Generator(np.random.Philox(21)) for _ in range(2))
+        work = Workspace()
+        with using(work):  # leave stale values in the scratch arrays
+            model.sample(np.random.default_rng(1), 2 * n)
+        for array in work.arrays.values():
+            array.fill(True if array.dtype == bool else np.nan)
+        buf = np.full(n, np.nan)
+        with using(work):
+            assert model.sample(rng, n, out=buf) is buf
+        assert buf.tobytes() == model.sample(fresh, n).tobytes()
+        assert rng.random() == fresh.random()
+
+    @pytest.mark.parametrize("out", [np.empty(5), np.empty(6, dtype=np.float32),
+                                     np.empty(12)[::2], np.empty((2, 3))],
+                             ids=["size", "dtype", "strided", "shape"])
+    def test_sample_rejects_a_bad_out(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            VonMises(1.0).sample(np.random.default_rng(0), 6, out=out)
 
     def test_wrapped_cauchy_first_cosine_moment(self):
         # E[cos X] = rho for the wrapped Cauchy

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -240,8 +241,10 @@ class _Snapped:
     def __init__(self, n):
         self.n = n
 
-    def sample(self, rng, size):
-        x = np.round(VonMises(1.0).sample(rng, size) * 2.0) / 2.0
+    def sample(self, rng, size, out=None):
+        x = VonMises(1.0).sample(rng, size, out=out)
+        np.round(x * 2.0, out=x)
+        x /= 2.0
         rows = x.reshape(-1, self.n)
         rows[rng.random(len(rows)) < 0.2] = 0.0
         return x
@@ -263,9 +266,9 @@ class _Spy:
     def __init__(self):
         self.sizes = []
 
-    def sample(self, rng, size):
+    def sample(self, rng, size, out=None):
         self.sizes.append(size)
-        return VonMises(1.0).sample(rng, size)
+        return VonMises(1.0).sample(rng, size, out=out)
 
 
 # SHA-256 of the concatenated to_json() of every preset scenario (presets in
@@ -441,6 +444,26 @@ class TestEngine:
             list(montecarlo._tallies(streams, 2))
         # only the blocks running when s0 failed were let finish
         assert len(started) < len(streams)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_workspace_does_not_outlive_the_call(self, threads):
+        # Each warm-up takes smaller scratch arrays than the call measured
+        # after it, so scratch kept past a call would show as growth.
+        wide = replace(SMALL_SPEC, lambdas=(0.0, 0.2, 0.4, 0.5), reps=600)
+        long_rows = dict(POWER_KWARGS, n=20_000, reps=3)
+        runs = ((lambda: run_scenario(SMALL_SPEC, threads=threads),
+                 lambda: run_scenario(wide, threads=threads)),
+                (lambda: power_curve(*POWER_ARGS, **POWER_KWARGS, threads=threads),
+                 lambda: power_curve(*POWER_ARGS, **long_rows, threads=threads)))
+        tracemalloc.start()
+        try:
+            for warm_up, run in runs:
+                warm_up()
+                before = tracemalloc.get_traced_memory()[0]
+                run()
+                assert tracemalloc.get_traced_memory()[0] - before < 64 * 1024
+        finally:
+            tracemalloc.stop()
 
 
 class TestPowerCurve:

@@ -174,3 +174,24 @@ def test_statistic_changes_sign_under_reflection(sample, theta, k):
     assume(plain is not None)
     mirrored = studentized_statistic(2.0 * theta - np.asarray(sample), theta, k)
     assert math.isclose(mirrored, -plain, rel_tol=1e-9, abs_tol=1e-9)
+
+
+# Canonical angles where sin could lose the sign: zeros, subnormals and the
+# doubles next to the ends of [-pi, pi)
+_SIGN_EDGES = [0.0, -0.0, 5e-324, -5e-324, -math.pi,
+               float(np.nextafter(math.pi, 0.0)), float(np.nextafter(-math.pi, 0.0))]
+
+
+@properties
+@given(st.lists(canonical, max_size=64))
+@example([])
+def test_sine_of_a_canonical_angle_has_its_sign(values):
+    """The identity the modified runs kernel takes its signs from, on arrays
+    long enough for numpy's vectorized sine."""
+    x = np.array(_SIGN_EDGES * 4 + values)
+    assert np.array_equal(np.sign(np.sin(x)), np.sign(x))
+
+
+def test_sine_has_the_sign_of_uniform_canonical_angles():
+    x = np.random.default_rng(31).uniform(-math.pi, math.pi, 10**6)
+    assert np.array_equal(np.sign(np.sin(x)), np.sign(x))
