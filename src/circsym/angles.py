@@ -29,21 +29,50 @@ def wrap(x):
         Value(s) congruent to ``x`` modulo 2*pi, in [-pi, pi). Scalar in,
         scalar out; an array comes back as a new array, never as ``x``.
     """
-    arr = np.array(x, dtype=float)  # a copy: callers keep the arrays they pass
-    # canonical values are returned as they are, so the mod arithmetic, which
-    # perturbs them by an ulp, runs only when some value is outside; the
-    # comparisons are false for nan and +-inf
-    canonical = (arr >= -np.pi) & (arr < np.pi)
-    if not np.all(canonical):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("cannot wrap non-finite angle")
-        wrapped = np.mod(arr + np.pi, TWO_PI) - np.pi
-        # mod can return exactly 2*pi for inputs just below -pi due to rounding
-        wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
-        arr = np.where(canonical, arr, wrapped)
+    arr = _wrap_in_place(np.array(x, dtype=float))  # a copy: callers keep their arrays
     if np.ndim(x) == 0 and not isinstance(x, np.ndarray):
         return float(arr)
     return arr
+
+
+def _wrap_in_place(arr):
+    """Wrap the float64 array ``arr`` to [-pi, pi) in place; returns ``arr``."""
+    # canonical values are left as they are, so the mod arithmetic, which
+    # perturbs them by an ulp, runs only when some value is outside; a nan
+    # fails both comparisons and leads to the finiteness check
+    if arr.size == 0 or (arr.min() >= -np.pi and arr.max() < np.pi):
+        return arr
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("cannot wrap non-finite angle")
+    wrapped = np.mod(arr + np.pi, TWO_PI) - np.pi
+    # mod can return exactly 2*pi for inputs just below -pi due to rounding
+    wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
+    np.copyto(arr, wrapped, where=(arr < -np.pi) | (arr >= np.pi))
+    return arr
+
+
+def half_tangent(x, t, w):
+    """t = tan(x/2) and w = 1/(1 + t^2) of the angles ``x``, written into the
+    caller's float64 arrays ``t`` and ``w`` of the shape of ``x``; ``x`` may
+    be ``t`` itself. Returns (t, w).
+
+    The sines and cosines follow without forming either:
+
+        sin x = 2 t w,  cos x = 2 w - 1,  sin^2(x/2) = t^2 w,  cos^2(x/2) = w.
+
+    On x86-64 numpy runs its float64 ``tan`` as SIMD code several times
+    faster than its ``sin`` and ``cos``, in which the replication path
+    would otherwise spend most of its time. tan(x/2) stays finite for every
+    finite double, so t^2 cannot overflow. On canonical angles times k <= 3 the sine and
+    cosine are within 2 eps (absolute) of ``np.sin`` and ``np.cos``
+    (``tests/test_properties.py``).
+    """
+    np.multiply(0.5, x, out=t)
+    np.tan(t, out=t)
+    np.square(t, out=w)
+    np.add(1.0, w, out=w)
+    np.divide(1.0, w, out=w)
+    return t, w
 
 
 def check_angle(value, name="theta"):

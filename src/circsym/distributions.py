@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .angles import TWO_PI, check_angle, wrap
+from .angles import TWO_PI, check_angle, half_tangent, wrap
 from .errors import UnsupportedBaseError
 from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
 from .workspace import scratch, temporaries
@@ -237,8 +237,11 @@ class VonMises(_Model):
         """The angles accepted among ``proposals`` Best-Fisher proposals.
 
         Two uniforms per proposal: u1 = 2u - 1 on [-1, 1) gives the proposal
-        z = cos(pi u1) through s^2 = sin^2(pi u1 / 2) alone, and its sign the
-        sign of the angle; u2 is the acceptance uniform. The proposal
+        z = cos(pi u1), and its sign the sign of the angle; u2 is the
+        acceptance uniform. z enters only through one tangent
+        t = tan(pi u1 / 2) (``angles.half_tangent``), as
+        s^2 = sin^2(pi u1 / 2) = t^2 / (1 + t^2) and 1 - s^2 = 1 / (1 + t^2),
+        so no sine is formed and neither term cancels. The proposal
         f = (1 + r z) / (r + z) = cos(x) is kept as
 
             1 - f = (r - 1) (1 - z) / (r + z),  1 - z = 2 s^2,
@@ -259,10 +262,10 @@ class VonMises(_Model):
         rng.random(out=u1)
         np.multiply(2.0, u1, out=u1)
         np.subtract(u1, 1.0, out=u1)
-        np.multiply(0.5 * np.pi, u1, out=one_minus_f)
-        np.sin(one_minus_f, out=one_minus_f)
-        np.square(one_minus_f, out=one_minus_f)  # s^2
-        np.subtract(1.0, one_minus_f, out=c)
+        np.multiply(np.pi, u1, out=one_minus_f)
+        half_tangent(one_minus_f, one_minus_f, c)  # c = 1 - s^2
+        np.square(one_minus_f, out=one_minus_f)
+        np.multiply(one_minus_f, c, out=one_minus_f)  # s^2
         np.multiply(2.0, c, out=c)
         np.add(r_minus_1, c, out=c)  # r + z
         np.multiply(r_minus_1 * 2.0, one_minus_f, out=one_minus_f)
@@ -319,18 +322,25 @@ class Cardioid(_Model):
         return ell * ell / (1.0 + math.sqrt((1.0 - ell) * (1.0 + ell)))
 
     def _draw(self, rng, out):
-        """Invert F(x) = (x + pi + ell*sin(x)) / (2*pi) by Newton iteration."""
+        """Invert F(x) = (x + pi + ell*sin(x)) / (2*pi) by Newton iteration.
+
+        Each step takes one tangent t = tan(x/2), w = 1/(1 + t^2)
+        (``angles.half_tangent``) for both the residual, with
+        sin x = 2 t w, and the slope 1 + ell cos x = (1 - ell) + 2 ell w,
+        whose terms are positive, so it does not cancel as ell nears 1.
+        """
         ell = self.ell
         n = out.size
-        target, g, work = temporaries(n, 3)  # solve x + ell*sin(x) = target
+        target, g, w, work = temporaries(n, 4)  # solve x + ell*sin(x) = target
         (small,) = temporaries(n, 1, bool)
         _uniform_draw(rng, target)
         x = out
         np.copyto(x, target)
 
         def residual():  # |g| after g = x + ell*sin(x) - target
-            np.sin(x, out=g)
-            np.multiply(ell, g, out=g)
+            half_tangent(x, g, w)
+            np.multiply(g, w, out=g)
+            np.multiply(2.0 * ell, g, out=g)
             np.add(x, g, out=g)
             np.subtract(g, target, out=g)
             np.abs(g, out=work)
@@ -339,16 +349,17 @@ class Cardioid(_Model):
         for _ in range(_NEWTON_MAX_ITER):
             if np.all(np.less(residual(), _NEWTON_TOL, out=small)):
                 break
-            np.cos(x, out=work)
-            np.multiply(ell, work, out=work)
-            np.add(1.0, work, out=work)
+            np.multiply(2.0 * ell, w, out=work)
+            np.add(1.0 - ell, work, out=work)
             np.divide(g, work, out=g)
             x -= g
         bad = np.greater_equal(residual(), 1e-10, out=small)
         if np.any(bad):
-            x[bad] = _bisect_increasing(
-                lambda v: v + ell * np.sin(v), target[bad], -np.pi, np.pi
-            )
+            def shifted(v):  # v + ell*sin(v), with the Newton steps' sine
+                t, w = half_tangent(v, np.empty_like(v), np.empty_like(v))
+                return v + 2.0 * ell * (t * w)
+
+            x[bad] = _bisect_increasing(shifted, target[bad], -np.pi, np.pi)
 
 
 def _bisect_increasing(g, target, lo, hi):
@@ -477,17 +488,19 @@ class SineSkewed(_Model):
     def _draw(self, rng, out):
         """Exact reflection sampler: keep a base draw y with probability
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
-        the output density exactly the sine-skewed one."""
+        the output density exactly the sine-skewed one. The probability is
+        formed as 1/2 + lam t w from one tangent t = tan(k y / 2),
+        w = 1/(1 + t^2) (``angles.half_tangent``)."""
         self.base._draw(rng, out)
         n = out.size
-        u, keep = temporaries(n, 2)
+        u, keep, w = temporaries(n, 3)
         (flip,) = temporaries(n, 1, bool)
         rng.random(out=u)
         np.multiply(self.k, out, out=keep)
-        np.sin(keep, out=keep)
+        half_tangent(keep, keep, w)
+        np.multiply(keep, w, out=keep)
         np.multiply(self.lam, keep, out=keep)
-        np.add(1.0, keep, out=keep)
-        np.multiply(0.5, keep, out=keep)  # keep y where u <= this
+        np.add(0.5, keep, out=keep)  # keep y where u <= 1/2 + lam t w
         np.greater(u, keep, out=flip)
         np.negative(out, out=out, where=flip)
         out += self.theta

@@ -11,8 +11,11 @@ Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
 ``modified_runs_rows`` for the modified runs count. The single-sample
 tests call the kernels on one row; the Monte Carlo engine calls them on
-whole chunks of replications, and the kernels then take their largest
-temporaries from the engine's workspace (``workspace.temporaries``).
+whole chunks of replications, and the kernels then take their
+temporaries from the engine's workspace (``workspace.temporaries``). Both
+kernels stay on numpy's fast paths: ``studentized_rows`` forms its sines
+from one tangent each (``angles.half_tangent``) and ``modified_runs_rows``
+orders each row by one sort of uint64 keys, not a stable argsort.
 """
 
 import math
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import as_sample, check_angle, wrap
+from .angles import _wrap_in_place, as_sample, check_angle, half_tangent, wrap
 from .asymptotics import fisher_matrix
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .special import check_alpha, check_frequency, norm_cdf, norm_sf
@@ -94,13 +97,16 @@ def studentized_rows(x, theta, k):
     ``angles.as_sample``); ``k`` is a positive integer. Each row gives
     sqrt(n) * mean(sin(k(x - theta))) / sqrt(mean(sin^2(k(x - theta)))),
     with the uncentered second moment in the denominator. A row whose sines
-    all vanish gets NaN: T_k is undefined there.
+    all vanish gets NaN: T_k is undefined there. The sines come from one
+    tangent each, sin a = 2 t / (1 + t^2) with t = tan(a/2)
+    (``angles.half_tangent``), which is several times faster than ``np.sin``.
     """
-    (sines,) = temporaries(x.size, 1)
-    sines = sines.reshape(x.shape)
+    sines, w = (a.reshape(x.shape) for a in temporaries(x.size, 2))
     np.subtract(x, theta, out=sines)
     np.multiply(k, sines, out=sines)
-    np.sin(sines, out=sines)
+    half_tangent(sines, sines, w)
+    np.multiply(sines, w, out=sines)
+    np.multiply(2.0, sines, out=sines)
     mean_sine = np.mean(sines, axis=-1)
     denom_sq = np.mean(np.square(sines, out=sines), axis=-1)  # squares in place
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -264,23 +270,51 @@ def runs_subset_size(n, p):
 def modified_runs_rows(x, theta, m, coin_flips):
     """Modified runs count of every row of ``x``.
 
-    Observations lie along the last axis and must be canonical angles. The
-    signs of sin(x - theta) are ordered by circular distance
-    |wrap(x - theta)| (stable sort) and the runs among the ``m`` closest
-    are counted; on a canonical angle c = wrap(x - theta), sin(c) has the
-    sign of c, zero included, so no sine is formed. A sine that vanishes
-    exactly gets a fair-coin sign:
-    ``coin_flips(count)`` is called once and returns ``count`` booleans
-    (True for +1), one for each zero of ``x`` in row-major order.
+    Observations lie along the last axis and must be canonical angles, and
+    ``m`` is a positive integer. The signs of sin(x - theta) are ordered by
+    circular distance |wrap(x - theta)| (stable sort) and the runs among
+    the ``m`` closest are counted; on a canonical angle c = wrap(x - theta),
+    sin(c) has the sign of c, zero included, so no sine is formed. A sine
+    that vanishes exactly gets a fair-coin sign: ``coin_flips(count)`` is
+    called once and returns ``count`` booleans (True for +1), one for each
+    zero of ``x`` in row-major order.
+
+    Each row sorts one uint64 key per observation: the bits of |c| shifted
+    left once, with the low bit set where c is negative (a zero first takes
+    the sign of its coin). A nonnegative double's bits order the same way
+    as its value, so the sorted keys are in distance order and their low
+    bits are the sign sequence. A row with a tie among its m + 1 smallest
+    distances is ordered by a stable argsort of the distances instead, so
+    ties are still broken by index; among continuous draws only a row with
+    two or more exact zeros has one.
     """
-    (shifted,) = temporaries(x.size, 1)
-    centered = wrap(np.subtract(x, theta, out=shifted.reshape(x.shape)))
-    signs = np.sign(centered, out=np.empty(x.shape, np.int8), casting="unsafe")
-    zeros = signs == 0
-    signs[zeros] = np.where(coin_flips(int(np.count_nonzero(zeros))), 1, -1)
-    distances = np.abs(centered, out=centered)
-    order = np.argsort(distances, axis=-1, kind="stable")[..., :m]
-    return runs_count(np.take_along_axis(signs, order, axis=-1))
+    n = x.shape[-1]
+    # the keys live in the second float64 scratch array, which
+    # studentized_rows holds at the same size, so they add no block-sized array
+    centered, keys = temporaries(x.size, 2)
+    centered = _wrap_in_place(np.subtract(x, theta, out=centered.reshape(x.shape)))
+    centered = centered.reshape(-1, n)
+    zeros, negative = (a.reshape(centered.shape) for a in temporaries(x.size, 2, bool))
+    np.equal(centered, 0.0, out=zeros)
+    centered[zeros] = np.where(coin_flips(int(np.count_nonzero(zeros))), 0.0, -0.0)
+    keys = np.left_shift(centered.view(np.uint64), 1,
+                         out=keys.view(np.uint64).reshape(centered.shape))
+    np.bitwise_or(keys, np.signbit(centered, out=negative), out=keys)
+    keys.sort(axis=-1)
+    # neighbouring keys differ in a bit above the sign bit unless their
+    # distances tie; their low bits differ where the sign changes
+    top = min(m + 1, n)
+    (steps,) = temporaries(keys.shape[0] * (top - 1), 1, np.uint64)
+    steps = np.bitwise_xor(keys[:, 1:top], keys[:, :top - 1],
+                           out=steps.reshape(keys.shape[0], top - 1))
+    tied = np.any(np.less(steps, 2, out=zeros[:, :top - 1]), axis=-1)
+    np.bitwise_and(steps, 1, out=steps)
+    counts = 1 + np.count_nonzero(steps[:, :m - 1], axis=-1)
+    if np.any(tied):
+        rows = centered[tied]
+        order = np.argsort(np.abs(rows), axis=-1, kind="stable")[:, :m]
+        counts[tied] = runs_count(np.take_along_axis(np.signbit(rows), order, axis=-1))
+    return counts.reshape(x.shape[:-1])
 
 
 def modified_runs_test(sample, theta, p=0.6, alpha=0.05, rng=None):
@@ -316,6 +350,6 @@ def modified_runs_test(sample, theta, p=0.6, alpha=0.05, rng=None):
         extra={
             "subset_size": m,
             "tied_distance_pairs": tie_pairs,
-            "zero_sines_randomized": int(np.count_nonzero(np.sin(centered) == 0.0)),
+            "zero_sines_randomized": int(np.count_nonzero(centered == 0.0)),
         },
     )

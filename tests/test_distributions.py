@@ -38,13 +38,16 @@ BASE_GRID = [
 
 # SHA-256 of 1000 Best-Fisher draws from Philox(7), re-recorded when the
 # sampler moved to two uniforms per proposal, the first also giving the sign
-# of the angle, and to batches sized by its closed-form acceptance rate
+# of the angle, and to batches sized by its closed-form acceptance rate, and
+# again when sin^2(pi u1 / 2) came to be formed from tan(pi u1 / 2): that moved
+# each angle by a few ulps (up to about 3e-11 near +-pi, where arcsin is
+# ill-conditioned) and no acceptance decision
 VON_MISES_DIGESTS = {
-    1e-3: "bc79b373513dcce9e23f02310c4722201aba37011d2599636af1b71b1a71e18d",
-    1.0: "af774a9ed7f614eb85efd9b11bc6c8421ed2ee1ea9c2efd38064cb999e81273f",
-    700.0: "448aefc0ba27127f5ed7368b81fc7def834586078be5bb1c7eca643e6e19db87",
-    1e8: "5258df603a371c61b9892b4a1cb83d1e4249fbcb82c6b62352acc00850bdd291",
-    1e14: "9d28a513858b59d945806c09330f43420ec5ff0bd38ad3f27b4e4d338931bf84",
+    1e-3: "9762ec29103ec7ebf7229b391d96b2c38fbc7a3a900c53716033bfc70e5cc2ea",
+    1.0: "5b78816fce84bbc83fcc907ad29efb8391e1d7d404ca42bff8628230d6164a66",
+    700.0: "25decfec49e02cfd6382a1501d53caac5f7b8ee8d29928dce3140b8cae979a44",
+    1e8: "f995dbc953e6078a6b49b8acd6baa2342dc874ef84a2a5377a88a717cef38b21",
+    1e14: "1c40646333eef878ea699d3f52403b4fa5740118b668e4d880c6bac43f9f965e",
 }
 
 

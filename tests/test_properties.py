@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circsym.angles import wrap
+from circsym.angles import half_tangent, wrap
 from circsym.distributions import (
     Cardioid,
     MoebiusSkewed,
@@ -21,7 +21,7 @@ from circsym.distributions import (
 )
 from circsym.io import read_angles, write_angles
 from circsym.montecarlo import FAMILIES, ScenarioSpec, format_scenario, load_scenario_file
-from circsym.symtests import studentized_statistic
+from circsym.symtests import studentized_rows, studentized_statistic
 
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -195,3 +195,38 @@ def test_sine_of_a_canonical_angle_has_its_sign(values):
 def test_sine_has_the_sign_of_uniform_canonical_angles():
     x = np.random.default_rng(31).uniform(-math.pi, math.pi, 10**6)
     assert np.array_equal(np.sign(np.sin(x)), np.sign(x))
+
+
+EPS = np.finfo(float).eps
+# the sign edges, and angles where the sine or cosine is +-1 or +-1/2
+_TANGENT_EDGES = _SIGN_EDGES + [math.pi / 2, -math.pi / 2, math.pi / 3, -math.pi / 3]
+
+
+def _check_half_tangent(c, k):
+    """Sines, cosines and half-angle squares of k c from ``half_tangent``
+    against numpy's sin and cos."""
+    x = k * c
+    t, w = half_tangent(x, np.empty_like(x), np.empty_like(x))
+    assert np.all(np.abs(2.0 * t * w - np.sin(x)) <= 2.0 * EPS)
+    assert np.all(np.abs((2.0 * w - 1.0) - np.cos(x)) <= 2.0 * EPS)
+    for half, exact in ((t * t * w, np.sin(0.5 * x) ** 2), (w, np.cos(0.5 * x) ** 2)):
+        assert np.all(np.abs(half - exact) <= 4.0 * EPS * exact)
+
+
+@properties
+@given(st.lists(canonical, max_size=64), st.sampled_from([1, 2, 3]))
+@example([], 1)
+def test_half_tangent_gives_sines_and_cosines(values, k):
+    _check_half_tangent(np.array(_TANGENT_EDGES * 4 + values), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_half_tangent_on_uniform_canonical_angles(k):
+    _check_half_tangent(np.random.default_rng(32).uniform(-math.pi, math.pi, 10**6), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rows_of_subnormal_angles_have_no_studentized_statistic(k):
+    """Their sines square to 0 whether they come from sin or from the tangent."""
+    rows = np.array([[5e-324] * 8, [-5e-324] * 8, [5e-324, -5e-324] * 4])
+    assert np.all(np.isnan(studentized_rows(rows, 0.0, k)))

@@ -24,6 +24,7 @@ from circsym.symtests import (
     studentized_statistic,
     symmetry_test,
 )
+from circsym.workspace import Workspace, using
 
 
 class TestStudentizedStatistic:
@@ -331,6 +332,64 @@ class TestRowKernels:
             single = modified_runs_test(rows[i], 0.0, rng=fresh)
             assert counts[i] == single.statistic
         assert shared.random() == fresh.random()
+
+
+def _runs_by_argsort(x, theta, m, coins):
+    """Modified runs counts by a stable argsort of the distances, the
+    kernel's former implementation, kept as its reference."""
+    centered = wrap(np.subtract(x, theta))
+    signs = np.sign(centered).astype(np.int8)
+    zeros = signs == 0
+    signs[zeros] = np.where(coins[:np.count_nonzero(zeros)], 1, -1)
+    order = np.argsort(np.abs(centered), axis=-1, kind="stable")[..., :m]
+    return runs_count(np.take_along_axis(signs, order, axis=-1))
+
+
+def _runs_cases(rng, n, m):
+    """Rows of n centered angles that stress the runs kernel's order."""
+    random = rng.uniform(-np.pi, np.pi, n)
+    half = rng.uniform(0.0, np.pi, n // 2)
+    mirrored = rng.permutation(np.concatenate([half, -half]))  # pairs +-d tie
+    zeros = random.copy()
+    zeros[rng.choice(n, 6, replace=False)] = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0]
+    single_zero = random.copy()
+    single_zero[n // 3] = -0.0
+    minus_pi = random.copy()
+    minus_pi[::7] = -np.pi
+    # distances that tie exactly at sorted positions j - 1 and j, the - one at
+    # the lower index, so index order keeps it among the j closest
+    j = min(m, n - 1)
+    distances = np.sort(rng.uniform(0.1, 3.0, n))
+    distances[j] = distances[j - 1]
+    straddle = distances * rng.choice([-1.0, 1.0], n)
+    straddle[j - 1], straddle[j] = distances[j], -distances[j]
+    straddle = straddle[rng.permutation(n)]
+    minus = np.flatnonzero(straddle == -distances[j])[0]
+    plus = np.flatnonzero(straddle == distances[j])[0]
+    if minus > plus:
+        straddle[[minus, plus]] = straddle[[plus, minus]]
+    return np.array([random, mirrored, zeros, single_zero, minus_pi, straddle,
+                     np.zeros(n), rng.uniform(-np.pi, np.pi, n)])
+
+
+class TestRunsKernel:
+    @pytest.mark.parametrize("theta", [0.0, 2.5])
+    @pytest.mark.parametrize("m", [1, 2, 30, 50])
+    def test_runs_rows_match_a_stable_argsort(self, theta, m):
+        n = 50
+        rng = np.random.default_rng(41 + m)
+        rows = wrap(_runs_cases(rng, n, m) + theta)
+        coins = rng.random(rows.size) < 0.5
+        expected = _runs_by_argsort(rows, theta, m, coins)
+        # a workspace that earlier rows have left their values in
+        with using(Workspace()):
+            for i, row in enumerate(rows):
+                left = np.count_nonzero(rows[:i] == theta)
+                count = modified_runs_rows(row, theta, m, lambda z: coins[left:left + z])
+                assert count.shape == () and count == expected[i]
+            block = rows.reshape(2, 4, n)
+            counts = modified_runs_rows(block, theta, m, lambda z: coins[:z])
+            assert np.array_equal(counts, expected.reshape(2, 4))
 
 
 class TestRunsMachinery:
