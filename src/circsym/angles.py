@@ -36,18 +36,24 @@ def wrap(x):
 
 
 def _wrap_in_place(arr):
-    """Wrap the float64 array ``arr`` to [-pi, pi) in place; returns ``arr``."""
-    # canonical values are left as they are, so the mod arithmetic, which
-    # perturbs them by an ulp, runs only when some value is outside; a nan
-    # fails both comparisons and leads to the finiteness check
-    if arr.size == 0 or (arr.min() >= -np.pi and arr.max() < np.pi):
+    """Wrap the C-contiguous float64 array ``arr`` to [-pi, pi) in place;
+    returns ``arr``."""
+    # canonical values are left as they are: the mod arithmetic, which
+    # perturbs them by an ulp, runs only on the values outside; a nan or an
+    # infinity makes the min or the max non-finite
+    if arr.size == 0:
         return arr
-    if not np.all(np.isfinite(arr)):
+    lo, hi = arr.min(), arr.max()
+    if lo >= -np.pi and hi < np.pi:
+        return arr
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("cannot wrap non-finite angle")
-    wrapped = np.mod(arr + np.pi, TWO_PI) - np.pi
+    flat = arr.reshape(-1)  # a view, as arr is contiguous
+    outside = np.flatnonzero((flat < -np.pi) | (flat >= np.pi))
+    wrapped = np.mod(flat[outside] + np.pi, TWO_PI) - np.pi
     # mod can return exactly 2*pi for inputs just below -pi due to rounding
-    wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
-    np.copyto(arr, wrapped, where=(arr < -np.pi) | (arr >= np.pi))
+    wrapped[wrapped >= np.pi] -= TWO_PI
+    flat[outside] = wrapped
     return arr
 
 

@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .angles import TWO_PI, check_angle, half_tangent, wrap
+from .angles import TWO_PI, _wrap_in_place, check_angle, half_tangent, wrap
 from .errors import UnsupportedBaseError
 from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
 from .workspace import scratch, temporaries
@@ -95,8 +95,7 @@ class _Model:
         elif out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float64 array of shape ({n},)")
         self._draw(rng, out)
-        out[...] = wrap(out)
-        return out
+        return _wrap_in_place(out)
 
     def cos_moment_gap(self, a, b):
         """rho_a - rho_b of a symmetric base, for a < b with b - a even: the

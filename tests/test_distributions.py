@@ -317,13 +317,13 @@ class TestSamplers:
     ], ids=lambda model: model._form)
     def test_skewed_draws_are_wrapped_once(self, monkeypatch, model):
         calls = []
-        real = distributions.wrap
+        real = distributions._wrap_in_place
 
         def counting(x):
             calls.append(1)
             return real(x)
 
-        monkeypatch.setattr(distributions, "wrap", counting)
+        monkeypatch.setattr(distributions, "_wrap_in_place", counting)
         draws = model.sample(np.random.default_rng(11), 500)
         assert len(calls) == 1
         assert np.all((draws >= -np.pi) & (draws < np.pi))

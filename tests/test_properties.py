@@ -72,6 +72,14 @@ def _wrap_by_mod(arr):
     return np.where((arr >= -np.pi) & (arr < np.pi), arr, wrapped)
 
 
+def _long_row(seed, specials):
+    """10**4 canonical angles with ``specials`` at random positions."""
+    rng = np.random.default_rng(seed)
+    row = rng.uniform(-math.pi, math.pi, 10**4)
+    row[rng.choice(row.size, len(specials), replace=False)] = specials
+    return row.tolist()
+
+
 seam = st.sampled_from([math.pi, -math.pi, -0.0, np.nextafter(-math.pi, -4.0)])
 angle_lists = st.lists(st.one_of(canonical, finite, seam), max_size=40)
 
@@ -80,6 +88,8 @@ angle_lists = st.lists(st.one_of(canonical, finite, seam), max_size=40)
 @given(angle_lists)
 @example([0.5, -0.0, -math.pi])
 @example([math.pi, 7.0, -0.0])
+@example(_long_row(1, [math.pi, -math.pi, np.nextafter(-math.pi, -4.0), -0.0]))
+@example(_long_row(2, [7.0, -1e300, 3.0 * math.pi, math.pi, -4.0]))
 def test_wrap_matches_mod_formula_on_a_new_array(values):
     x = np.array(values, dtype=float)
     kept = x.copy()
