@@ -20,7 +20,11 @@ information machinery in ``asymptotics`` is built from these.
 A model draws through one method, ``_draw(rng, out)``, which fills ``out``
 in place and takes its temporaries from ``workspace``: inside the
 replication engine those are arrays reused from chunk to chunk, elsewhere
-fresh ones, and the draws are the same either way.
+fresh ones, and the draws are the same either way. Every sampler is exact:
+the von Mises (Best-Fisher) and cardioid (uniform envelope) rejection
+samplers share one batch loop, ``_rejection_draw``; the wrapped Cauchy
+wraps a linear Cauchy draw, and the skewed forms transform or reflect
+their base's draws.
 """
 
 import math
@@ -31,11 +35,8 @@ import numpy as np
 from .angles import TWO_PI, _wrap_in_place, check_angle, half_tangent, wrap
 from .errors import UnsupportedBaseError
 from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
-from .workspace import scratch, temporaries
+from .workspace import temporaries
 
-_NEWTON_TOL = 1e-13
-_NEWTON_MAX_ITER = 64
-_BISECT_ITER = 80
 # Best-Fisher is exact for any envelope r > 1, and its envelope is formed
 # without cancellation, but 4 kappa^2 overflows from about kappa = 1e154.
 # Above 2^47 ~ 1.4e14 the normal limit N(0, 1/kappa) is used instead, whose
@@ -146,6 +147,22 @@ def _uniform_draw(rng, out):
     out -= np.pi
 
 
+def _rejection_draw(rng, out, rate, accepted, *args):
+    """Fill ``out`` with the angles that ``accepted(rng, proposals, *args)``
+    keeps, batch by batch, where ``rate`` is its acceptance rate. A batch
+    for ``todo`` more draws holds todo / rate + 4 sqrt(todo) + 16 proposals,
+    some four standard deviations more than needed, so one batch nearly
+    always suffices."""
+    n = out.size
+    filled = 0
+    while filled < n:
+        todo = n - filled
+        angles = accepted(rng, int(todo / rate + 4.0 * math.sqrt(todo) + 16.0), *args)
+        take = min(todo, angles.size)
+        out[filled:filled + take] = angles[:take]
+        filled += take
+
+
 @dataclass(frozen=True)
 class VonMises(_Model):
     """Von Mises density exp(kappa*(cos(x) - 1)) / (2*pi*I0(kappa)*e^-kappa)."""
@@ -201,9 +218,7 @@ class VonMises(_Model):
                      = I0e(kappa) sqrt((1 + q) / 2) e^(1 - c0),
 
         from 1 at kappa = 0 down to e^(1/2) / sqrt(2 pi) ~ 0.658 as kappa
-        grows. A batch for ``todo`` more draws holds
-        todo / p + 4 sqrt(todo) + 16 proposals, some four standard
-        deviations more than needed, so one batch nearly always suffices.
+        grows; ``_rejection_draw`` sizes the batches from it.
         """
         kappa = self.kappa
         if kappa < 1e-9:
@@ -214,15 +229,7 @@ class VonMises(_Model):
             out /= math.sqrt(kappa)
             return
         c0, rate = self._envelope()
-        n = out.size
-        filled = 0
-        while filled < n:
-            todo = n - filled
-            batch = int(todo / rate + 4.0 * math.sqrt(todo) + 16.0)
-            angles = self._best_fisher(rng, batch, c0)
-            take = min(todo, angles.size)
-            out[filled:filled + take] = angles[:take]
-            filled += take
+        _rejection_draw(rng, out, rate, self._best_fisher, c0)
 
     def _envelope(self):
         """c0 = kappa (r - 1) and the acceptance rate p(kappa) of ``_draw``."""
@@ -253,7 +260,7 @@ class VonMises(_Model):
         c (2 - c) only spares the exponential on the entries it decides, and
         picking those out costs more than the exponential.
 
-        The angles are a scratch array: read them before the next draw.
+        The angles are a temporary array: read them before the next draw.
         """
         kappa = self.kappa
         r_minus_1 = c0 / kappa
@@ -291,7 +298,8 @@ class VonMises(_Model):
 
 @dataclass(frozen=True)
 class Cardioid(_Model):
-    """Cardioid density (1 + ell*cos(x)) / (2*pi)."""
+    """Cardioid density (1 + ell*cos(x)) / (2*pi), drawn exactly by
+    rejection from the uniform envelope."""
 
     ell: float
 
@@ -321,55 +329,30 @@ class Cardioid(_Model):
         return ell * ell / (1.0 + math.sqrt((1.0 - ell) * (1.0 + ell)))
 
     def _draw(self, rng, out):
-        """Invert F(x) = (x + pi + ell*sin(x)) / (2*pi) by Newton iteration.
+        """Rejection from the uniform envelope, exact; it accepts
+        1/(1 + ell) >= 1/2 of the proposals."""
+        _rejection_draw(rng, out, 1.0 / (1.0 + self.ell), self._accepted)
 
-        Each step takes one tangent t = tan(x/2), w = 1/(1 + t^2)
-        (``angles.half_tangent``) for both the residual, with
-        sin x = 2 t w, and the slope 1 + ell cos x = (1 - ell) + 2 ell w,
-        whose terms are positive, so it does not cancel as ell nears 1.
+    def _accepted(self, rng, proposals):
+        """The angles accepted among ``proposals`` uniform proposals.
+
+        A proposal x ~ U[-pi, pi) is kept when u (1 + ell) <= 1 + ell cos x
+        = (1 - ell) + 2 ell w, with w = cos^2(x/2) from one tangent
+        (``angles.half_tangent``). Both terms are positive, so the bound
+        does not cancel as ell nears 1. The angles are a temporary array: read
+        them before the next draw.
         """
         ell = self.ell
-        n = out.size
-        target, g, w, work = temporaries(n, 4)  # solve x + ell*sin(x) = target
-        (small,) = temporaries(n, 1, bool)
-        _uniform_draw(rng, target)
-        x = out
-        np.copyto(x, target)
-
-        def residual():  # |g| after g = x + ell*sin(x) - target
-            half_tangent(x, g, w)
-            np.multiply(g, w, out=g)
-            np.multiply(2.0 * ell, g, out=g)
-            np.add(x, g, out=g)
-            np.subtract(g, target, out=g)
-            np.abs(g, out=work)
-            return work
-
-        for _ in range(_NEWTON_MAX_ITER):
-            if np.all(np.less(residual(), _NEWTON_TOL, out=small)):
-                break
-            np.multiply(2.0 * ell, w, out=work)
-            np.add(1.0 - ell, work, out=work)
-            np.divide(g, work, out=g)
-            x -= g
-        bad = np.greater_equal(residual(), 1e-10, out=small)
-        if np.any(bad):
-            def shifted(v):  # v + ell*sin(v), with the Newton steps' sine
-                t, w = half_tangent(v, np.empty_like(v), np.empty_like(v))
-                return v + 2.0 * ell * (t * w)
-
-            x[bad] = _bisect_increasing(shifted, target[bad], -np.pi, np.pi)
-
-
-def _bisect_increasing(g, target, lo, hi):
-    lo = np.full_like(target, lo)
-    hi = np.full_like(target, hi)
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        x, t, bound = temporaries(proposals, 3)
+        (accept,) = temporaries(proposals, 1, bool)
+        _uniform_draw(rng, x)
+        half_tangent(x, t, bound)
+        np.multiply(2.0 * ell, bound, out=bound)
+        np.add(1.0 - ell, bound, out=bound)
+        u = rng.random(out=t)
+        np.multiply(1.0 + ell, u, out=u)
+        np.less_equal(u, bound, out=accept)
+        return np.compress(accept, x, out=t[:np.count_nonzero(accept)])
 
 
 @dataclass(frozen=True)
@@ -425,14 +408,15 @@ class WrappedCauchy(_Model):
 
 def _mixture_draw(rng, out, kappa, heads, tails):
     """VM(kappa) draws about centre ``heads`` where a fair coin is below 1/2,
-    about ``tails`` elsewhere; the coins are drawn first."""
-    centers = scratch("centers", out.size)  # held across the von Mises draw
-    rng.random(out=centers)
+    about ``tails`` elsewhere; the von Mises draws come first, then the
+    coins."""
+    VonMises(kappa)._draw(rng, out)
+    (centers,) = temporaries(out.size, 1)
     (to_heads,) = temporaries(out.size, 1, bool)
+    rng.random(out=centers)
     np.less(centers, 0.5, out=to_heads)
     centers.fill(tails)
     np.copyto(centers, heads, where=to_heads)
-    VonMises(kappa)._draw(rng, out)
     out += centers
 
 

@@ -1,21 +1,20 @@
 """Scratch arrays that the samplers and the row-wise kernels reuse.
 
 A sampler or kernel takes the temporary arrays it needs from
-``temporaries`` or ``scratch``. Inside ``using(work)`` they come from the
-``Workspace`` ``work``, which keeps one array per key and thread, grown to
+``temporaries``. Inside ``using(work)`` they come from the ``Workspace``
+``work``, which keeps one array per dtype, position and thread, grown to
 the largest size asked for and handed out again to every later call. The
 replication engine makes one workspace per call, so its chunks draw and
 score without allocating. Outside ``using`` fresh arrays are returned, so a
-single sample runs the same code. A scratch array's contents are undefined:
-every caller writes one before reading it, so a workspace never carries a
-value from one call into the next and draws do not depend on it.
+single sample runs the same code. A temporary array's contents are
+undefined: every caller writes one before reading it, so a workspace never
+carries a value from one call into the next and draws do not depend on it.
 
-Most steps call no other sampler or kernel while they hold their arrays:
-the Best-Fisher batch, the cardioid's Newton steps, the reflection step and
-the statistics run one after another, so ``temporaries`` hands all of them
-the same arrays and the sampling and statistics phases share one set. A
-step that holds an array across another step's draw takes it by name from
-``scratch`` instead.
+One rule keeps this safe: no step calls another sampler or kernel while it
+holds its temporaries. The rejection batches, the reflection step, the
+mixture's coins and the statistics run one after another, so
+``temporaries`` hands all of them the same arrays and the sampling and
+statistics phases share one set.
 """
 
 import contextlib
@@ -34,22 +33,21 @@ class Workspace(threading.local):
         self.arrays = {}
 
 
-def scratch(name, size, dtype=np.float64):
-    """A 1-D array of ``size`` elements of ``dtype`` held under ``name``,
-    contents undefined."""
+def temporaries(size, count, dtype=np.float64):
+    """``count`` 1-D arrays of ``size`` elements of ``dtype``, contents
+    undefined, for a step that calls no other sampler or kernel while it
+    holds them."""
+    dtype = np.dtype(dtype)
     work = _active.get()
     if work is None:
-        return np.empty(size, dtype)
-    array = work.arrays.get(name)
-    if array is None or array.size < size or array.dtype != dtype:
-        array = work.arrays[name] = np.empty(size, dtype)
-    return array[:size]
-
-
-def temporaries(size, count, dtype=np.float64):
-    """``count`` scratch arrays of ``size`` elements of ``dtype`` for a step
-    that calls no other sampler or kernel while it holds them."""
-    return [scratch((np.dtype(dtype), i), size, dtype) for i in range(count)]
+        return [np.empty(size, dtype) for _ in range(count)]
+    arrays = []
+    for i in range(count):
+        array = work.arrays.get((dtype, i))
+        if array is None or array.size < size:
+            array = work.arrays[dtype, i] = np.empty(size, dtype)
+        arrays.append(array[:size])
+    return arrays
 
 
 @contextlib.contextmanager

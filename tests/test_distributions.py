@@ -51,6 +51,16 @@ VON_MISES_DIGESTS = {
 }
 
 
+# SHA-256 of 1000 cardioid draws from Philox(7), recorded when the sampler
+# became rejection from the uniform envelope; each draw is one of its
+# uniform proposals, so only an acceptance decision can move it
+CARDIOID_DIGESTS = {
+    0.1: "2efcc4c3752337d9b5828df5e78dabdf45d85ba33e142a658a16e363b601111b",
+    0.5: "fda00becc878d682c437b4f6381ec4ff12df398c6a2f814cfde54673593de8b9",
+    0.999: "96738eff55c2f76ccec036a002e8acc942d73d4632c45d1efbfd7ebde614133b",
+}
+
+
 def _grid(n=1024):
     return np.linspace(-np.pi, np.pi, n, endpoint=False)
 
@@ -233,7 +243,7 @@ class TestSamplers:
 
     @pytest.mark.parametrize("n", [1, 2, 1000])
     @pytest.mark.parametrize("model", [
-        *BASE_GRID, VonMises(1e-10), VonMises(1e16),
+        *BASE_GRID, VonMises(1e-10), VonMises(1e16), Cardioid(1 - 2**-40),
         SineSkewed(VonMises(1.0), 0.4, k=2),
         SineSkewed(WrappedCauchy(0.9), -0.3, k=3, theta=2.5),
         SineSkewed(Cardioid(0.5), 0.5, theta=-1.0),
@@ -302,6 +312,11 @@ class TestSamplers:
         draws = VonMises(kappa).sample(np.random.Generator(np.random.Philox(7)), 1000)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == VON_MISES_DIGESTS[kappa]
 
+    @pytest.mark.parametrize("ell", sorted(CARDIOID_DIGESTS))
+    def test_cardioid_draws_pinned(self, ell):
+        draws = Cardioid(ell).sample(np.random.Generator(np.random.Philox(7)), 1000)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == CARDIOID_DIGESTS[ell]
+
     def test_best_fisher_angles_are_not_quantized(self):
         # kappa = 1e14 is below the normal limit's threshold: Best-Fisher draws
         kappa = 1e14
@@ -348,6 +363,14 @@ class TestSamplers:
         band = 5.0 * math.sqrt(rate * (1.0 - rate) / proposals) + 1.0 / proposals
         assert abs(kept / proposals - rate) <= band
 
+    @pytest.mark.parametrize("ell", [1e-6, 0.1, 0.5, 0.99, 1 - 2**-40])
+    def test_cardioid_acceptance_rate_is_closed_form(self, ell):
+        rate = 1.0 / (1.0 + ell)
+        proposals = 400_000
+        kept = Cardioid(ell)._accepted(np.random.default_rng(12), proposals).size
+        band = 5.0 * math.sqrt(rate * (1.0 - rate) / proposals) + 1.0 / proposals
+        assert abs(kept / proposals - rate) <= band
+
     @pytest.mark.parametrize("kappa", [1e-8, 1e-3, 0.5, 1.0, 10.0, 700.0, 1e8])
     def test_von_mises_draws_follow_the_density(self, kappa):
         model = VonMises(kappa)
@@ -376,6 +399,48 @@ def _symmetric_cdf(model, x):
     width = abs(x)
     mass = integrate_periodic(lambda s: model.pdf(width * (s + np.pi) / TWO_PI) * width / TWO_PI)
     return 0.5 + math.copysign(mass, x)
+
+
+def _closed_form_cdf(model, x):
+    """P(X <= x) on [-pi, pi) of a cardioid, a wrapped Cauchy, a 1-sine-
+    skewed cardioid about 0, or a Moebius form with lam = 0 of either base."""
+    if isinstance(model, Cardioid):
+        return (x + np.pi + model.ell * np.sin(x)) / TWO_PI
+    if isinstance(model, WrappedCauchy):
+        ratio = (1.0 + model.rho) / (1.0 - model.rho)
+        return 0.5 + np.arctan(ratio * np.tan(0.5 * x)) / np.pi
+    if isinstance(model, SineSkewed):
+        # integral of (1 + ell cos s)(1 + lam sin s) / (2 pi) from -pi to x
+        ell, lam = model.base.ell, model.lam
+        return (x + np.pi + ell * np.sin(x) - lam * (1.0 + np.cos(x))
+                + 0.5 * ell * lam * np.sin(x) ** 2) / TWO_PI
+    # the Moebius map is increasing, so F(x) is the base's CDF at its inverse
+    return _closed_form_cdf(model.base, 2.0 * np.arctan(np.tan(0.5 * x) / model.omega))
+
+
+class TestClosedFormCdfs:
+    """Draws against closed-form CDFs at the edges of the parameter space,
+    where the quadrature oracle cannot integrate the spikes."""
+
+    @pytest.mark.parametrize("model", [
+        *(Cardioid(ell) for ell in (1e-6, 0.5, 0.99, 1 - 2**-40)),
+        *(WrappedCauchy(rho) for rho in (1e-6, 0.5, 0.99, 1 - 1e-9)),
+        SineSkewed(Cardioid(1e-6), 0.5),
+        SineSkewed(Cardioid(0.5), -0.5),
+        SineSkewed(Cardioid(1 - 2**-40), 1 - 1e-9),
+        SineSkewed(Cardioid(1 - 2**-40), -(1 - 1e-9)),
+        *(MoebiusSkewed(base, 0.0, r) for base in (WrappedCauchy(0.5), Cardioid(0.5))
+          for r in (1e-6, 0.9999999999)),
+    ], ids=lambda model: model.label)
+    def test_draws_follow_the_closed_form_cdf(self, model):
+        draws = np.sort(model.sample(np.random.default_rng(15), 200_000))
+        n = draws.size
+        # Kolmogorov-Smirnov distance over every order statistic; 1.95 / sqrt(n)
+        # is its 0.001 critical value
+        cdf = _closed_form_cdf(model, draws)
+        rank = np.arange(1, n + 1)
+        distance = max(np.max(rank / n - cdf), np.max(cdf - (rank - 1) / n))
+        assert distance < 1.95 / math.sqrt(n)
 
 
 class TestValidation:
