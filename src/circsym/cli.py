@@ -74,7 +74,7 @@ def _frequency(text):
         ) from None
 
 
-_THREADS_HELP = ("worker threads, at most one per core but one (default 1, or "
+_THREADS_HELP = ("worker threads, at most one per core (default 1, or "
                  "CIRCSYM_THREADS); output is byte-identical at any count")
 
 

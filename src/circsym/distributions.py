@@ -264,7 +264,7 @@ class VonMises(_Model):
         """
         kappa = self.kappa
         r_minus_1 = c0 / kappa
-        u1, one_minus_f, c, bound = temporaries(proposals, 4)
+        u1, one_minus_f, c = temporaries(proposals, 3)
         rng.random(out=u1)
         np.multiply(2.0, u1, out=u1)
         np.subtract(u1, 1.0, out=u1)
@@ -278,7 +278,10 @@ class VonMises(_Model):
         np.divide(one_minus_f, c, out=one_minus_f)
         np.multiply(kappa, one_minus_f, out=c)
         np.add(c0, c, out=c)
-        np.subtract(1.0, c, out=bound)
+        # 1 - f >= 0 carries the angle's sign from here on, so u1's array
+        # is free to hold the bound
+        np.copysign(one_minus_f, u1, out=one_minus_f)
+        bound = np.subtract(1.0, c, out=u1)
         np.exp(bound, out=bound)
         np.multiply(c, bound, out=bound)
         # u2 reuses the array of c, which is done with; no draw comes between
@@ -287,13 +290,14 @@ class VonMises(_Model):
         (accept,) = temporaries(proposals, 1, bool)
         np.greater_equal(bound, u2, out=accept)
         kept = np.count_nonzero(accept)
-        half = np.compress(accept, one_minus_f, out=u2[:kept])
+        signed = np.compress(accept, one_minus_f, out=u2[:kept])
+        half = np.abs(signed, out=bound[:kept])
         np.multiply(0.5, half, out=half)
         np.minimum(half, 1.0, out=half)
         np.sqrt(half, out=half)
         np.arcsin(half, out=half)
         np.multiply(2.0, half, out=half)
-        return np.copysign(half, np.compress(accept, u1, out=bound[:kept]), out=half)
+        return np.copysign(half, signed, out=half)
 
 
 @dataclass(frozen=True)

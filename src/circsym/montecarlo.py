@@ -16,13 +16,14 @@ Every statistic is computed over the whole (models, C, n) block by the
 row-wise kernels of ``symtests``. A studentized test rejects where |T_k|
 exceeds z_{alpha/2}, the modified runs test where the run count is at
 most the largest c with P(R <= c) < alpha (``symtests.runs_null_cdf``);
-both are computed once per stream. With ``threads`` > 1 one thread pool,
-which leaves one core free, serves the whole call: every scenario of
-``run_scenarios`` and every grid point of ``power_curve``. numpy releases
-the interpreter lock inside its array kernels and generator fills, each
-chunk has its own Generator and the models are frozen, so blocks share
-nothing mutable. Workers return additive integer tallies, so the merge is
-order-independent by construction.
+both are computed once per stream. With ``threads`` > 1 on more than one
+core, one thread pool of at most one worker per core serves the whole
+call: every scenario of ``run_scenarios`` and every grid point of
+``power_curve``. numpy releases the interpreter lock inside its array
+kernels and generator fills, each chunk has its own Generator and the
+models are frozen, so blocks share nothing mutable. Workers return
+additive integer tallies, so the merge is order-independent by
+construction.
 
 Each block draws its chunks into one (models, C, n) sample array, with
 ``model.sample(rng, C * n, out=...)``. Each call makes one
@@ -59,7 +60,7 @@ from . import symtests
 FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
-_CHUNK_DRAWS = 8192  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
+_CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
 
 
 def derive_stream(master_seed, scenario_id, index):
@@ -284,28 +285,28 @@ def _block_bounds(stream, pieces):
 def _tallies(streams, threads):
     """Yield the (rejections, degenerate) tallies of each stream, in order.
 
-    With threads > 1 the replication blocks of every stream go to one
-    thread pool of at most ``threads`` workers, capped at one less than the
-    core count (at least one) and started once for the whole list;
-    ValueError unless ``threads`` is a positive integer. One workspace
-    serves the call: each thread that runs blocks reuses its own scratch
-    arrays from block to block, and they are dropped when the call ends.
+    The replication blocks of every stream go to one thread pool of
+    ``threads`` workers, capped at the core count and started once for the
+    whole list; where that leaves one worker, the blocks run in the calling
+    thread and no pool starts. ValueError unless ``threads`` is a positive
+    integer. One workspace serves the call: each thread that runs blocks
+    reuses its own scratch arrays from block to block, and they are dropped
+    when the call ends.
     """
     threads = check_integer(threads, "threads")
     work = Workspace()
-    if threads == 1:
+    # A worker per core: a chunk's numpy calls are long enough that workers
+    # overlap, where more workers than cores would only wait for each other.
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         for stream in streams:
             yield _block_using(work, stream, 0, stream.reps)
         return
-    # One core stays free. Blocks hold the interpreter lock between numpy
-    # calls, so with a worker on every core each one waits on the others
-    # being scheduled, and a run's speed swings with the host's other load.
-    cores = os.cpu_count() or 1
-    pool = ThreadPoolExecutor(max_workers=min(threads, max(1, cores - 1)))
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = [
             [pool.submit(_block_using, work, stream, lo, hi)
-             for lo, hi in _block_bounds(stream, threads * 4)]
+             for lo, hi in _block_bounds(stream, workers * 4)]
             for stream in streams
         ]
         for futures in pending:

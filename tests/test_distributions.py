@@ -363,6 +363,15 @@ class TestSamplers:
         band = 5.0 * math.sqrt(rate * (1.0 - rate) / proposals) + 1.0 / proposals
         assert abs(kept / proposals - rate) <= band
 
+    def test_best_fisher_holds_three_float_arrays(self):
+        # the uniforms' array holds the bound once 1 - f carries the sign
+        work = Workspace()
+        with using(work):
+            VonMises(1.0).sample(np.random.default_rng(14), 1000)
+        dtypes = [dtype for dtype, _ in work.arrays]
+        assert dtypes.count(np.dtype(np.float64)) == 3
+        assert dtypes.count(np.dtype(bool)) == 1
+
     @pytest.mark.parametrize("ell", [1e-6, 0.1, 0.5, 0.99, 1 - 2**-40])
     def test_cardioid_acceptance_rate_is_closed_form(self, ell):
         rate = 1.0 / (1.0 + ell)
