@@ -413,14 +413,15 @@ class WrappedCauchy(_Model):
 def _mixture_draw(rng, out, kappa, heads, tails):
     """VM(kappa) draws about centre ``heads`` where a fair coin is below 1/2,
     about ``tails`` elsewhere; the von Mises draws come first, then the
-    coins."""
+    coins. Each centre is picked from the two-entry table (tails, heads) by
+    its coin as a 0/1 index: one full ``take`` pass, about three times
+    faster than a fill and a masked ``copyto``."""
     VonMises(kappa)._draw(rng, out)
     (centers,) = temporaries(out.size, 1)
     (to_heads,) = temporaries(out.size, 1, bool)
     rng.random(out=centers)
     np.less(centers, 0.5, out=to_heads)
-    centers.fill(tails)
-    np.copyto(centers, heads, where=to_heads)
+    np.take(np.array([tails, heads]), to_heads.view(np.int8), out=centers)
     out += centers
 
 
@@ -477,19 +478,27 @@ class SineSkewed(_Model):
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
         the output density exactly the sine-skewed one. The probability is
         formed as 1/2 + lam t w from one tangent t = tan(k y / 2),
-        w = 1/(1 + t^2) (``angles.half_tangent``)."""
+        w = 1/(1 + t^2) (``angles.half_tangent``).
+
+        y is kept where u <= p = 1/2 + lam t w. The sign is applied as a
+        factor s = copysign(1, p - u) and y * s: full passes, about five
+        times faster than a masked ``negative`` of the flipped entries. It
+        is the same rule bit for bit: the rounded difference of two finite
+        doubles has the sign of the exact one and is +0 only when they are
+        equal, so s = +1 exactly where u <= p; and y * -1 is -y, signed zero
+        included.
+        """
         self.base._draw(rng, out)
-        n = out.size
-        u, keep, w = temporaries(n, 3)
-        (flip,) = temporaries(n, 1, bool)
+        u, sign, w = temporaries(out.size, 3)
         rng.random(out=u)
-        np.multiply(self.k, out, out=keep)
-        half_tangent(keep, keep, w)
-        np.multiply(keep, w, out=keep)
-        np.multiply(self.lam, keep, out=keep)
-        np.add(0.5, keep, out=keep)  # keep y where u <= 1/2 + lam t w
-        np.greater(u, keep, out=flip)
-        np.negative(out, out=out, where=flip)
+        np.multiply(self.k, out, out=sign)
+        half_tangent(sign, sign, w)
+        np.multiply(sign, w, out=sign)
+        np.multiply(self.lam, sign, out=sign)
+        np.add(0.5, sign, out=sign)
+        np.subtract(sign, u, out=sign)
+        np.copysign(1.0, sign, out=sign)
+        out *= sign
         out += self.theta
 
 

@@ -282,11 +282,20 @@ def _block_bounds(stream, pieces):
     return [(lo, min(lo + step, stream.reps)) for lo in range(0, stream.reps, step)]
 
 
+def _usable_cores():
+    """The CPUs this process may run on: the size of its affinity mask where
+    the OS has one, so that ``taskset`` or a container's CPU set is honoured,
+    else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tallies(streams, threads):
     """Yield the (rejections, degenerate) tallies of each stream, in order.
 
     The replication blocks of every stream go to one thread pool of
-    ``threads`` workers, capped at the core count and started once for the
+    ``threads`` workers, capped at the usable cores and started once for the
     whole list; where that leaves one worker, the blocks run in the calling
     thread and no pool starts. ValueError unless ``threads`` is a positive
     integer. One workspace serves the call: each thread that runs blocks
@@ -297,7 +306,7 @@ def _tallies(streams, threads):
     work = Workspace()
     # A worker per core: a chunk's numpy calls are long enough that workers
     # overlap, where more workers than cores would only wait for each other.
-    workers = min(threads, os.cpu_count() or 1)
+    workers = min(threads, _usable_cores())
     if workers == 1:
         for stream in streams:
             yield _block_using(work, stream, 0, stream.reps)

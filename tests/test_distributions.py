@@ -61,6 +61,44 @@ CARDIOID_DIGESTS = {
 }
 
 
+# SHA-256 of 1000 draws from Philox(7) of the reflection sampler (every base
+# family, k = 1, 2, 3, both signs of lam, two theta != 0) and of the two
+# mixtures, recorded before the reflection flipped signs by a +-1 multiply and
+# the mixture took its centres from a two-entry table; neither rewrite may
+# move a draw, a signed zero included
+REFLECTION_AND_MIXTURE_DIGESTS = {
+    "sineskew(vm:1,k=1,lam=0.4,theta=0)": "0f10d3e64463837b34d2ecdc6ee7f35ba18b9e110ff294159a325944478c5831",
+    "sineskew(vm:1,k=1,lam=-0.7,theta=0)": "ecf0f9d5a24e832bdeeab622e2ab03caf8854aa8f836b2111bea805698c2b1ee",
+    "sineskew(vm:1,k=2,lam=0.4,theta=0)": "dd3da22746d96ca7985b29f93d3a697b7fd87b307d8b11d5f477bd5efaad7107",
+    "sineskew(vm:1,k=2,lam=-0.7,theta=0)": "5023a0c0a140ebeceaec4736303a0bc0a343b04064e20391ee9ee449c0b7bf5d",
+    "sineskew(vm:1,k=3,lam=0.4,theta=0)": "5a10465714b36b655204a5ea5b68f39224781640261643f5804daca303249d69",
+    "sineskew(vm:1,k=3,lam=-0.7,theta=0)": "1288946ae8565d4d2314bb919e33ac1cafb4a037e5e11be1d839246b9b3f6356",
+    "sineskew(cardioid:0.5,k=1,lam=0.4,theta=0)": "792751eba1bdaada747b28c6697e7c8a1f5132fb095f3d0a9fe7ce23f590b2ed",
+    "sineskew(cardioid:0.5,k=1,lam=-0.7,theta=0)": "c0495bc4a8e99144c5301fe2122a98fe5a9e21674720faf5858c60d5fe278d08",
+    "sineskew(cardioid:0.5,k=2,lam=0.4,theta=0)": "f0db1f4886677a8dec0b6a761fd522e1cbf8562b9c198fdcf0a8d1105a08888a",
+    "sineskew(cardioid:0.5,k=2,lam=-0.7,theta=0)": "70a9a9a76f6fbc3c5655a57058d6de9f982ebd8997fb24a27e932db961de4da7",
+    "sineskew(cardioid:0.5,k=3,lam=0.4,theta=0)": "68f352d2060ebe22a9ce639d54523b47c16a34100d01341863ffe8a7b1d97873",
+    "sineskew(cardioid:0.5,k=3,lam=-0.7,theta=0)": "adb33dffaf6e602d428c08d5f3d13e8ec9ddb7262d05d11669970b43669c5535",
+    "sineskew(wcauchy:0.5,k=1,lam=0.4,theta=0)": "b889fab7f6121c7c468b0c8950241f4ec251171e6e052a30e018399c8c332fd2",
+    "sineskew(wcauchy:0.5,k=1,lam=-0.7,theta=0)": "3f4c46cf5cd45ac393145d8c57ca1812b783099c4c8d7d15f0c1e921318186a9",
+    "sineskew(wcauchy:0.5,k=2,lam=0.4,theta=0)": "57cccd77c8c8fc8862ac83eee0f836868b08f93ae406060acff98602bc79b0ac",
+    "sineskew(wcauchy:0.5,k=2,lam=-0.7,theta=0)": "b1d6171d7a09aa368302df337989f474356cb8c54943bd2c675a9c1612af3e5f",
+    "sineskew(wcauchy:0.5,k=3,lam=0.4,theta=0)": "229685213b80d1a305abb812014f86f752b5a1fa5e7d1b91020acd9e0c69d0f0",
+    "sineskew(wcauchy:0.5,k=3,lam=-0.7,theta=0)": "687ff4c615b76d3c84bf97bf3631c041656ff002e0bfec7b789670e83e0e5518",
+    "sineskew(uniform,k=1,lam=0.4,theta=0)": "77b3d19d5baa87022d78629d2960cb301d03a358c822e54340fde411a9f8d559",
+    "sineskew(uniform,k=1,lam=-0.7,theta=0)": "a9d4d5b65111a7d233f349bd9f7510f6854d41b3361d01ce02933265d49c5c86",
+    "sineskew(uniform,k=2,lam=0.4,theta=0)": "948b759ef488bbc09de275ba48b1d261a070b7de60f6a8ae60f2b7e55551a8ff",
+    "sineskew(uniform,k=2,lam=-0.7,theta=0)": "6e98355a3d8f3b6466fe875302d978f0348d934220591f38e3a03a11220e16a9",
+    "sineskew(uniform,k=3,lam=0.4,theta=0)": "0efc8acb535f6b2b1722d818607d690d7ce707944fcbfec55f0d4d56b7bc1f15",
+    "sineskew(uniform,k=3,lam=-0.7,theta=0)": "25946878c76975967cdcdcf7f5563ec289dd3e07e18c57a4141274218221bbdf",
+    "sineskew(vm:1,k=2,lam=0.4,theta=1.5)": "d652f535f02bd32ef9775b81e03f7249d3c29d7bc111c2788c9c76d7688eeb76",
+    "sineskew(wcauchy:0.5,k=3,lam=-0.7,theta=-2.5)": "bfd928e289bb7b1ce6090dcb846ad3d5dee2a6a8d18a1b4abebace65420541ee",
+    "mixshift(kappa=1,lam=0.4)": "ef74871b1c2707761da0d1627b726f50be4c6bd186a13459d6d8916514c93211",
+    "mixshift(kappa=10,lam=-2)": "040ba1c1845cc7df895ddfe6d3fa31d8956d085d06fdb457822e7d39ce20c7cf",
+    "vmmix:1": "3f48a6cb9000f009b26ee159e45858aefa59df866500773fa68e9d110fae0d20",
+}
+
+
 def _grid(n=1024):
     return np.linspace(-np.pi, np.pi, n, endpoint=False)
 
@@ -317,6 +355,14 @@ class TestSamplers:
         draws = Cardioid(ell).sample(np.random.Generator(np.random.Philox(7)), 1000)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == CARDIOID_DIGESTS[ell]
 
+    @pytest.mark.parametrize("label", list(REFLECTION_AND_MIXTURE_DIGESTS))
+    def test_reflection_and_mixture_draws_pinned(self, label):
+        model = parse_model(label)
+        assert model.label == label
+        draws = model.sample(np.random.Generator(np.random.Philox(7)), 1000)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == \
+            REFLECTION_AND_MIXTURE_DIGESTS[label]
+
     def test_best_fisher_angles_are_not_quantized(self):
         # kappa = 1e14 is below the normal limit's threshold: Best-Fisher draws
         kappa = 1e14
@@ -342,6 +388,32 @@ class TestSamplers:
         draws = model.sample(np.random.default_rng(11), 500)
         assert len(calls) == 1
         assert np.all((draws >= -np.pi) & (draws < np.pi))
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
+    def test_reflection_boundary_and_signed_zero(self, theta):
+        class Stub:
+            """Hands out the base uniforms, then the reflection uniforms."""
+
+            def __init__(self, *batches):
+                self.batches = list(batches)
+
+            def random(self, out):
+                out[...] = self.batches.pop(0)
+
+        above = np.nextafter(0.5, 1.0)
+        # uniform 0.5 maps to 0.5 * 2 pi - pi = 0.0 exactly, 0.25 to -pi/2
+        base = np.array([0.5, 0.5, 0.25, 0.25])
+        coins = np.array([0.5, above, 0.5, above])
+        out = np.empty(4)
+        # lam = 0 puts the threshold at exactly 1/2: u = 1/2 keeps y, the
+        # next double above it flips y
+        SineSkewed(Uniform(), 0.0, theta=theta)._draw(Stub(base, coins), out)
+        y = base * TWO_PI - np.pi
+        expected = np.where(coins > 0.5, np.negative(y), y) + theta
+        assert out.tobytes() == expected.tobytes()
+        # the flipped zero is -0.0, which adding theta = -0.0 keeps visible
+        assert list(np.signbit(out[:2])) == [False, bool(np.signbit(theta))]
+        assert list(out[2:]) == [-np.pi / 2, np.pi / 2]
 
     @pytest.mark.parametrize("kappa", [1e15, 1e16, 1e17, 1e20, 1e300])
     def test_huge_kappa_von_mises_is_prompt_and_normal(self, kappa):

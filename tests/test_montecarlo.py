@@ -398,7 +398,7 @@ class TestEngine:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
         # two cores, so that two threads start a pool on any host
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
         outputs = {}
         for threads in ("1", "2"):
             outdir = tmp_path / threads
@@ -415,9 +415,8 @@ class TestEngine:
                                                      mode="empirical", n=20, reps=40)
         assert len(starts) == 2
 
-    @pytest.mark.parametrize("cores, expected", [(1, []), (None, []), (2, [2, 2]),
-                                                 (8, [8, 8])],
-                             ids=["one", "unknown", "two", "eight"])
+    @pytest.mark.parametrize("cores, expected", [(1, []), (2, [2, 2]), (8, [8, 8])],
+                             ids=["one", "two", "eight"])
     def test_workers_capped_at_the_core_count(self, monkeypatch, cores, expected):
         workers = []
 
@@ -436,13 +435,26 @@ class TestEngine:
                 pass
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
         assert run_scenario(SMALL_SPEC, threads=10**6).to_json() == \
             run_scenario(SMALL_SPEC).to_json()
         assert power_curve(*POWER_ARGS, **POWER_KWARGS, threads=10**6) == POWER_POINTS
         # one pool per run, one worker per core, never 10**6 threads; where
         # that is one worker the blocks run inline and no pool starts
         assert workers == expected
+
+    @pytest.mark.parametrize("affinity, host, expected",
+                             [({0}, 8, 1), ({0, 3}, None, 2), (None, 8, 8), (None, None, 1)],
+                             ids=["pinned_to_one", "pinned_to_two", "no_mask", "unknown"])
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch, affinity, host,
+                                                   expected):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: host)
+        if affinity is None:  # a platform without affinity masks
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        assert montecarlo._usable_cores() == expected
 
     def test_a_failed_block_cancels_the_queued_ones(self, monkeypatch):
         started = []
