@@ -26,12 +26,18 @@ additive integer tallies, so the merge is order-independent by
 construction.
 
 Each block draws its chunks into one (models, C, n) sample array, with
-``model.sample(rng, C * n, out=...)``. Each call makes one
-``workspace.Workspace``, in which every thread that runs blocks has its own
-scratch arrays for the samplers and the statistic kernels; a thread
-reuses them from chunk to chunk and block to block, and they are freed
-when the call ends. Scratch values are written before they are read, so
-the workspace has no effect on draws.
+``model.sample(rng, C * n, out=...)``, and scores every studentized k of
+the stream in one call of the row kernel, from one tangent pass. The
+samplers and the kernels take their scratch arrays from ``_WORK``, one
+module-level ``workspace.Workspace`` in which every thread has its own. A
+thread reuses them from chunk to chunk and block to block, and the
+calling thread from call to call, so a call does not fault its scratch
+in afresh; a pool worker's arrays go with the pool when its call ends.
+What a thread keeps is set by the largest block it ran, not by the
+number of replications: each array holds at most models x max(n,
+``_CHUNK_DRAWS``) doubles, or twice max(n, ``_CHUNK_DRAWS``) for a
+sampler's rejection batch. Scratch values are written before they are
+read, so the workspace has no effect on draws.
 """
 
 import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
@@ -61,6 +67,7 @@ FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
 _CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
+_WORK = Workspace()  # each thread's scratch arrays, kept from call to call
 
 
 def derive_stream(master_seed, scenario_id, index):
@@ -256,10 +263,11 @@ def _replication_block(stream, start, stop):
             # where x == 0; the runs test's coins for those follow the draw.
             if stream.runs is not None:
                 coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
-        for i, k in enumerate(stream.test_ks):
-            signed = symtests.studentized_rows(samples, 0.0, k)
-            degenerate[i] += np.count_nonzero(np.isnan(signed), axis=1)
-            rejections[i] += np.count_nonzero(np.abs(signed) > critical, axis=1)
+        if stream.test_ks:
+            signed = symtests.studentized_rows(samples, 0.0, stream.test_ks)
+            studentized = slice(len(stream.test_ks))
+            degenerate[studentized] += np.count_nonzero(np.isnan(signed), axis=-1)
+            rejections[studentized] += np.count_nonzero(np.abs(signed) > critical, axis=-1)
         if stream.runs is not None:
             # the coins were drawn in the row-major (model, row) order it takes
             counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
@@ -268,9 +276,9 @@ def _replication_block(stream, start, stop):
     return rejections, degenerate
 
 
-def _block_using(work, stream, start, stop):
-    """``_replication_block`` with its scratch arrays taken from ``work``."""
-    with using(work):
+def _block_using(stream, start, stop):
+    """``_replication_block`` with the running thread's scratch arrays."""
+    with using(_WORK):
         return _replication_block(stream, start, stop)
 
 
@@ -298,23 +306,22 @@ def _tallies(streams, threads):
     ``threads`` workers, capped at the usable cores and started once for the
     whole list; where that leaves one worker, the blocks run in the calling
     thread and no pool starts. ValueError unless ``threads`` is a positive
-    integer. One workspace serves the call: each thread that runs blocks
-    reuses its own scratch arrays from block to block, and they are dropped
-    when the call ends.
+    integer. Each thread that runs blocks reuses its own scratch arrays
+    from ``_WORK``: the calling thread keeps them for the next call, and a
+    pool worker's go when the pool shuts down at the end of the call.
     """
     threads = check_integer(threads, "threads")
-    work = Workspace()
     # A worker per core: a chunk's numpy calls are long enough that workers
     # overlap, where more workers than cores would only wait for each other.
     workers = min(threads, _usable_cores())
     if workers == 1:
         for stream in streams:
-            yield _block_using(work, stream, 0, stream.reps)
+            yield _block_using(stream, 0, stream.reps)
         return
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = [
-            [pool.submit(_block_using, work, stream, lo, hi)
+            [pool.submit(_block_using, stream, lo, hi)
              for lo, hi in _block_bounds(stream, workers * 4)]
             for stream in streams
         ]

@@ -10,12 +10,13 @@ R - 1 ~ Binomial(m - 1, 1/2) (``runs_null_cdf``).
 Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
 ``modified_runs_rows`` for the modified runs count. The single-sample
-tests call the kernels on one row; the Monte Carlo engine calls them on
-whole chunks of replications, and the kernels then take their
-temporaries from the engine's workspace (``workspace.temporaries``). Both
-kernels stay on numpy's fast paths: ``studentized_rows`` forms its sines
-from one tangent each (``angles.half_tangent``) and ``modified_runs_rows``
-orders each row by one sort of uint64 keys, not a stable argsort.
+tests call the kernels on one row, on fresh temporaries; the Monte Carlo
+engine calls them on whole chunks of replications, and the kernels then
+take their temporaries from the arrays the engine keeps for each thread
+(``workspace.temporaries``). Both kernels stay on numpy's fast paths:
+``studentized_rows`` scores every k of a chunk from one tangent of each
+angle (``angles.sine_multiples``) and ``modified_runs_rows`` orders each
+row by one sort of uint64 keys, not a stable argsort.
 """
 
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _wrap_in_place, as_sample, check_angle, half_tangent, wrap
+from .angles import _wrap_in_place, as_sample, check_angle, sine_multiples, wrap
 from .asymptotics import fisher_matrix
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .special import check_alpha, check_frequency, norm_cdf, norm_sf
@@ -32,6 +33,7 @@ from .workspace import temporaries
 ALTERNATIVES = ("two-sided", "left", "right")
 
 _DEFAULT_RUNS_SEED = 0x5D3A7C1B
+_MAX_MULTIPLE = 16  # the largest k / gcd(ks) that studentized_rows reaches by recurrence
 
 
 @dataclass
@@ -90,28 +92,48 @@ def p_value(signed, alternative="two-sided"):
     return norm_cdf(signed)
 
 
-def studentized_rows(x, theta, k):
-    """Signed studentized statistic T_k of every row of ``x``.
+def studentized_rows(x, theta, ks):
+    """Signed studentized statistic T_k of every row of ``x``, for each k in ``ks``.
 
     Observations lie along the last axis and must be canonical angles (see
-    ``angles.as_sample``); ``k`` is a positive integer. Each row gives
+    ``angles.as_sample``); ``ks`` is a non-empty tuple of positive
+    integers. Returns an array of shape ``(len(ks),) + x.shape[:-1]``: for
+    each k, each row gives
     sqrt(n) * mean(sin(k(x - theta))) / sqrt(mean(sin^2(k(x - theta)))),
     with the uncentered second moment in the denominator. A row whose sines
-    all vanish gets NaN: T_k is undefined there. The sines come from one
-    tangent each, sin a = 2 t / (1 + t^2) with t = tan(a/2)
-    (``angles.half_tangent``), which is several times faster than ``np.sin``.
+    all vanish gets NaN: T_k is undefined there.
+
+    Every k comes from one tangent pass (``angles.sine_multiples``): with
+    g = gcd(ks), sin(g(x - theta)) = 2 t w from t = tan(g(x - theta)/2),
+    which is several times faster than ``np.sin``, and sin(jg(x - theta))
+    follows by the Chebyshev recurrence. A single k runs no recurrence.
+    The kernel takes two scratch arrays of the size of ``x`` for a single
+    k, three up to max(ks) = 3g and four beyond. Past
+    max(ks) = ``_MAX_MULTIPLE`` g, where the recurrence's error (about
+    j^2 eps at step j) and its two calls a step outweigh a tangent pass,
+    each k gets its own pass.
     """
-    sines, w = (a.reshape(x.shape) for a in temporaries(x.size, 2))
-    np.subtract(x, theta, out=sines)
-    np.multiply(k, sines, out=sines)
-    half_tangent(sines, sines, w)
-    np.multiply(sines, w, out=sines)
-    np.multiply(2.0, sines, out=sines)
-    mean_sine = np.mean(sines, axis=-1)
-    denom_sq = np.mean(np.square(sines, out=sines), axis=-1)  # squares in place
+    ks = tuple(ks)
+    g = math.gcd(*ks)
+    top = max(ks) // g
+    if top > _MAX_MULTIPLE:
+        return np.concatenate([studentized_rows(x, theta, (k,)) for k in ks])
+    count = 2 if top == 1 else 3 if top <= 3 else 4
+    angles, *others = (a.reshape(x.shape) for a in temporaries(x.size, count))
+    np.subtract(x, theta, out=angles)
+    np.multiply(g, angles, out=angles)
+    moments = {}
+    for j, (sines, scratch) in enumerate(sine_multiples(angles, top, *others), start=1):
+        if j * g in ks:
+            mean_sine = np.mean(sines, axis=-1)
+            moments[j * g] = mean_sine, np.mean(np.square(sines, out=scratch), axis=-1)
+    signed = np.empty((len(ks),) + x.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        signed = math.sqrt(x.shape[-1]) * mean_sine / np.sqrt(denom_sq)
-    return np.where(denom_sq == 0.0, np.nan, signed)
+        for i, k in enumerate(ks):
+            mean_sine, denom_sq = moments[k]
+            signed[i] = np.where(denom_sq == 0.0, np.nan,
+                                 math.sqrt(x.shape[-1]) * mean_sine / np.sqrt(denom_sq))
+    return signed
 
 
 def studentized_statistic(sample, theta, k):
@@ -127,7 +149,7 @@ def _studentized(arr, theta, k):
     """T_k of a canonical sample at a checked theta and k."""
     if arr.size < 2:
         raise EmptySampleError("studentized statistic needs at least two observations")
-    signed = float(studentized_rows(arr, theta, k))
+    signed = float(studentized_rows(arr, theta, (k,))[0])
     if math.isnan(signed):
         raise DegenerateSampleError(
             f"every sin({k}(x - theta)) vanishes; the studentized statistic is undefined"
@@ -290,7 +312,8 @@ def modified_runs_rows(x, theta, m, coin_flips):
     """
     n = x.shape[-1]
     # the keys live in the second float64 scratch array, which
-    # studentized_rows holds at the same size, so they add no block-sized array
+    # studentized_rows holds at the same size (its w, then 2 cos), so they
+    # add no block-sized array
     centered, keys = temporaries(x.size, 2)
     centered = _wrap_in_place(np.subtract(x, theta, out=centered.reshape(x.shape)))
     centered = centered.reshape(-1, n)

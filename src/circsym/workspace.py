@@ -4,11 +4,13 @@ A sampler or kernel takes the temporary arrays it needs from
 ``temporaries``. Inside ``using(work)`` they come from the ``Workspace``
 ``work``, which keeps one array per dtype, position and thread, grown to
 the largest size asked for and handed out again to every later call. The
-replication engine makes one workspace per call, so its chunks draw and
-score without allocating. Outside ``using`` fresh arrays are returned, so a
-single sample runs the same code. A temporary array's contents are
-undefined: every caller writes one before reading it, so a workspace never
-carries a value from one call into the next and draws do not depend on it.
+replication engine holds one workspace for the life of the module, so its
+chunks draw and score without allocating and a thread's arrays serve it
+from one engine call to the next; they are freed when the thread ends.
+Outside ``using`` fresh arrays are returned and nothing is kept, so a
+single sample runs the same code. A temporary array's contents are undefined:
+every caller writes one before reading it, so a workspace never carries a
+value from one call into the next and draws do not depend on it.
 
 One rule keeps this safe: no step calls another sampler or kernel while it
 holds its temporaries. The rejection batches, the reflection step, the
@@ -27,7 +29,7 @@ _active = contextvars.ContextVar("circsym_workspace", default=None)
 
 
 class Workspace(threading.local):
-    """The scratch arrays of one engine call; every thread has its own."""
+    """Scratch arrays kept across calls; every thread has its own."""
 
     def __init__(self):
         self.arrays = {}

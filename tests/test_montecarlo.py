@@ -329,6 +329,8 @@ class TestEngine:
         ScenarioSpec(scenario_id="ref_noruns", family="sineskew", base="vm:1",
                      lambdas=(0.0, 0.3), test_ks=(1, 4), n=15, reps=120,
                      runs_p=None, master_seed=8),
+        ScenarioSpec(scenario_id="ref_runs_only", family="sineskew", base="vm:1",
+                     lambdas=(0.0, 0.3), test_ks=(), n=15, reps=120, master_seed=8),
     ], ids=lambda spec: spec.scenario_id)
     def test_matches_per_sample_loop(self, spec):
         frequencies, degenerate = _reference_table(spec)
@@ -477,25 +479,109 @@ class TestEngine:
         # only the blocks running when s0 failed were let finish
         assert len(started) < len(streams)
 
+
+def _in_a_fresh_thread(run):
+    """``run()`` in a new thread, which starts without scratch arrays."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(run).result(timeout=300)
+
+
+def _traced_growth(run):
+    """Bytes that ``run()`` leaves allocated, and its peak above the start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        now, peak = tracemalloc.get_traced_memory()
+        return now - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+WIDE_SPEC = replace(SMALL_SPEC, lambdas=(0.0, 0.2, 0.4, 0.5), reps=600)
+LONG_ROWS = dict(POWER_KWARGS, n=20_000, reps=3)
+
+
+class TestWorkspace:
+    """Scratch arrays live with their thread: the calling thread keeps its
+    own from one engine call to the next, a pool worker's go with the pool,
+    and a call outside the engine keeps none."""
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_workspace_does_not_outlive_the_call(self, threads):
-        # Each warm-up takes smaller scratch arrays than the call measured
-        # after it, so scratch kept past a call would show as growth.
-        wide = replace(SMALL_SPEC, lambdas=(0.0, 0.2, 0.4, 0.5), reps=600)
-        long_rows = dict(POWER_KWARGS, n=20_000, reps=3)
-        runs = ((lambda: run_scenario(SMALL_SPEC, threads=threads),
-                 lambda: run_scenario(wide, threads=threads)),
-                (lambda: power_curve(*POWER_ARGS, **POWER_KWARGS, threads=threads),
-                 lambda: power_curve(*POWER_ARGS, **long_rows, threads=threads)))
-        tracemalloc.start()
-        try:
-            for warm_up, run in runs:
-                warm_up()
-                before = tracemalloc.get_traced_memory()[0]
-                run()
-                assert tracemalloc.get_traced_memory()[0] - before < 64 * 1024
-        finally:
-            tracemalloc.stop()
+    def test_a_second_identical_call_adds_nothing(self, monkeypatch, threads):
+        # two cores, so that two threads start a pool on any host
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        for run in (lambda: run_scenario(WIDE_SPEC, threads=threads),
+                    lambda: power_curve(*POWER_ARGS, **LONG_ROWS, threads=threads)):
+            run()
+            assert _traced_growth(run)[0] < 64 * 1024
+
+    def test_the_calling_thread_reuses_its_arrays(self):
+        def kept():
+            run_scenario(SMALL_SPEC)
+            arrays = dict(montecarlo._WORK.arrays)
+            run_scenario(SMALL_SPEC)
+            return arrays, montecarlo._WORK.arrays
+
+        before, after = _in_a_fresh_thread(kept)
+        assert before
+        assert all(after[key] is array for key, array in before.items())
+        # each thread has its own: this one does not see the other's
+        assert all(montecarlo._WORK.arrays.get(key) is not array
+                   for key, array in after.items())
+
+    def test_workers_scratch_goes_with_the_pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        # The warm-ups take smaller scratch arrays than the calls measured
+        # after them, so scratch a worker kept past its pool would show as
+        # growth; the peak shows that the workers did hold scratch.
+        for warm_up, run in ((lambda: run_scenario(SMALL_SPEC, threads=2),
+                              lambda: run_scenario(WIDE_SPEC, threads=2)),
+                             (lambda: power_curve(*POWER_ARGS, **POWER_KWARGS, threads=2),
+                              lambda: power_curve(*POWER_ARGS, **LONG_ROWS, threads=2))):
+            warm_up()
+            growth, peak = _traced_growth(run)
+            assert growth < 64 * 1024
+            assert peak > 256 * 1024
+
+    def test_calls_outside_the_engine_keep_nothing(self):
+        rng = np.random.default_rng(3)
+        model = VonMises(1.0)
+        small, large = model.sample(rng, 100), model.sample(rng, 200_000)
+
+        def single_calls(x):
+            model.sample(rng, x.size)
+            symmetry_test(x, 0.0, 2)
+            modified_runs_test(x, 0.0)
+
+        _in_a_fresh_thread(lambda: single_calls(small))
+        growth, peak = _traced_growth(lambda: single_calls(large))
+        assert growth < 64 * 1024
+        assert peak > large.nbytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tables_survive_stale_scratch(self, threads):
+        """Scratch left by a larger or smaller block, or by another suspended
+        run, changes no table."""
+        large = replace(SMALL_SPEC, scenario_id="stale_large", base="cardioid:0.5",
+                        lambdas=(0.0, 0.3, 0.6), n=5000, reps=100)
+        small = replace(SMALL_SPEC, scenario_id="stale_small", family="moebius",
+                        base="wcauchy:0.5", n=12, reps=300)
+        fresh = {spec.scenario_id: _in_a_fresh_thread(lambda: run_scenario(spec).to_json())
+                 for spec in (large, small)}
+
+        def in_turn():
+            tables = [run_scenario(spec, threads=threads).to_json()
+                      for spec in (large, small, large)]
+            first = run_scenarios([large, small, large], threads=threads)
+            second = run_scenarios([small, large], threads=threads)
+            for run in (first, second, first, second, first):
+                tables.append(next(run).to_json())
+            return tables
+
+        expected = [fresh[spec.scenario_id]
+                    for spec in (large, small, large, large, small, small, large, large)]
+        assert _in_a_fresh_thread(in_turn) == expected
 
 
 class TestPowerCurve:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
 from circsym.angles import wrap
@@ -282,8 +283,10 @@ class TestRowKernels:
         rng = np.random.default_rng(12)
         rows = rng.uniform(-np.pi, np.pi, size=(2, 3, 40))
         rows[1, 2] = 0.3  # every sine about 0.3 vanishes
-        for k in (1, 2, 3):
-            signed = studentized_rows(rows, 0.3, k)
+        every_k = studentized_rows(rows, 0.3, (1, 2, 3))
+        assert every_k.shape == (3, 2, 3)
+        for k, multiple in zip((1, 2, 3), every_k):
+            (signed,) = studentized_rows(rows, 0.3, (k,))
             assert signed.shape == (2, 3)
             assert np.isnan(signed[1, 2])
             assert np.count_nonzero(np.isnan(signed)) == 1
@@ -291,6 +294,9 @@ class TestRowKernels:
                 assert signed[index] == studentized_statistic(rows[index], 0.3, k)
             with pytest.raises(DegenerateSampleError):
                 studentized_statistic(rows[1, 2], 0.3, k)
+            # one tangent pass for every k moves T_k by ulps at most
+            assert np.array_equal(np.isnan(multiple), np.isnan(signed))
+            assert_allclose(multiple, signed, rtol=1e-13, atol=1e-13)
 
     def test_zero_sines_take_coins_from_the_stream(self):
         rng = np.random.default_rng(13)
