@@ -57,23 +57,28 @@ def _wrap_in_place(arr):
     return arr
 
 
-def half_tangent(x, t, w):
-    """t = tan(x/2) and w = 1/(1 + t^2) of the angles ``x``, written into the
-    caller's float64 arrays ``t`` and ``w`` of the shape of ``x``; ``x`` may
-    be ``t`` itself. Returns (t, w).
+def half_tangent(x, t, w, scale=1):
+    """t = tan(scale x / 2) and w = 1/(1 + t^2) of the angles ``x``, written
+    into the caller's float64 arrays ``t`` and ``w`` of the shape of ``x``;
+    ``x`` may be ``t`` itself. Returns (t, w).
 
-    The sines and cosines follow without forming either:
+    The sines and cosines of a = scale x follow without forming either:
 
-        sin x = 2 t w,  cos x = 2 w - 1,  sin^2(x/2) = t^2 w,  cos^2(x/2) = w.
+        sin a = 2 t w,  cos a = 2 w - 1,  sin^2(a/2) = t^2 w,  cos^2(a/2) = w.
+
+    The argument scale x / 2 is one multiply by scale / 2. Halving is exact
+    while scale |x| / 2 is at least 2^-1022, so t has the bits it would have
+    from the angles scale x formed first; for an integer scale that holds
+    below the bound too, where scale x is exact (``tests/test_properties.py``).
 
     On x86-64 numpy runs its float64 ``tan`` as SIMD code several times
     faster than its ``sin`` and ``cos``, in which the replication path
-    would otherwise spend most of its time. tan(x/2) stays finite for every
-    finite double, so t^2 cannot overflow. On canonical angles times k <= 3 the sine and
-    cosine are within 2 eps (absolute) of ``np.sin`` and ``np.cos``
-    (``tests/test_properties.py``).
+    would otherwise spend most of its time. tan(a/2) stays finite for every
+    finite double, so t^2 cannot overflow. On canonical angles times
+    scale <= 3 the sine and cosine are within 2 eps (absolute) of ``np.sin``
+    and ``np.cos`` (``tests/test_properties.py``).
     """
-    np.multiply(0.5, x, out=t)
+    np.multiply(0.5 * scale, x, out=t)
     np.tan(t, out=t)
     np.square(t, out=w)
     np.add(1.0, w, out=w)
@@ -81,21 +86,21 @@ def half_tangent(x, t, w):
     return t, w
 
 
-def sine_multiples(x, top, w, spare=None, extra=None):
-    """Yield (sin(j x), scratch) for j = 1, ..., ``top`` from one tangent pass.
+def sine_multiples(x, top, sines, w, spare=None, extra=None, scale=1):
+    """Yield (sin(j a), scratch) for a = scale x and j = 1, ..., ``top`` from
+    one tangent pass.
 
-    ``x`` holds the angles and is overwritten; ``w``, ``spare`` (needed
-    when top >= 2) and ``extra`` (needed when top >= 4) are float64 arrays
-    of its shape. Each sine is valid until the next one is asked for, and
-    the caller may write over its ``scratch`` array meanwhile (the last sine
-    is its own scratch). sin x = 2 t w comes from ``half_tangent``, then
-    sin((j + 1) x) = 2 cos x sin(j x) - sin((j - 1) x), the Chebyshev
-    recurrence, with 2 cos x = 4 w - 2. Its error grows like j^2 eps; on
-    canonical angles it stays within 2 j^2 eps (absolute) of ``np.sin`` for
-    j <= 16 (``tests/test_properties.py``).
+    ``x`` holds the angles and is only read; ``sines`` (which may be ``x``
+    itself), ``w``, ``spare`` (needed when top >= 2) and ``extra`` (needed
+    when top >= 4) are float64 arrays of its shape. Each sine is valid until
+    the next one is asked for, and the caller may write over its ``scratch``
+    array meanwhile (the last sine is its own scratch). sin a = 2 t w comes
+    from ``half_tangent``, then sin((j + 1) a) = 2 cos a sin(j a) -
+    sin((j - 1) a), the Chebyshev recurrence, with 2 cos a = 4 w - 2. Its
+    error grows like j^2 eps; on canonical angles it stays within 2 j^2 eps
+    (absolute) of ``np.sin`` for j <= 16 (``tests/test_properties.py``).
     """
-    sines = x
-    half_tangent(x, sines, w)
+    half_tangent(x, sines, w, scale)
     np.multiply(sines, w, out=sines)
     np.multiply(2.0, sines, out=sines)
     if top == 1:
@@ -105,9 +110,9 @@ def sine_multiples(x, top, w, spare=None, extra=None):
     twocos = w
     np.multiply(4.0, w, out=twocos)
     np.subtract(twocos, 2.0, out=twocos)
-    prev, cur = sines, np.multiply(twocos, sines, out=spare)  # sin 2x = sin x 2cos x
+    prev, cur = sines, np.multiply(twocos, sines, out=spare)  # sin 2a = sin a 2cos a
     for j in range(2, top):
-        # the last step may write over 2 cos x; the others need a fourth array
+        # the last step may write over 2 cos a; the others need a fourth array
         product = twocos if j + 1 == top else extra
         np.multiply(twocos, cur, out=product)
         np.subtract(product, prev, out=prev)

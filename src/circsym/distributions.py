@@ -163,6 +163,18 @@ def _rejection_draw(rng, out, rate, accepted, *args):
         filled += take
 
 
+def _kept(accept, values, out):
+    """The entries of ``values`` where the bool array ``accept`` holds,
+    written to the front of ``out`` and returned.
+
+    ``np.compress`` with ``out`` fills a private copy and copies it back, so
+    that a bad index leaves ``out`` untouched; ``take`` in clip mode writes
+    in place, and the indices of ``flatnonzero`` are in range, so clipping
+    changes nothing. That spares a pass and an array of the batch's size."""
+    indices = np.flatnonzero(accept)
+    return np.take(values, indices, out=out[:indices.size], mode="clip")
+
+
 @dataclass(frozen=True)
 class VonMises(_Model):
     """Von Mises density exp(kappa*(cos(x) - 1)) / (2*pi*I0(kappa)*e^-kappa)."""
@@ -211,8 +223,10 @@ class VonMises(_Model):
         q = sqrt(1 + 4 kappa^2), enters only through
         r = (1 + rho^2) / (2 rho) = (1 + q) / (2 kappa), so
         c0 = kappa (r - 1) = (1 + 1/(q + 2 kappa)) / 2 is formed without
-        cancellation (rho as written rounds to 0 below kappa ~ 1e-8). The
-        acceptance rate 1/M of the envelope is
+        cancellation (rho as written rounds to 0 below kappa ~ 1e-8), and so
+        is omega = sqrt((r - 1) / (r + 1)) = sqrt(c0 / (2 kappa + c0)), the
+        factor of the half-angle form (``_best_fisher``). The acceptance
+        rate 1/M of the envelope is
 
             p(kappa) = kappa I0e(kappa) (1 - rho^2) e^(1 - kappa (r - 1)) / (2 rho)
                      = I0e(kappa) sqrt((1 + q) / 2) e^(1 - c0),
@@ -228,60 +242,57 @@ class VonMises(_Model):
             rng.standard_normal(out=out)
             out /= math.sqrt(kappa)
             return
-        c0, rate = self._envelope()
-        _rejection_draw(rng, out, rate, self._best_fisher, c0)
+        c0, omega, rate = self._envelope()
+        _rejection_draw(rng, out, rate, self._best_fisher, c0, omega)
 
     def _envelope(self):
-        """c0 = kappa (r - 1) and the acceptance rate p(kappa) of ``_draw``."""
+        """c0 = kappa (r - 1), omega = sqrt((r - 1) / (r + 1)) and the
+        acceptance rate p(kappa) of ``_draw``."""
         kappa = self.kappa
         q = math.sqrt(1.0 + 4.0 * kappa * kappa)
         c0 = 0.5 + 0.5 / (q + 2.0 * kappa)
+        omega = math.sqrt(c0 / (2.0 * kappa + c0))
         rate = bessel_i0e(kappa) * math.sqrt(0.5 + 0.5 * q) * math.exp(1.0 - c0)
-        return c0, min(1.0, rate)
+        return c0, omega, min(1.0, rate)
 
-    def _best_fisher(self, rng, proposals, c0):
-        """The angles accepted among ``proposals`` Best-Fisher proposals.
+    def _best_fisher(self, rng, proposals, c0, omega):
+        """The angles accepted among ``proposals`` Best-Fisher proposals, in
+        half-angle form.
 
-        Two uniforms per proposal: u1 = 2u - 1 on [-1, 1) gives the proposal
-        z = cos(pi u1), and its sign the sign of the angle; u2 is the
-        acceptance uniform. z enters only through one tangent
-        t = tan(pi u1 / 2) (``angles.half_tangent``), as
-        s^2 = sin^2(pi u1 / 2) = t^2 / (1 + t^2) and 1 - s^2 = 1 / (1 + t^2),
-        so no sine is formed and neither term cancels. The proposal
-        f = (1 + r z) / (r + z) = cos(x) is kept as
+        Two uniforms per proposal: u1 gives y = pi (u1 - 1/2), and u2 is the
+        acceptance uniform. Best and Fisher's proposal z = cos(2y),
+        f = (1 + r z) / (r + z) = cos x is a wrapped Cauchy angle x with
 
-            1 - f = (r - 1) (1 - z) / (r + z),  1 - z = 2 s^2,
-            r + z = (r - 1) + 2 (1 - s^2),
+            tan^2(x/2) = (1 - f) / (1 + f) = ((r - 1) / (r + 1)) tan^2 y,
 
-        so x = 2 arcsin(sqrt((1 - f) / 2)) keeps full relative precision near
-        0 instead of coming in steps of about 2^-26. With c = kappa (r - f)
-        = c0 + kappa (1 - f) the proposal is kept when u2 <= c e^(1 - c).
-        That exact test runs over the whole batch: Best and Fisher's squeeze
-        c (2 - c) only spares the exponential on the entries it decides, and
-        picking those out costs more than the exponential.
+        so t = tan(x/2) = omega tan(y), the sign of y giving the sign of x.
+        With v = t^2, c = kappa (r - f) = c0 + kappa (1 - f)
+        = c0 + 2 kappa v / (1 + v): every term is positive, so nothing
+        cancels, and the proposal is kept when u2 <= c e^(1 - c). That exact
+        test runs over the whole batch: Best and Fisher's squeeze c (2 - c)
+        only spares the exponential on the entries it decides, and picking
+        those out costs more than the exponential. The angle x = 2 arctan(t)
+        is formed on the kept entries only; it keeps full relative precision
+        near 0 and stays well conditioned near +-pi, where an arcsin of
+        sqrt((1 - f) / 2) is not. u1 - 1/2 is exact on numpy's uniforms
+        (multiples of 2^-53), so y is pi u / 2 rounded once, for Best and
+        Fisher's uniform u = 2 u1 - 1 on [-1, 1).
 
         The angles are a temporary array: read them before the next draw.
         """
         kappa = self.kappa
-        r_minus_1 = c0 / kappa
-        u1, one_minus_f, c = temporaries(proposals, 3)
-        rng.random(out=u1)
-        np.multiply(2.0, u1, out=u1)
-        np.subtract(u1, 1.0, out=u1)
-        np.multiply(np.pi, u1, out=one_minus_f)
-        half_tangent(one_minus_f, one_minus_f, c)  # c = 1 - s^2
-        np.square(one_minus_f, out=one_minus_f)
-        np.multiply(one_minus_f, c, out=one_minus_f)  # s^2
-        np.multiply(2.0, c, out=c)
-        np.add(r_minus_1, c, out=c)  # r + z
-        np.multiply(r_minus_1 * 2.0, one_minus_f, out=one_minus_f)
-        np.divide(one_minus_f, c, out=one_minus_f)
-        np.multiply(kappa, one_minus_f, out=c)
+        t, v, bound = temporaries(proposals, 3)
+        rng.random(out=t)
+        np.subtract(t, 0.5, out=t)
+        np.multiply(np.pi, t, out=t)
+        np.tan(t, out=t)
+        np.multiply(omega, t, out=t)
+        np.square(t, out=v)
+        np.add(1.0, v, out=bound)
+        np.divide(v, bound, out=v)
+        c = np.multiply(2.0 * kappa, v, out=v)
         np.add(c0, c, out=c)
-        # 1 - f >= 0 carries the angle's sign from here on, so u1's array
-        # is free to hold the bound
-        np.copysign(one_minus_f, u1, out=one_minus_f)
-        bound = np.subtract(1.0, c, out=u1)
+        np.subtract(1.0, c, out=bound)
         np.exp(bound, out=bound)
         np.multiply(c, bound, out=bound)
         # u2 reuses the array of c, which is done with; no draw comes between
@@ -289,15 +300,9 @@ class VonMises(_Model):
         u2 = rng.random(out=c)
         (accept,) = temporaries(proposals, 1, bool)
         np.greater_equal(bound, u2, out=accept)
-        kept = np.count_nonzero(accept)
-        signed = np.compress(accept, one_minus_f, out=u2[:kept])
-        half = np.abs(signed, out=bound[:kept])
-        np.multiply(0.5, half, out=half)
-        np.minimum(half, 1.0, out=half)
-        np.sqrt(half, out=half)
-        np.arcsin(half, out=half)
-        np.multiply(2.0, half, out=half)
-        return np.copysign(half, signed, out=half)
+        kept = _kept(accept, t, u2)
+        np.arctan(kept, out=kept)
+        return np.multiply(2.0, kept, out=kept)
 
 
 @dataclass(frozen=True)
@@ -356,7 +361,7 @@ class Cardioid(_Model):
         u = rng.random(out=t)
         np.multiply(1.0 + ell, u, out=u)
         np.less_equal(u, bound, out=accept)
-        return np.compress(accept, x, out=t[:np.count_nonzero(accept)])
+        return _kept(accept, x, t)
 
 
 @dataclass(frozen=True)
@@ -478,7 +483,8 @@ class SineSkewed(_Model):
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
         the output density exactly the sine-skewed one. The probability is
         formed as 1/2 + lam t w from one tangent t = tan(k y / 2),
-        w = 1/(1 + t^2) (``angles.half_tangent``).
+        w = 1/(1 + t^2) (``angles.half_tangent`` with scale k: one multiply
+        by k/2, the bits of k y halved).
 
         y is kept where u <= p = 1/2 + lam t w. The sign is applied as a
         factor s = copysign(1, p - u) and y * s: full passes, about five
@@ -491,8 +497,7 @@ class SineSkewed(_Model):
         self.base._draw(rng, out)
         u, sign, w = temporaries(out.size, 3)
         rng.random(out=u)
-        np.multiply(self.k, out, out=sign)
-        half_tangent(sign, sign, w)
+        half_tangent(out, sign, w, self.k)
         np.multiply(sign, w, out=sign)
         np.multiply(self.lam, sign, out=sign)
         np.add(0.5, sign, out=sign)

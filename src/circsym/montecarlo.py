@@ -125,6 +125,9 @@ class ScenarioSpec:
         )
         if self.runs_p is not None:
             symtests.runs_subset_size(self.n, self.runs_p)  # validates the percentile
+        elif not self.test_ks:
+            raise ValueError("a scenario needs at least one test: "
+                             "test_ks is empty and runs_p is None")
         # Every field is checked whatever the family, so no value a family
         # ignores can reach to_json or format_scenario.
         object.__setattr__(self, "skew_k", check_frequency(self.skew_k))

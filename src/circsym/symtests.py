@@ -107,6 +107,9 @@ def studentized_rows(x, theta, ks):
     g = gcd(ks), sin(g(x - theta)) = 2 t w from t = tan(g(x - theta)/2),
     which is several times faster than ``np.sin``, and sin(jg(x - theta))
     follows by the Chebyshev recurrence. A single k runs no recurrence.
+    The tangent pass takes g/2 as its scale (``angles.half_tangent``), so
+    g(x - theta) is never formed, and at theta = +0.0 it reads ``x``
+    itself; either way the bits are those of the scaled difference.
     The kernel takes two scratch arrays of the size of ``x`` for a single
     k, three up to max(ks) = 3g and four beyond. Past
     max(ks) = ``_MAX_MULTIPLE`` g, where the recurrence's error (about
@@ -119,11 +122,14 @@ def studentized_rows(x, theta, ks):
     if top > _MAX_MULTIPLE:
         return np.concatenate([studentized_rows(x, theta, (k,)) for k in ks])
     count = 2 if top == 1 else 3 if top <= 3 else 4
-    angles, *others = (a.reshape(x.shape) for a in temporaries(x.size, count))
-    np.subtract(x, theta, out=angles)
-    np.multiply(g, angles, out=angles)
+    first, *others = (a.reshape(x.shape) for a in temporaries(x.size, count))
+    # x - (+0.0) is x bit for bit, so theta = +0.0 reads x itself; x - (-0.0)
+    # would turn -0.0 into +0.0
+    plus_zero = theta == 0.0 and math.copysign(1.0, theta) == 1.0
+    angles = x if plus_zero else np.subtract(x, theta, out=first)
     moments = {}
-    for j, (sines, scratch) in enumerate(sine_multiples(angles, top, *others), start=1):
+    multiples = sine_multiples(angles, top, first, *others, scale=g)
+    for j, (sines, scratch) in enumerate(multiples, start=1):
         if j * g in ks:
             mean_sine = np.mean(sines, axis=-1)
             moments[j * g] = mean_sine, np.mean(np.square(sines, out=scratch), axis=-1)

@@ -39,15 +39,16 @@ BASE_GRID = [
 # SHA-256 of 1000 Best-Fisher draws from Philox(7), re-recorded when the
 # sampler moved to two uniforms per proposal, the first also giving the sign
 # of the angle, and to batches sized by its closed-form acceptance rate, and
-# again when sin^2(pi u1 / 2) came to be formed from tan(pi u1 / 2): that moved
-# each angle by a few ulps (up to about 3e-11 near +-pi, where arcsin is
-# ill-conditioned) and no acceptance decision
+# again when it came to the half-angle form, x = 2 arctan(omega tan(y)) in
+# place of 2 arcsin(sqrt((1 - f) / 2)): that moved each angle by a few ulps
+# (up to about 8e-11 near +-pi, where the arcsin was ill-conditioned) and no
+# acceptance decision (``test_best_fisher_matches_reference``)
 VON_MISES_DIGESTS = {
-    1e-3: "9762ec29103ec7ebf7229b391d96b2c38fbc7a3a900c53716033bfc70e5cc2ea",
-    1.0: "5b78816fce84bbc83fcc907ad29efb8391e1d7d404ca42bff8628230d6164a66",
-    700.0: "25decfec49e02cfd6382a1501d53caac5f7b8ee8d29928dce3140b8cae979a44",
-    1e8: "f995dbc953e6078a6b49b8acd6baa2342dc874ef84a2a5377a88a717cef38b21",
-    1e14: "1c40646333eef878ea699d3f52403b4fa5740118b668e4d880c6bac43f9f965e",
+    1e-3: "ddd3ec30bfad1f999c12adfe1a8629406edf8c45bdb1fb38694d7957f7d693a4",
+    1.0: "4285364c76928ccc8a6d4fa28e82440e49001ce0d5307c062c4d70691a010a56",
+    700.0: "cacc580498ae8c43c7e9367e8b60a1874f9d682873aba4fcba582686b5dfdc62",
+    1e8: "c0a35aed2baba4a72e9d082fdbc86a1509bf267b0175408c2a434b6e66262484",
+    1e14: "5b8eb02142bfc07da5bd962090195ee48caec7f34f3c11bc3d93cda88cefd597",
 }
 
 
@@ -65,14 +66,17 @@ CARDIOID_DIGESTS = {
 # family, k = 1, 2, 3, both signs of lam, two theta != 0) and of the two
 # mixtures, recorded before the reflection flipped signs by a +-1 multiply and
 # the mixture took its centres from a two-entry table; neither rewrite may
-# move a draw, a signed zero included
+# move a draw, a signed zero included, and neither may the reflection's
+# tangent taking k as its scale. The entries that draw von Mises angles (the
+# vm bases, mixshift and vmmix) were re-recorded with the half-angle
+# Best-Fisher draws above; the cardioid, wrapped Cauchy and uniform ones hold
 REFLECTION_AND_MIXTURE_DIGESTS = {
-    "sineskew(vm:1,k=1,lam=0.4,theta=0)": "0f10d3e64463837b34d2ecdc6ee7f35ba18b9e110ff294159a325944478c5831",
-    "sineskew(vm:1,k=1,lam=-0.7,theta=0)": "ecf0f9d5a24e832bdeeab622e2ab03caf8854aa8f836b2111bea805698c2b1ee",
-    "sineskew(vm:1,k=2,lam=0.4,theta=0)": "dd3da22746d96ca7985b29f93d3a697b7fd87b307d8b11d5f477bd5efaad7107",
-    "sineskew(vm:1,k=2,lam=-0.7,theta=0)": "5023a0c0a140ebeceaec4736303a0bc0a343b04064e20391ee9ee449c0b7bf5d",
-    "sineskew(vm:1,k=3,lam=0.4,theta=0)": "5a10465714b36b655204a5ea5b68f39224781640261643f5804daca303249d69",
-    "sineskew(vm:1,k=3,lam=-0.7,theta=0)": "1288946ae8565d4d2314bb919e33ac1cafb4a037e5e11be1d839246b9b3f6356",
+    "sineskew(vm:1,k=1,lam=0.4,theta=0)": "13eba9e76d5d84e33ec00ebdd10fd9c7fa340cc8c852bd82757e56167ec2a9f6",
+    "sineskew(vm:1,k=1,lam=-0.7,theta=0)": "58e3b8621dd2abed892e352b0f40c409f1263c9d88745f3054e640e61ea465ca",
+    "sineskew(vm:1,k=2,lam=0.4,theta=0)": "c62b170e278b6b76e42d83fa30f2ce2ca27634127773019abd5bb99c3c9c7fa5",
+    "sineskew(vm:1,k=2,lam=-0.7,theta=0)": "e16026f37ffc739ea6add4ee2f66bb4badc5b2b08739d11a84d42b717fcb4e7a",
+    "sineskew(vm:1,k=3,lam=0.4,theta=0)": "864e38029fe68b705f79a2d6e78422a1a2f3c99f3cd2febbc3f840c3691d4c25",
+    "sineskew(vm:1,k=3,lam=-0.7,theta=0)": "5c452aaaf6cf3fe5efd181c26ccb521d4041e469e6d5f129d1b81a77a2760b07",
     "sineskew(cardioid:0.5,k=1,lam=0.4,theta=0)": "792751eba1bdaada747b28c6697e7c8a1f5132fb095f3d0a9fe7ce23f590b2ed",
     "sineskew(cardioid:0.5,k=1,lam=-0.7,theta=0)": "c0495bc4a8e99144c5301fe2122a98fe5a9e21674720faf5858c60d5fe278d08",
     "sineskew(cardioid:0.5,k=2,lam=0.4,theta=0)": "f0db1f4886677a8dec0b6a761fd522e1cbf8562b9c198fdcf0a8d1105a08888a",
@@ -91,11 +95,11 @@ REFLECTION_AND_MIXTURE_DIGESTS = {
     "sineskew(uniform,k=2,lam=-0.7,theta=0)": "6e98355a3d8f3b6466fe875302d978f0348d934220591f38e3a03a11220e16a9",
     "sineskew(uniform,k=3,lam=0.4,theta=0)": "0efc8acb535f6b2b1722d818607d690d7ce707944fcbfec55f0d4d56b7bc1f15",
     "sineskew(uniform,k=3,lam=-0.7,theta=0)": "25946878c76975967cdcdcf7f5563ec289dd3e07e18c57a4141274218221bbdf",
-    "sineskew(vm:1,k=2,lam=0.4,theta=1.5)": "d652f535f02bd32ef9775b81e03f7249d3c29d7bc111c2788c9c76d7688eeb76",
+    "sineskew(vm:1,k=2,lam=0.4,theta=1.5)": "8277aa77cd24f56ffea149f5d8dd44f4fe2b73b102ebbfb94fcca1a58b6eb8f5",
     "sineskew(wcauchy:0.5,k=3,lam=-0.7,theta=-2.5)": "bfd928e289bb7b1ce6090dcb846ad3d5dee2a6a8d18a1b4abebace65420541ee",
-    "mixshift(kappa=1,lam=0.4)": "ef74871b1c2707761da0d1627b726f50be4c6bd186a13459d6d8916514c93211",
-    "mixshift(kappa=10,lam=-2)": "040ba1c1845cc7df895ddfe6d3fa31d8956d085d06fdb457822e7d39ce20c7cf",
-    "vmmix:1": "3f48a6cb9000f009b26ee159e45858aefa59df866500773fa68e9d110fae0d20",
+    "mixshift(kappa=1,lam=0.4)": "4e22a2d00a3810392749117e85072c1f412a8a16c5ff31fd0691e76bd95f82d9",
+    "mixshift(kappa=10,lam=-2)": "1c669b06d5d22a49ef467b8557675aceb4aaf712cf998fe91e609ce453845028",
+    "vmmix:1": "073e0c1eab0ddafc24eef1c656b94574bcf5ac153f923af00f5820e553f09997",
 }
 
 
@@ -363,6 +367,32 @@ class TestSamplers:
         assert hashlib.sha256(draws.tobytes()).hexdigest() == \
             REFLECTION_AND_MIXTURE_DIGESTS[label]
 
+    @pytest.mark.parametrize("kappa", [1e-3, 1.0, 10.0, 700.0, 1e8, 1e14])
+    def test_best_fisher_matches_reference(self, kappa):
+        """The same two uniform batches through the half-angle form in long
+        double: the same acceptance decisions, angles within a few ulps.
+
+        The proposal y = pi (u1 - 1/2) is the sampler's own double: near
+        y = +-pi/2 the angle's slope in y reaches 2 / omega, so a y formed
+        in long double would move the angle by far more than its rounding."""
+        proposals = 200_000
+        model = VonMises(kappa)
+        c0, omega, _ = model._envelope()
+        x = model._best_fisher(np.random.default_rng(15), proposals, c0, omega).copy()
+        rng = np.random.default_rng(15)
+        u1, u2 = rng.random(proposals), rng.random(proposals)
+        k = np.longdouble(kappa)
+        q = np.sqrt(1 + 4 * k * k)
+        c0 = np.longdouble(0.5) + np.longdouble(0.5) / (q + 2 * k)
+        t = np.sqrt(c0 / (2 * k + c0)) * np.tan((np.pi * (u1 - 0.5)).astype(np.longdouble))
+        v = t * t
+        c = c0 + 2 * k * v / (1 + v)
+        accept = u2 <= c * np.exp(1 - c)
+        # equal counts and angles close entry by entry: the same proposals kept
+        assert x.size == np.count_nonzero(accept)
+        reference = 2 * np.arctan(t[accept])
+        assert np.all(np.abs(x - reference) <= 4 * np.spacing(np.abs(x)))
+
     def test_best_fisher_angles_are_not_quantized(self):
         # kappa = 1e14 is below the normal limit's threshold: Best-Fisher draws
         kappa = 1e14
@@ -429,14 +459,14 @@ class TestSamplers:
     @pytest.mark.parametrize("kappa", [1e-3, 0.1, 1.0, 10.0, 700.0, 1e8, 1e14])
     def test_best_fisher_acceptance_rate_is_closed_form(self, kappa):
         model = VonMises(kappa)
-        c0, rate = model._envelope()
+        c0, omega, rate = model._envelope()
         proposals = 400_000
-        kept = model._best_fisher(np.random.default_rng(12), proposals, c0).size
+        kept = model._best_fisher(np.random.default_rng(12), proposals, c0, omega).size
         band = 5.0 * math.sqrt(rate * (1.0 - rate) / proposals) + 1.0 / proposals
         assert abs(kept / proposals - rate) <= band
 
     def test_best_fisher_holds_three_float_arrays(self):
-        # the uniforms' array holds the bound once 1 - f carries the sign
+        # the tangent, v = t^2 turning into c and then u2, and the bound
         work = Workspace()
         with using(work):
             VonMises(1.0).sample(np.random.default_rng(14), 1000)

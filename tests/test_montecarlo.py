@@ -136,6 +136,14 @@ class TestScenarioSpec:
             (50, int), (200, int), (2, int)]
         assert "# seed: 2\n" in run_scenario(replace(spec, reps=100)).to_csv()
 
+    def test_a_scenario_needs_a_test(self):
+        with pytest.raises(ValueError, match="a scenario needs at least one test"):
+            ScenarioSpec(scenario_id="e", family="sineskew", base="vm:1",
+                         lambdas=(0.0, 0.3), test_ks=(), runs_p=None, reps=100)
+        runs_only = ScenarioSpec(scenario_id="r", family="sineskew", base="vm:1",
+                                 lambdas=(0.0, 0.3), test_ks=(), reps=100)
+        assert runs_only.test_labels == ("modrun:p=0.6",)
+
     def test_mixshift_lambda_beyond_one_allowed(self):
         spec = ScenarioSpec(scenario_id="x", family="mixshift", base="vm:1",
                             lambdas=(0.0, 1.2))

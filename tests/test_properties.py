@@ -235,12 +235,39 @@ def test_half_tangent_on_uniform_canonical_angles(k):
     _check_half_tangent(np.random.default_rng(32).uniform(-math.pi, math.pi, 10**6), k)
 
 
+def _check_scaled_half_tangent(c, k):
+    """``half_tangent`` with scale k gives the bits of the angles k c formed
+    first and then halved. Halving is exact while k |c| / 2 is a normal
+    double (at least 2^-1022). Below that bound the halving could round a
+    second time, but only where k c itself was rounded: for an integer k,
+    k |c| < 2^-1021 makes c and k c multiples of 2^-1074 in the range where
+    every such multiple is a double, so k c is exact and the bits agree
+    there too. Nothing is filtered: the subnormal examples take that path."""
+    ref_t, ref_w = half_tangent(k * c, np.empty_like(c), np.empty_like(c))
+    t, w = half_tangent(c, np.empty_like(c), np.empty_like(c), scale=k)
+    assert t.tobytes() == ref_t.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
+
+@properties
+@given(st.lists(canonical, max_size=64), st.integers(min_value=1, max_value=16))
+@example([], 1)
+@example([2.0**-1021, 3 * 2.0**-1074, -(2.0**-1073)], 3)
+def test_half_tangent_scale_gives_the_bits_of_the_scaled_angles(values, k):
+    _check_scaled_half_tangent(np.array(_TANGENT_EDGES * 4 + values), k)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_half_tangent_scale_on_uniform_canonical_angles(k):
+    _check_scaled_half_tangent(np.random.default_rng(35).uniform(-math.pi, math.pi, 10**5), k)
+
+
 def _check_sine_multiples(c, top=16):
     """sin(j c) for j <= ``top`` by the Chebyshev recurrence against numpy's
     sin: the error grows like j^2, and 2 j^2 eps bounds it (the largest
     error over j^2 eps was 1 at j = 1 and 0.69 at j = 16 on uniform angles)."""
-    arrays = [np.empty_like(c) for _ in range(3)]
-    for j, (sines, _) in enumerate(sine_multiples(c.copy(), top, *arrays), start=1):
+    arrays = [np.empty_like(c) for _ in range(4)]
+    for j, (sines, _) in enumerate(sine_multiples(c, top, *arrays), start=1):
         assert np.all(np.abs(sines - np.sin(j * c)) <= 2.0 * j * j * EPS)
 
 
