@@ -29,6 +29,7 @@ their base's draws.
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -242,12 +243,14 @@ class VonMises(_Model):
             rng.standard_normal(out=out)
             out /= math.sqrt(kappa)
             return
-        c0, omega, rate = self._envelope()
+        c0, omega, rate = self._envelope
         _rejection_draw(rng, out, rate, self._best_fisher, c0, omega)
 
+    @cached_property
     def _envelope(self):
         """c0 = kappa (r - 1), omega = sqrt((r - 1) / (r + 1)) and the
-        acceptance rate p(kappa) of ``_draw``."""
+        acceptance rate p(kappa) of ``_draw``, formed once per model: the
+        ``bessel_i0e`` series is not summed again for every chunk."""
         kappa = self.kappa
         q = math.sqrt(1.0 + 4.0 * kappa * kappa)
         c0 = 0.5 + 0.5 / (q + 2.0 * kappa)
@@ -415,13 +418,15 @@ class WrappedCauchy(_Model):
         out *= -math.log(self.rho)
 
 
-def _mixture_draw(rng, out, kappa, heads, tails):
-    """VM(kappa) draws about centre ``heads`` where a fair coin is below 1/2,
-    about ``tails`` elsewhere; the von Mises draws come first, then the
-    coins. Each centre is picked from the two-entry table (tails, heads) by
-    its coin as a 0/1 index: one full ``take`` pass, about three times
-    faster than a fill and a masked ``copyto``."""
-    VonMises(kappa)._draw(rng, out)
+def _mixture_draw(rng, out, component, heads, tails):
+    """Draws of the ``VonMises`` model ``component`` about centre ``heads``
+    where a fair coin is below 1/2, about ``tails`` elsewhere; the von Mises
+    draws come first, then the coins. Each centre is picked from the
+    two-entry table (tails, heads) by its coin as a 0/1 index: one full
+    ``take`` pass, about three times faster than a fill and a masked
+    ``copyto``. A mixture keeps its component, so the component's envelope
+    is formed once per model."""
+    component._draw(rng, out)
     (centers,) = temporaries(out.size, 1)
     (to_heads,) = temporaries(out.size, 1, bool)
     rng.random(out=centers)
@@ -450,7 +455,11 @@ class VonMisesMixture(_Model):
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
 
     def _draw(self, rng, out):
-        _mixture_draw(rng, out, self.kappa, -np.pi / 4, np.pi / 4)
+        _mixture_draw(rng, out, self._component, -np.pi / 4, np.pi / 4)
+
+    @cached_property
+    def _component(self):
+        return VonMises(self.kappa)
 
 
 BASE_FAMILIES = (Uniform, VonMises, Cardioid, WrappedCauchy, VonMisesMixture)
@@ -493,15 +502,21 @@ class SineSkewed(_Model):
         doubles has the sign of the exact one and is +0 only when they are
         equal, so s = +1 exactly where u <= p; and y * -1 is -y, signed zero
         included.
+
+        At lam = 0 the tangent is skipped: t w is finite, so p = 1/2 + 0 t w
+        is exactly 1/2 and s = copysign(1, 1/2 - u), the same bits.
         """
         self.base._draw(rng, out)
         u, sign, w = temporaries(out.size, 3)
         rng.random(out=u)
-        half_tangent(out, sign, w, self.k)
-        np.multiply(sign, w, out=sign)
-        np.multiply(self.lam, sign, out=sign)
-        np.add(0.5, sign, out=sign)
-        np.subtract(sign, u, out=sign)
+        if self.lam == 0.0:
+            np.subtract(0.5, u, out=sign)
+        else:
+            half_tangent(out, sign, w, self.k)
+            np.multiply(sign, w, out=sign)
+            np.multiply(self.lam, sign, out=sign)
+            np.add(0.5, sign, out=sign)
+            np.subtract(sign, u, out=sign)
         np.copysign(1.0, sign, out=sign)
         out *= sign
         out += self.theta
@@ -575,7 +590,11 @@ class SkewedMixture(_Model):
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4 - self.lam))
 
     def _draw(self, rng, out):
-        _mixture_draw(rng, out, self.kappa, np.pi / 4 + self.lam, -np.pi / 4)
+        _mixture_draw(rng, out, self._component, np.pi / 4 + self.lam, -np.pi / 4)
+
+    @cached_property
+    def _component(self):
+        return VonMises(self.kappa)
 
 
 _BASE_PREFIXES = {family._prefix: family for family in BASE_FAMILIES}

@@ -16,18 +16,25 @@ Every statistic is computed over the whole (models, C, n) block by the
 row-wise kernels of ``symtests``. A studentized test rejects where |T_k|
 exceeds z_{alpha/2}, the modified runs test where the run count is at
 most the largest c with P(R <= c) < alpha (``symtests.runs_null_cdf``);
-both are computed once per stream. With ``threads`` > 1 on more than one
-core, one thread pool of at most one worker per core serves the whole
-call: every scenario of ``run_scenarios`` and every grid point of
-``power_curve``. numpy releases the interpreter lock inside its array
-kernels and generator fills, each chunk has its own Generator and the
-models are frozen, so blocks share nothing mutable. Workers return
-additive integer tallies, so the merge is order-independent by
-construction.
+both are computed once per stream. The studentized tests are scored in two
+steps: each chunk keeps only its moments, the row sums of the sines and of
+their squares (``symtests.sine_sums``), in a window of whole chunks of
+about ``_WINDOW_ROWS`` replications, and the ratio T_k and the degenerate
+and rejection counts are formed once per window (``symtests.studentize``).
+T_k is a function of its row's two sums, so the windows change no bit; they
+take the interpreter-held calls of the ratio and the counts off every
+chunk. With ``threads`` > 1 on more than one core, one thread pool of at
+most one worker per core serves the whole call: every scenario of
+``run_scenarios`` and every grid point of ``power_curve``. numpy releases
+the interpreter lock inside its array kernels and generator fills, each
+chunk has its own Generator and the models are frozen, so blocks share
+nothing mutable. Workers return additive integer tallies, so the merge is
+order-independent by construction.
 
 Each block draws its chunks into one (models, C, n) sample array, with
-``model.sample(rng, C * n, out=...)``, and scores every studentized k of
-the stream in one call of the row kernel, from one tangent pass. The
+``model.sample(rng, C * n, out=...)``, and takes the sums of every
+studentized k of the stream in one call of the row kernel, from one
+tangent pass. The
 samplers and the kernels take their scratch arrays from ``_WORK``, one
 module-level ``workspace.Workspace`` in which every thread has its own. A
 thread reuses them from chunk to chunk and block to block, and the
@@ -36,8 +43,10 @@ in afresh; a pool worker's arrays go with the pool when its call ends.
 What a thread keeps is set by the largest block it ran, not by the
 number of replications: each array holds at most models x max(n,
 ``_CHUNK_DRAWS``) doubles, or twice max(n, ``_CHUNK_DRAWS``) for a
-sampler's rejection batch. Scratch values are written before they are
-read, so the workspace has no effect on draws.
+sampler's rejection batch. A block's window of moments is bounded in rows
+too: 2 x (studentized tests) x models x max(C, ``_WINDOW_ROWS``) doubles,
+however many replications the block runs. Scratch values are written
+before they are read, so the workspace has no effect on draws.
 """
 
 import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
@@ -67,6 +76,7 @@ FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
 _CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
+_WINDOW_ROWS = 1024  # replications whose sine sums are scored at once, in whole chunks
 _WORK = Workspace()  # each thread's scratch arrays, kept from call to call
 
 
@@ -82,8 +92,8 @@ def derive_stream(master_seed, scenario_id, index):
     """
     token = f"circsym|{int(master_seed)}|{scenario_id}|{int(index)}"
     digest = hashlib.sha256(token.encode("utf-8")).digest()
-    words = np.frombuffer(digest, dtype=np.uint32)
-    seq = np.random.SeedSequence(entropy=[int(w) for w in words])
+    # the digest's eight uint32 words, the entropy the list of their ints gave
+    seq = np.random.SeedSequence(entropy=np.frombuffer(digest, dtype=np.uint32))
     return np.random.Generator(np.random.SFC64(seq))
 
 
@@ -245,37 +255,52 @@ def _replication_block(stream, start, stop):
     the modified runs test if the stream has one. Samples where T_k is
     undefined count as degenerate and are not rejections. Every chunk is
     drawn into the same sample array.
+
+    The studentized tests take two steps. Each chunk writes only its row
+    sums of the sines and of their squares (``symtests.sine_sums``) into a
+    window of whole chunks, about ``_WINDOW_ROWS`` replications; the ratio
+    T_k and the degenerate and rejection counts are then formed once per
+    window (``symtests.studentize``), from the same sums in the same order
+    as one chunk at a time. The window is bounded in rows, so what a block
+    holds does not grow with its replications.
     """
     n_tests = len(stream.test_ks) + (stream.runs is not None)
     rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
     degenerate = np.zeros_like(rejections)
     size = _chunk_reps(stream.n)
+    window = size * max(1, _WINDOW_ROWS // size)
     critical = upper_quantile(stream.alpha / 2.0)
     if stream.runs is not None:  # the largest c with P(R <= c) < alpha, 0 if none
         null_cdf = symtests.runs_null_cdf(np.arange(1, stream.runs + 1), stream.runs)
         runs_critical = np.count_nonzero(null_cdf < stream.alpha)
     block = np.empty((len(stream.models), min(size, stop - start), stream.n))
-    for lo in range(start, stop, size):
-        rows = min(size, stop - lo)
-        rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
-        samples = block[:, :rows]
-        coins = []
-        for j, model in enumerate(stream.models):
-            model.sample(rng, rows * stream.n, out=samples[j].reshape(-1))
-            # Draws are canonical angles, so sin(x - 0) vanishes exactly
-            # where x == 0; the runs test's coins for those follow the draw.
+    sums = np.empty((2, len(stream.test_ks), len(stream.models), min(window, stop - start)))
+    studentized = slice(len(stream.test_ks))
+    for first in range(start, stop, window):
+        last = min(first + window, stop)
+        for lo in range(first, last, size):
+            rows = min(size, last - lo)
+            rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
+            samples = block[:, :rows]
+            coins = []
+            for j, model in enumerate(stream.models):
+                model.sample(rng, rows * stream.n, out=samples[j].reshape(-1))
+                # Draws are canonical angles, so sin(x - 0) vanishes exactly
+                # where x == 0; the runs test's coins for those follow the draw.
+                if stream.runs is not None:
+                    coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
+            if stream.test_ks:
+                symtests.sine_sums(samples, 0.0, stream.test_ks,
+                                   sums[..., lo - first:lo - first + rows])
             if stream.runs is not None:
-                coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
+                # the coins were drawn in the row-major (model, row) order it takes
+                counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
+                                                     lambda _count: np.concatenate(coins))
+                rejections[-1] += np.count_nonzero(counts <= runs_critical, axis=1)
         if stream.test_ks:
-            signed = symtests.studentized_rows(samples, 0.0, stream.test_ks)
-            studentized = slice(len(stream.test_ks))
+            signed = symtests.studentize(sums[..., :last - first], stream.n)
             degenerate[studentized] += np.count_nonzero(np.isnan(signed), axis=-1)
             rejections[studentized] += np.count_nonzero(np.abs(signed) > critical, axis=-1)
-        if stream.runs is not None:
-            # the coins were drawn in the row-major (model, row) order it takes
-            counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
-                                                 lambda _count: np.concatenate(coins))
-            rejections[-1] += np.count_nonzero(counts <= runs_critical, axis=1)
     return rejections, degenerate
 
 
@@ -387,7 +412,8 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
                          f"got n={n!r}, reps={reps!r}")
     n, reps = int(n), int(reps)
     alpha = check_alpha(alpha)
-    k = check_frequency(k)
+    # as ints, so that k_prime = 2.0 and np.int64(2) name the stream of 2
+    k, k_prime = check_frequency(k), check_frequency(k_prime)
     streams = []
     for t in tau2_grid:
         lam = t / math.sqrt(n)

@@ -9,14 +9,18 @@ R - 1 ~ Binomial(m - 1, 1/2) (``runs_null_cdf``).
 
 Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
-``modified_runs_rows`` for the modified runs count. The single-sample
-tests call the kernels on one row, on fresh temporaries; the Monte Carlo
-engine calls them on whole chunks of replications, and the kernels then
-take their temporaries from the arrays the engine keeps for each thread
+``modified_runs_rows`` for the modified runs count. T_k is built from two
+helpers: ``sine_sums`` writes each row's moments, the sums of
+sin(k(x - theta)) and of its square, and ``studentize`` forms the ratio
+from them. The single-sample tests call ``studentized_rows``, both steps
+on one row, on fresh temporaries. The Monte Carlo engine calls
+``sine_sums`` on each chunk of replications and ``studentize`` once per
+window of chunks, the same bits, and the kernels then take their
+temporaries from the arrays the engine keeps for each thread
 (``workspace.temporaries``). Both kernels stay on numpy's fast paths:
-``studentized_rows`` scores every k of a chunk from one tangent of each
-angle (``angles.sine_multiples``) and ``modified_runs_rows`` orders each
-row by one sort of uint64 keys, not a stable argsort.
+``sine_sums`` scores every k of a chunk from one tangent of each angle
+(``angles.sine_multiples``) and ``modified_runs_rows`` orders each row by
+one sort of uint64 keys, not a stable argsort.
 """
 
 import math
@@ -33,7 +37,7 @@ from .workspace import temporaries
 ALTERNATIVES = ("two-sided", "left", "right")
 
 _DEFAULT_RUNS_SEED = 0x5D3A7C1B
-_MAX_MULTIPLE = 16  # the largest k / gcd(ks) that studentized_rows reaches by recurrence
+_MAX_MULTIPLE = 16  # the largest k / gcd(ks) that sine_sums reaches by recurrence
 
 
 @dataclass
@@ -103,6 +107,24 @@ def studentized_rows(x, theta, ks):
     with the uncentered second moment in the denominator. A row whose sines
     all vanish gets NaN: T_k is undefined there.
 
+    It is ``studentize`` of the row sums of ``sine_sums``, the two steps
+    the replication engine takes apart: the sums chunk by chunk, the ratio
+    once per window of chunks.
+    """
+    sums = np.empty((2, len(ks)) + x.shape[:-1])
+    return studentize(sine_sums(x, theta, ks, sums), x.shape[-1])
+
+
+def sine_sums(x, theta, ks, out):
+    """Row sums of sin(k(x - theta)) and of its square, for each k in ``ks``.
+
+    ``x`` and ``ks`` are as in ``studentized_rows``. The sums are written
+    to ``out``, a float64 array of shape ``(2, len(ks)) + x.shape[:-1]``
+    (a view will do), and it is returned: ``out[0, i]`` holds the row sums
+    of the sines at ``ks[i]`` and ``out[1, i]`` those of their squares.
+    Each is one ``np.add.reduce`` over the last axis, the reduction that
+    ``np.mean`` divides by n.
+
     Every k comes from one tangent pass (``angles.sine_multiples``): with
     g = gcd(ks), sin(g(x - theta)) = 2 t w from t = tan(g(x - theta)/2),
     which is several times faster than ``np.sin``, and sin(jg(x - theta))
@@ -120,26 +142,40 @@ def studentized_rows(x, theta, ks):
     g = math.gcd(*ks)
     top = max(ks) // g
     if top > _MAX_MULTIPLE:
-        return np.concatenate([studentized_rows(x, theta, (k,)) for k in ks])
+        for i, k in enumerate(ks):
+            sine_sums(x, theta, (k,), out[:, i:i + 1])
+        return out
     count = 2 if top == 1 else 3 if top <= 3 else 4
     first, *others = (a.reshape(x.shape) for a in temporaries(x.size, count))
     # x - (+0.0) is x bit for bit, so theta = +0.0 reads x itself; x - (-0.0)
     # would turn -0.0 into +0.0
     plus_zero = theta == 0.0 and math.copysign(1.0, theta) == 1.0
     angles = x if plus_zero else np.subtract(x, theta, out=first)
-    moments = {}
     multiples = sine_multiples(angles, top, first, *others, scale=g)
     for j, (sines, scratch) in enumerate(multiples, start=1):
         if j * g in ks:
-            mean_sine = np.mean(sines, axis=-1)
-            moments[j * g] = mean_sine, np.mean(np.square(sines, out=scratch), axis=-1)
-    signed = np.empty((len(ks),) + x.shape[:-1])
+            i = ks.index(j * g)  # out[0, i, ...] is an array even for one row
+            np.add.reduce(sines, axis=-1, out=out[0, i, ...])
+            np.add.reduce(np.square(sines, out=scratch), axis=-1, out=out[1, i, ...])
+    for i, k in enumerate(ks):  # a k given twice reads its first sums
+        if ks.index(k) != i:
+            out[:, i] = out[:, ks.index(k)]
+    return out
+
+
+def studentize(sums, n):
+    """T_k from the row sums of ``sine_sums`` over rows of ``n`` observations.
+
+    Returns an array of shape ``sums.shape[1:]``: sqrt(n) * (s / n) /
+    sqrt(q / n) from the sum s of the sines and the sum q of their squares,
+    NaN where q vanishes. Dividing a sum by n is what ``np.mean`` does
+    after its reduction, so this gives the bits of the statistic formed
+    from two means, however the rows were batched into ``sums``.
+    """
+    mean_sine, denom_sq = np.divide(sums, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, k in enumerate(ks):
-            mean_sine, denom_sq = moments[k]
-            signed[i] = np.where(denom_sq == 0.0, np.nan,
-                                 math.sqrt(x.shape[-1]) * mean_sine / np.sqrt(denom_sq))
-    return signed
+        return np.where(denom_sq == 0.0, np.nan,
+                        math.sqrt(n) * mean_sine / np.sqrt(denom_sq))
 
 
 def studentized_statistic(sample, theta, k):
@@ -318,7 +354,7 @@ def modified_runs_rows(x, theta, m, coin_flips):
     """
     n = x.shape[-1]
     # the keys live in the second float64 scratch array, which
-    # studentized_rows holds at the same size (its w, then 2 cos), so they
+    # sine_sums holds at the same size (its w, then 2 cos), so they
     # add no block-sized array
     centered, keys = temporaries(x.size, 2)
     centered = _wrap_in_place(np.subtract(x, theta, out=centered.reshape(x.shape)))

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circsym import distributions
+from circsym.angles import half_tangent
 from circsym.distributions import (
     Cardioid,
     MoebiusSkewed,
@@ -377,7 +378,7 @@ class TestSamplers:
         in long double would move the angle by far more than its rounding."""
         proposals = 200_000
         model = VonMises(kappa)
-        c0, omega, _ = model._envelope()
+        c0, omega, _ = model._envelope
         x = model._best_fisher(np.random.default_rng(15), proposals, c0, omega).copy()
         rng = np.random.default_rng(15)
         u1, u2 = rng.random(proposals), rng.random(proposals)
@@ -445,6 +446,44 @@ class TestSamplers:
         assert list(np.signbit(out[:2])) == [False, bool(np.signbit(theta))]
         assert list(out[2:]) == [-np.pi / 2, np.pi / 2]
 
+    @pytest.mark.parametrize("lam", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reflection_at_lam_zero_takes_no_tangent(self, monkeypatch, lam, k):
+        """At lam = 0 the keep threshold 1/2 + lam t w is 1/2 exactly, so
+        skipping the tangent leaves every bit, signed zeros included."""
+
+        class Fixed:
+            """A base whose draws are given."""
+
+            def __init__(self, values):
+                self.values = values
+
+            def _draw(self, rng, out):
+                out[...] = self.values
+
+        class Stub:
+            def __init__(self, coins):
+                self.coins = coins
+
+            def random(self, out):
+                out[...] = self.coins
+
+        y = np.repeat([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.pi / 2, -np.pi,
+                       np.nextafter(np.pi, 0.0), 3.0], 5)
+        u = np.tile([0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 0.0,
+                     np.nextafter(1.0, 0.0)], 10)
+        t, w = half_tangent(y, np.empty_like(y), np.empty_like(y), k)
+        s = np.copysign(1.0, 0.5 + lam * (t * w) - u)
+
+        def no_tangent(*args):
+            raise AssertionError("the reflection took a tangent at lam = 0")
+
+        monkeypatch.setattr(distributions, "half_tangent", no_tangent)
+        for theta in (0.0, -0.0, 1.0):
+            out = np.empty_like(y)
+            SineSkewed(Fixed(y), lam, k=k, theta=theta)._draw(Stub(u), out)
+            assert out.tobytes() == (y * s + theta).tobytes()
+
     @pytest.mark.parametrize("kappa", [1e15, 1e16, 1e17, 1e20, 1e300])
     def test_huge_kappa_von_mises_is_prompt_and_normal(self, kappa):
         start = time.perf_counter()
@@ -459,7 +498,7 @@ class TestSamplers:
     @pytest.mark.parametrize("kappa", [1e-3, 0.1, 1.0, 10.0, 700.0, 1e8, 1e14])
     def test_best_fisher_acceptance_rate_is_closed_form(self, kappa):
         model = VonMises(kappa)
-        c0, omega, rate = model._envelope()
+        c0, omega, rate = model._envelope
         proposals = 400_000
         kept = model._best_fisher(np.random.default_rng(12), proposals, c0, omega).size
         band = 5.0 * math.sqrt(rate * (1.0 - rate) / proposals) + 1.0 / proposals

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import re
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -13,7 +14,7 @@ from scipy import stats as sp_stats
 
 from circsym import montecarlo
 from circsym.cli import main as cli_main
-from circsym.distributions import VonMises
+from circsym.distributions import SineSkewed, VonMises
 from circsym.errors import DegenerateSampleError
 from circsym.montecarlo import (
     PRESETS,
@@ -26,9 +27,11 @@ from circsym.montecarlo import (
     run_scenario,
     run_scenarios,
 )
+from circsym.special import upper_quantile
 from circsym.symtests import (
     modified_runs_test,
     runs_subset_size,
+    studentized_rows,
     symmetry_test,
 )
 
@@ -68,6 +71,23 @@ class TestDeriveStream:
     def test_uniformity_of_single_stream(self):
         draws = derive_stream(11, "ks1", 0).random(10_000)
         assert sp_stats.kstest(draws, "uniform").pvalue > 0.001
+
+    def test_seeding_from_the_digest_array_matches_the_list_of_ints(self):
+        """The digest's uint32 words as an array and as a list of ints are the
+        same entropy, so the seed and every draw are the same."""
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            seed = int(rng.integers(-2**63, 2**63))
+            name, index = f"s{rng.integers(10**9)}", int(rng.integers(2**31))
+            token = f"circsym|{seed}|{name}|{index}"
+            words = np.frombuffer(hashlib.sha256(token.encode("utf-8")).digest(),
+                                  dtype=np.uint32)
+            by_list = np.random.SeedSequence(entropy=[int(w) for w in words])
+            by_array = np.random.SeedSequence(entropy=words)
+            assert (by_array.generate_state(4, np.uint64).tobytes()
+                    == by_list.generate_state(4, np.uint64).tobytes())
+            expected = np.random.Generator(np.random.SFC64(by_list)).random(4)
+            assert derive_stream(seed, name, index).random(4).tobytes() == expected.tobytes()
 
     def test_stream_pinned(self):
         # SHA-256 of the first 1000 uniforms of one SFC64 stream: a change of
@@ -510,6 +530,59 @@ WIDE_SPEC = replace(SMALL_SPEC, lambdas=(0.0, 0.2, 0.4, 0.5), reps=600)
 LONG_ROWS = dict(POWER_KWARGS, n=20_000, reps=3)
 
 
+def _per_chunk_tallies(stream):
+    """Studentized tallies of ``studentized_rows`` run on one chunk at a
+    time, the statistic and the counts of every chunk formed on their own."""
+    rejections = np.zeros((len(stream.test_ks), len(stream.models)), dtype=np.int64)
+    degenerate = np.zeros_like(rejections)
+    critical = upper_quantile(stream.alpha / 2.0)
+    size = montecarlo._chunk_reps(stream.n)
+    for chunk, lo in enumerate(range(0, stream.reps, size)):
+        rows = min(size, stream.reps - lo)
+        rng = derive_stream(stream.master_seed, stream.stream_id, chunk)
+        samples = np.stack([model.sample(rng, rows * stream.n).reshape(rows, stream.n)
+                            for model in stream.models])
+        signed = studentized_rows(samples, 0.0, stream.test_ks)
+        degenerate += np.count_nonzero(np.isnan(signed), axis=-1)
+        rejections += np.count_nonzero(np.abs(signed) > critical, axis=-1)
+    return rejections, degenerate
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_windowed_tallies_match_per_chunk_rows_on_stale_scratch(monkeypatch, threads):
+    """The engine scores T_k once per window of chunks from their sine sums;
+    its tallies are those of the statistic formed chunk by chunk, bit for
+    bit, over a window boundary and a last chunk cut short, and with the
+    window buffers of earlier blocks left behind. The models are new to
+    each stream, so the workers form each von Mises envelope, which a model
+    keeps, concurrently; a short switch interval makes them interleave."""
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+    n, reps = 40, 1284
+    size = montecarlo._chunk_reps(n)
+    window = size * max(1, montecarlo._WINDOW_ROWS // size)
+    # a window of two chunks, then one whole chunk and one cut short
+    assert (size, window) == (409, 818) and reps == window + size + 57
+
+    def stream(ks):
+        return montecarlo._Stream(
+            master_seed=13, stream_id=f"window|{ks}", n=n, test_ks=ks, alpha=0.05,
+            reps=reps,
+            models=(SineSkewed(VonMises(1.0), 0.3, k=2), _Snapped(n),
+                    SineSkewed(VonMises(4.0), 0.0, k=1)),
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for ks in [(1,), (2,), (1, 2, 3), (2, 4, 6), (1, 17)]:  # (1, 17): a pass per k
+            expected = [t.tolist() for t in _per_chunk_tallies(stream(ks))]
+            (tallies,) = montecarlo._tallies([stream(ks)], threads)
+            assert [t.tolist() for t in tallies] == expected
+            assert expected[1][0][1] > 0  # the snapped model's all-zero rows
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestWorkspace:
     """Scratch arrays live with their thread: the calling thread keeps its
     own from one engine call to the next, a pool worker's go with the pool,
@@ -551,6 +624,17 @@ class TestWorkspace:
             growth, peak = _traced_growth(run)
             assert growth < 64 * 1024
             assert peak > 256 * 1024
+
+    def test_what_a_call_holds_does_not_grow_with_reps(self):
+        """The sine sums are scored in windows bounded in rows, so 32 times
+        the replications leave the traced peak where it was."""
+        def run(reps):
+            return power_curve(VonMises(1.0), 2, 2, [2.0], mode="empirical", n=200,
+                               reps=reps, threads=1)
+
+        run(800)  # the calling thread's scratch arrays, kept from here on
+        peaks = [_traced_growth(lambda: run(reps))[1] for reps in (800, 25_600)]
+        assert peaks[1] - peaks[0] < 64 * 1024
 
     def test_calls_outside_the_engine_keep_nothing(self):
         rng = np.random.default_rng(3)
@@ -622,6 +706,21 @@ class TestPowerCurve:
             power_curve(VonMises(650.0), 2, 3, np.linspace(0.0, 5.0, size))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("k_prime", [2.0, np.int64(2)], ids=["float", "int64"])
+    def test_an_integral_k_prime_names_the_stream_of_its_int(self, k_prime):
+        args = dict(mode="empirical", n=100, reps=200)
+        assert power_curve(VonMises(1.0), 2, k_prime, (2.0,), **args) == \
+            power_curve(VonMises(1.0), 2, 2, (2.0,), **args)
+
+    def test_a_fractional_k_prime_raises_before_any_draw(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(montecarlo, "derive_stream", no_stream)
+        with pytest.raises(ValueError, match="frequency k must be a positive integer"):
+            power_curve(VonMises(1.0), 2, 2.5, (0.0, 2.0), mode="empirical", n=100,
+                        reps=200)
 
     def test_empirical_needs_sizes(self):
         with pytest.raises(ValueError, match="n and reps"):
