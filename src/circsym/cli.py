@@ -4,7 +4,9 @@ Subcommands: ``test`` (symmetry about a known direction), ``uniformity``
 (Rayleigh against a fixed direction), ``mc`` (replication tables),
 ``power`` (local power curves), ``fisher`` (information matrix report),
 ``sample`` (synthetic draws). Models and bases are read by
-``distributions.parse_model`` and ``parse_base``. The commands let library
+``distributions.parse_model`` and ``parse_base``, comma lists of numbers by
+``io.parse_number_list``, and each checked value by the library's own
+check (``special.check_alpha`` and the like). The commands let library
 exceptions through; ``main`` alone maps them to exit codes with one
 ``circsym: ...`` line on stderr, by ``EXIT_TABLE``: 0 success, 1 usage
 error (``UsageError``, and any other ``ValueError``, which is how the
@@ -24,7 +26,8 @@ from . import __version__
 from .distributions import parse_base, parse_model
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .asymptotics import fisher_matrix, singularity_report
-from .io import AngleFileError, format_angles, parse_angle, read_angles, write_angles
+from .io import (FORMATS, SENSES, UNITS, AngleFileError, format_angles, parse_angle,
+                 parse_number_list, read_angles, write_angles)
 from .montecarlo import (
     DEFAULT_MASTER_SEED,
     PRESETS,
@@ -34,7 +37,7 @@ from .montecarlo import (
     power_curve,
     run_scenarios,
 )
-from .special import check_alpha, check_frequency
+from .special import check_alpha, check_frequency, check_integer
 from .symtests import ALTERNATIVES, rayleigh_cardioid_test, symmetry_test
 
 SCHEMA = "circsym/v1"
@@ -56,45 +59,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{command}: {message}" if command else message)
 
 
-def _alpha(text):
-    """argparse type of --alpha: a level in (0, 1)."""
-    try:
-        return check_alpha(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(name, read):
+    """argparse type of ``name``: ``read(text)``, which applies the library's
+    own check, so the argument parser refuses what the library would, before
+    any file is read or any pool starts. A ValueError is reported as a
+    scenario file reports a bad value: ``bad <name> <text>: <reason>``."""
+    def parse(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}: {exc}") from None
+    return parse
 
 
-def _frequency(text):
-    """argparse type of a single frequency: a positive integer."""
-    try:
-        return check_frequency(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"frequency must be a positive integer, got {text!r}"
-        ) from None
-
+_alpha = _checked("alpha", check_alpha)
+_frequency = _checked("frequency", lambda text: check_frequency(int(text)))
+_frequencies = _checked("frequency list",  # as ScenarioSpec reads test_ks
+                        lambda text: tuple(map(check_frequency, parse_number_list(text, int))))
+_threads = _checked("threads", lambda text: check_integer(int(text), "threads"))
 
 _THREADS_HELP = ("worker threads, at most one per core (default 1, or "
                  "CIRCSYM_THREADS); output is byte-identical at any count")
 
-
-def _threads(text):
-    """argparse type of --threads (and CIRCSYM_THREADS): a positive integer."""
-    if not str(text).strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"threads must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def _frequencies(text):
-    """argparse type of a comma list of frequencies, at least one."""
-    ks = [_frequency(part) for part in str(text).split(",") if part.strip()]
-    if not ks:
-        raise argparse.ArgumentTypeError(f"no frequency in {text!r}")
-    return ks
+_GRID_MAX_POINTS = 100_000  # a start:stop:count grid is built as a list of floats
 
 
 def _parse_grid(text):
-    """Comma list, or start:stop:count for a uniform grid, of finite values."""
+    """Comma list (``io.parse_number_list``), or start:stop:count for a
+    uniform grid of 2 to ``_GRID_MAX_POINTS`` points, of finite values."""
     raw = str(text).strip()
     if ":" in raw:
         pieces = raw.split(":")
@@ -104,15 +96,15 @@ def _parse_grid(text):
             start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError:
             raise UsageError(f"bad grid {text!r}") from None
-        if count < 2:
-            raise UsageError("grid count must be at least 2")
+        if not 2 <= count <= _GRID_MAX_POINTS:
+            raise UsageError(f"grid count must be from 2 to {_GRID_MAX_POINTS}, got {count}")
         step = (stop - start) / (count - 1)
         grid = [start + i * step for i in range(count)]
     else:
         try:
-            grid = [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise UsageError(f"bad grid {text!r}") from None
+            grid = list(parse_number_list(raw))
+        except ValueError as exc:
+            raise UsageError(f"bad grid {text!r}: {exc}") from None
     if not all(map(math.isfinite, grid)):
         raise UsageError(f"grid {text!r} must hold finite values")
     return grid
@@ -131,14 +123,14 @@ def _read_sample(args):
 
 def _add_file_options(sub):
     sub.add_argument("file", help="angle file (plain, csv or grouped)")
-    sub.add_argument("--unit", choices=("radians", "degrees"), default="radians",
+    sub.add_argument("--unit", choices=UNITS, default="radians",
                      help="unit of file angles unless the file header says otherwise")
-    sub.add_argument("--format", choices=("plain", "csv", "grouped"), default=None,
+    sub.add_argument("--format", choices=FORMATS, default=None,
                      help="file layout when the header does not declare one")
     sub.add_argument("--column", type=int, default=0, help="csv column index")
     sub.add_argument("--zero", default=None,
                      help="direction of the file's zero (e.g. 90deg)")
-    sub.add_argument("--sense", choices=("ccw", "cw"), default=None,
+    sub.add_argument("--sense", choices=SENSES, default=None,
                      help="rotation sense of the file angles")
 
 
@@ -302,7 +294,7 @@ def build_parser():
     sub.add_argument("--theta", default=None,
                      help="known median direction, e.g. 180deg or 3.14rad")
     sub.add_argument("--k", type=_frequencies, default="1,2,3",
-                     help="comma list of frequencies")
+                     help="comma list of frequencies, no empty item")
     sub.add_argument("--alt", choices=ALTERNATIVES, default="two-sided")
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true", help="machine-readable output")
@@ -334,7 +326,8 @@ def build_parser():
     sub.add_argument("--kprime", type=_frequencies, default="1,2,3")
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--grid", default="0:5:21",
-                     help="tau2 grid, comma list or start:stop:count")
+                     help="tau2 grid: a comma list, or start:stop:count with "
+                          f"count from 2 to {_GRID_MAX_POINTS}")
     sub.add_argument("--empirical", nargs=2, type=int, metavar=("N", "REPS"),
                      default=None, help="add simulated columns at sample size N")
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
@@ -354,7 +347,7 @@ def build_parser():
                      help="e.g. vm:1 or sineskew(vm:1,k=2,lam=0.3)")
     sub.add_argument("-n", type=int, required=True)
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    sub.add_argument("--unit", choices=("radians", "degrees"), default="radians")
+    sub.add_argument("--unit", choices=UNITS, default="radians")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_sample)
 

@@ -30,6 +30,7 @@ their base's draws.
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from itertools import takewhile
 
 import numpy as np
 
@@ -204,11 +205,15 @@ class VonMises(_Model):
         ..., b-1, from I_(j-1) - I_(j+1) = (2j/kappa) I_j. Its terms are
         positive, so nothing cancels as the moments near 1 at large kappa.
         Below kappa = 1 the moments are far from 1 and the direct difference
-        loses nothing."""
+        loses nothing. rho_j / kappa falls with j, so once a term is 0 every
+        later one is too: the sum stops there, which changes no bit and
+        keeps the cost from growing with b past the order where it
+        underflows."""
         kappa = self.kappa
         if kappa < 1.0:
             return super().cos_moment_gap(a, b)
-        return sum(2.0 * j * (self.cos_moment(j) / kappa) for j in range(a + 1, b, 2))
+        terms = (2.0 * j * (self.cos_moment(j) / kappa) for j in range(a + 1, b, 2))
+        return sum(takewhile(lambda term: term > 0.0, terms))
 
     @property
     def location_information(self):

@@ -16,6 +16,7 @@ from .angles import wrap
 
 FORMATS = ("plain", "csv", "grouped")
 UNITS = ("radians", "degrees")
+SENSES = ("ccw", "cw")
 
 _DEG = np.pi / 180.0
 
@@ -51,6 +52,16 @@ def parse_angle(text, unit="radians"):
     return value
 
 
+def parse_number_list(text, convert=float):
+    """The items of a comma list, each stripped and read by ``convert``, as a
+    tuple. ValueError for an empty item, so ``1,,2``, ``1,2,`` and ``,`` are
+    refused, and for any item that ``convert`` refuses."""
+    items = [item.strip() for item in str(text).split(",")]
+    if not all(items):
+        raise ValueError("empty item in the comma list")
+    return tuple(map(convert, items))
+
+
 def read_text_lines(path):
     """Yield the lines of a UTF-8 text file, one at a time; a file that is
     not UTF-8 text raises UnicodeDecodeError naming the file."""
@@ -62,17 +73,12 @@ def read_text_lines(path):
                                  f"{exc.reason} in {path}, which is not UTF-8 text") from None
 
 
-def _check_unit(value, where):
+def _choice(value, choices, name, where):
+    """``value`` in lower case; AngleFileError naming ``where`` unless it is
+    one of ``choices``."""
     value = value.strip().lower()
-    if value not in UNITS:
-        raise AngleFileError(f"{where}: unit must be radians or degrees, got {value!r}")
-    return value
-
-
-def _check_format(value, where):
-    value = value.strip().lower()
-    if value not in FORMATS:
-        raise AngleFileError(f"{where}: format must be one of {FORMATS}, got {value!r}")
+    if value not in choices:
+        raise AngleFileError(f"{where}: {name} must be one of {choices}, got {value!r}")
     return value
 
 
@@ -99,21 +105,15 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     if not rows:
         raise AngleFileError(f"{path}: no data lines")
 
-    unit = _check_unit(header.get("unit", unit or "radians"), path)
-    if "format" in header:
-        fmt = _check_format(header["format"], path)
-    elif fmt is not None:
-        fmt = _check_format(fmt, path)
-    else:
-        fmt = "plain" if len(rows[0][1].split(",")) == 1 else None
-        if fmt is None:
-            raise AngleFileError(
-                f"{path}: multi-column data needs an explicit format "
-                "(csv or grouped), via header or flag"
-            )
-    sense = (header.get("sense", sense or "ccw")).strip().lower()
-    if sense not in ("ccw", "cw"):
-        raise AngleFileError(f"{path}: sense must be ccw or cw, got {sense!r}")
+    unit = _choice(header.get("unit", unit or "radians"), UNITS, "unit", path)
+    fmt = header.get("format", fmt)
+    if fmt is None and len(rows[0][1].split(",")) != 1:
+        raise AngleFileError(
+            f"{path}: multi-column data needs an explicit format "
+            "(csv or grouped), via header or flag"
+        )
+    fmt = _choice("plain" if fmt is None else fmt, FORMATS, "format", path)
+    sense = _choice(header.get("sense", sense or "ccw"), SENSES, "sense", path)
     zero_raw = header.get("zero", zero)
     try:
         zero_angle = 0.0 if zero_raw is None else parse_angle(zero_raw, unit)
@@ -159,7 +159,7 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
 def format_angles(angles, unit="radians"):
     """Angle file text: a unit header, then one angle per line in ``unit``
     with 17 significant digits, so float64 values round-trip."""
-    unit = _check_unit(unit, "angle file")
+    unit = _choice(unit, UNITS, "unit", "angle file")
     scale = 1.0 / _DEG if unit == "degrees" else 1.0
     lines = [f"# unit: {unit}", "# format: plain"]
     lines.extend(f"{value * scale:.17g}" for value in np.asarray(angles, dtype=float))

@@ -67,7 +67,7 @@ from .distributions import (
     VonMises,
     parse_base,
 )
-from .io import read_text_lines
+from .io import parse_number_list, read_text_lines
 from .special import check_alpha, check_frequency, check_integer, upper_quantile
 from .workspace import Workspace, using
 from . import symtests
@@ -119,6 +119,9 @@ class ScenarioSpec:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
+        name = self.scenario_id  # it names the output files, so one plain file name
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValueError(f"scenario_id must be a plain file name, got {name!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         lambdas = tuple(float(v) for v in self.lambdas)
@@ -146,13 +149,11 @@ class ScenarioSpec:
         base = parse_base(self.base)  # validates the label
         if self.family == "mixshift" and not isinstance(base, VonMises):
             raise ValueError("mixshift scenarios need a vm:<kappa> base")
-        if self.family == "sineskew":
-            for lam in lambdas:
-                if not -1.0 < lam < 1.0:
-                    raise ValueError(
-                        f"sine-skew lambda must lie in (-1, 1), got {lam}"
-                    )
-        object.__setattr__(self, "models", tuple(self.alternative(lam) for lam in lambdas))
+        try:  # each model checks its own skewness
+            models = tuple(self.alternative(lam) for lam in lambdas)
+        except ValueError as exc:
+            raise ValueError(f"bad lambda in {lambdas}: {exc}") from None
+        object.__setattr__(self, "models", models)
 
     @property
     def test_labels(self):
@@ -486,13 +487,13 @@ _SCENARIO_KEYS = {
     "scenario_id": str,
     "family": str,
     "base": _base_label,
-    "lambdas": lambda text: tuple(float(v) for v in text.split(",")),
+    "lambdas": parse_number_list,
     "skew_k": int,
     "moebius_r": float,
     "n": int,
     "reps": int,
     "alpha": float,
-    "test_ks": lambda text: tuple(int(v) for v in text.split(",")),
+    "test_ks": lambda text: parse_number_list(text, int),
     "runs_p": lambda text: None if text.lower() == "none" else float(text),
     "master_seed": int,
 }
@@ -501,11 +502,12 @@ _SCENARIO_KEYS = {
 def load_scenario_file(path):
     """Parse a declarative ``key = value`` scenario file.
 
-    Lines are ``key = value``; ``#`` starts a comment. Recognized keys:
-    scenario_id, family (sineskew|moebius|mixshift), base (e.g. vm:1),
-    lambdas (comma-separated, must include 0), skew_k, moebius_r, n, reps,
-    alpha, test_ks (comma-separated), runs_p (a number or ``none``),
-    master_seed.
+    Lines are ``key = value``; ``#`` starts a comment; a key may appear
+    once. Recognized keys: scenario_id (a plain file name), family
+    (sineskew|moebius|mixshift), base (e.g. vm:1), lambdas (comma list,
+    must include 0), skew_k, moebius_r, n, reps, alpha, test_ks (comma
+    list), runs_p (a number or ``none``), master_seed. Comma lists are read
+    by ``io.parse_number_list``, as the CLI reads ``--k`` and ``--grid``.
     """
     values = {}
     for lineno, raw in enumerate(read_text_lines(path), start=1):
@@ -518,6 +520,8 @@ def load_scenario_file(path):
         key, value = key.strip(), value.strip()
         if key not in _SCENARIO_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeated")
         try:
             values[key] = _SCENARIO_KEYS[key](value)
         except ValueError as exc:

@@ -215,6 +215,18 @@ class TestMcCommand:
         assert payload["scenario"]["master_seed"] == 9
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "/abs/path", "a/b", ".."])
+    def test_scenario_id_cannot_leave_outdir(self, tmp_path, capsys, scenario_id):
+        work = tmp_path / "work"
+        (work / "out").mkdir(parents=True)
+        scen = tmp_path / "scen.txt"
+        scen.write_text(f"scenario_id = {scenario_id}\nfamily = sineskew\nbase = vm:1\n"
+                        "lambdas = 0\nn = 20\nreps = 100\n", encoding="utf-8")
+        assert main(["mc", "--scenario", str(scen), "--outdir", str(work / "out")]) == EXIT_USAGE
+        assert "scenario_id" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            Path("scen.txt"), Path("work"), Path("work/out")]
+
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         scen = tmp_path / "scen.txt"
         scen.write_text(
@@ -386,6 +398,15 @@ class TestNoTraceback:
         (["sample", "--model", "sineskew(vm:1,lam=0.3,k=2.5)", "-n", "5"], EXIT_USAGE),
         (["sample", "--model", "sineskew(vm:1,lam=0.3,foo=1)", "-n", "5"], EXIT_USAGE),
         (["mc", "--scenario", "{calibration}"], EXIT_USAGE),
+        (["mc", "--scenario", "{repeated}"], EXIT_USAGE),
+        (["mc", "--scenario", "{empty_item}"], EXIT_USAGE),
+        (["test", "{ok}", "--theta", "0", "--k", "1,,2"], EXIT_USAGE),
+        (["power", "--kprime", "1,2,"], EXIT_USAGE),
+        (["power", "--grid", "0,,1"], EXIT_USAGE),
+        # refused before the list of points is built
+        (["power", "--grid", "0:5:99999999999"], EXIT_USAGE),
+        # the moment gap stops where the moments underflow to 0
+        (["fisher", "--base", "vm:1", "--k", "10000000"], EXIT_OK),
     ])
     def test_exit_code_without_traceback(self, tmp_path, argv, code):
         self._check(tmp_path, argv, code)
@@ -427,6 +448,10 @@ class TestNoTraceback:
                            "base = sineskew(vm:1,lam=0.1)\nlambdas = 0\n",
             "calibration": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
                            "lambdas = 0\nruns_calibration_reps = 2000\n",
+            "repeated": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                        "lambdas = 0\nreps = 100\nreps = 200\n",
+            "empty_item": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                          "lambdas = 0,,0.2\n",
         }
         paths = {"dir": tmp_path, "binary": tmp_path / "binary"}
         paths["binary"].write_bytes(bytes(range(256)))

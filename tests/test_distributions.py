@@ -23,6 +23,7 @@ from circsym.distributions import (
     parse_model,
 )
 from circsym.errors import UnsupportedBaseError
+from circsym.special import bessel_ratio
 from circsym.quadrature import integrate_periodic
 from circsym.workspace import Workspace, using
 
@@ -692,3 +693,35 @@ class TestParseModel:
     def test_strict(self, bad, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_model(bad)
+
+
+class TestVonMisesMomentGap:
+    """The gap sum stops at its first zero term, which changes no bit."""
+
+    @staticmethod
+    def _full_sum(base, a, b):
+        return sum(2.0 * j * (base.cos_moment(j) / base.kappa) for j in range(a + 1, b, 2))
+
+    # k = 2000 at large kappa is left out only for time: the Miller
+    # recurrence of each of its moments is slow there
+    @pytest.mark.parametrize("kappa, k", [
+        *((kappa, k) for kappa in (1.0, 3.0, 50.0) for k in (1, 3, 100, 2000)),
+        *((kappa, k) for kappa in (700.0, 1e4) for k in (1, 3, 100)),
+    ])
+    def test_equals_the_full_sum(self, kappa, k):
+        base = VonMises(kappa)
+        for a, b in ((0, 2 * k), (k - 1, k + 1), (1, 2 * k + 1)):
+            assert base.cos_moment_gap(a, b) == self._full_sum(base, a, b)
+
+    def test_stops_at_the_first_zero_moment(self, monkeypatch):
+        calls = []
+
+        def counted(m, kappa):
+            calls.append(m)
+            return bessel_ratio(m, kappa)
+
+        monkeypatch.setattr(distributions, "bessel_ratio", counted)
+        assert VonMises(1.0).cos_moment_gap(0, 2 * 10**7) > 0.0
+        assert 0 < len(calls) < 200
+        assert bessel_ratio(calls[-1], 1.0) == 0.0  # the last term read is the first zero
+        assert bessel_ratio(calls[-2], 1.0) > 0.0

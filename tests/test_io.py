@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from circsym.angles import wrap
-from circsym.io import AngleFileError, read_angles, write_angles
+from circsym.io import AngleFileError, parse_number_list, read_angles, write_angles
 
 SAMPLE = np.array([0.1, -2.7, 3.0, 1.25, -0.4])
 
@@ -132,6 +133,34 @@ class TestZeroAndSense:
         path = _write(tmp_path / "a.txt", "0.5\n")
         with pytest.raises(AngleFileError, match="unit"):
             read_angles(path, unit="gradians")
+
+    @pytest.mark.parametrize("header, flags, name", [
+        ("# unit: grads\n", {}, "unit"),
+        ("# format: table\n", {}, "format"),
+        ("", {"fmt": "table"}, "format"),
+        ("# sense: up\n", {}, "sense"),
+    ])
+    def test_bad_choice_names_the_file(self, tmp_path, header, flags, name):
+        path = _write(tmp_path / "a.txt", header + "0.5\n")
+        with pytest.raises(AngleFileError, match=re.escape(f"{path}: {name} must be one of")):
+            read_angles(path, **flags)
+
+
+class TestParseNumberList:
+    def test_items_are_stripped_and_converted(self):
+        assert parse_number_list(" 0, 0.25 ,2") == (0.0, 0.25, 2.0)
+        assert parse_number_list("3", int) == (3,)
+
+    @pytest.mark.parametrize("text", ["", " ", ",", "1,,2", "1,2,", ",1", "1, ,2"])
+    def test_an_empty_item_is_refused(self, text):
+        with pytest.raises(ValueError, match="empty item"):
+            parse_number_list(text)
+
+    def test_an_item_the_conversion_refuses(self):
+        with pytest.raises(ValueError):
+            parse_number_list("1,x")
+        with pytest.raises(ValueError):
+            parse_number_list("1,2.5", int)
 
 
 class TestWriteAngles:

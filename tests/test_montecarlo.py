@@ -164,6 +164,16 @@ class TestScenarioSpec:
                                  lambdas=(0.0, 0.3), test_ks=(), reps=100)
         assert runs_only.test_labels == ("modrun:p=0.6",)
 
+    @pytest.mark.parametrize("scenario_id", ["", ".", "..", "../escaped", "a/b", "/abs/path"])
+    def test_scenario_id_is_one_plain_file_name(self, scenario_id):
+        with pytest.raises(ValueError, match="scenario_id must be a plain file name"):
+            ScenarioSpec(scenario_id=scenario_id, family="sineskew", base="vm:1",
+                         lambdas=(0.0,))
+
+    def test_every_preset_id_is_a_plain_file_name(self):
+        for spec in (s for specs in PRESETS.values() for s in specs):
+            assert replace(spec).scenario_id == spec.scenario_id
+
     def test_mixshift_lambda_beyond_one_allowed(self):
         spec = ScenarioSpec(scenario_id="x", family="mixshift", base="vm:1",
                             lambdas=(0.0, 1.2))
@@ -843,6 +853,13 @@ class TestScenarioFiles:
                             encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
                 load_scenario_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("scenario_id = x\nfamily = sineskew\nscenario_id = y\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: key 'scenario_id' repeated")):
+            load_scenario_file(path)
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "scenario.txt"

@@ -1,5 +1,6 @@
 """Invariants stated by the library, checked as properties over generated inputs."""
 
+import argparse
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from circsym import montecarlo
 from circsym.angles import half_tangent, sine_multiples, wrap
+from circsym.cli import UsageError, _frequencies, _parse_grid
 from circsym.distributions import (
     Cardioid,
     MoebiusSkewed,
@@ -346,3 +349,52 @@ def test_rows_of_subnormal_angles_have_no_statistic_at_any_k(ks):
     signed = studentized_rows(_SUBNORMAL_ROWS, 0.0, ks)
     assert signed.shape == (len(ks), 3)
     assert np.all(np.isnan(signed))
+
+
+# Short comma lists of digits, '.', '-', 'e', spaces and 'nan': well formed,
+# empty items, junk and non-finite values alike.
+number_lists = st.lists(st.sampled_from([*"0123456789.-e, ", "nan"]), max_size=10).map("".join)
+
+
+def _outcome(parse, text, refusals):
+    try:
+        return tuple(parse(text))
+    except refusals:
+        return None
+
+
+@properties
+@given(number_lists)
+@example("1,,2")
+@example("1,2,")
+@example(" 3 , 1")
+@example("0")
+def test_cli_frequencies_and_scenario_test_ks_agree(text):
+    """``--k`` and a scenario file's ``test_ks`` both accept a list, as equal
+    tuples, or both refuse it."""
+
+    def test_ks(text):
+        read = montecarlo._SCENARIO_KEYS["test_ks"](text.strip())
+        return ScenarioSpec(scenario_id="h", family="sineskew", base="vm:1",
+                            lambdas=(0.0,), test_ks=read).test_ks
+
+    assert (_outcome(_frequencies, text, argparse.ArgumentTypeError)
+            == _outcome(test_ks, text, ValueError))
+
+
+@properties
+@given(number_lists)
+@example("0,,1")
+@example("0,nan")
+@example(" 0 , 1e999")
+def test_cli_grid_list_and_scenario_lambdas_agree(text):
+    """``--grid``'s list form and a scenario file's ``lambdas``, held to the
+    grid's finite rule, both accept a list, as equal tuples, or both refuse it."""
+
+    def lambdas(text):
+        values = montecarlo._SCENARIO_KEYS["lambdas"](text.strip())
+        if not all(map(math.isfinite, values)):
+            raise ValueError("not finite")
+        return values
+
+    assert _outcome(_parse_grid, text, UsageError) == _outcome(lambdas, text, ValueError)
