@@ -12,10 +12,12 @@ exceptions through; ``main`` alone maps them to exit codes with one
 error (``UsageError``, and any other ``ValueError``, which is how the
 library reports a bad parameter), 2 data error (unreadable, malformed or
 too short input), 3 numerical failure. The only environment variable
-honored is CIRCSYM_THREADS (default worker count for ``mc`` and ``power``).
+honored is CIRCSYM_THREADS (default worker count for ``mc`` and ``power``),
+read on every call of ``main``, which keeps one parser per value of it.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,7 +39,7 @@ from .montecarlo import (
     power_curve,
     run_scenarios,
 )
-from .special import check_alpha, check_frequency, check_integer
+from .special import MAX_SAMPLE_SIZE, check_alpha, check_frequency, check_integer
 from .symtests import ALTERNATIVES, rayleigh_cardioid_test, symmetry_test
 
 SCHEMA = "circsym/v1"
@@ -269,14 +271,20 @@ def cmd_fisher(args):
 
 def cmd_sample(args):
     model = parse_model(args.model)
+    n = check_integer(args.n, "sample size", most=MAX_SAMPLE_SIZE)
     rng = derive_stream(args.seed, f"cli-sample|{model.label}", 0)
-    draws = model.sample(rng, args.n)
+    draws = model.sample(rng, n)
     if args.out:
         write_angles(args.out, draws, unit=args.unit)
         print(f"wrote {args.out}")
     else:
         print(format_angles(draws, unit=args.unit), end="")
     return EXIT_OK
+
+
+def _threads_variable():
+    """CIRCSYM_THREADS, or "1" when it is not set."""
+    return os.environ.get("CIRCSYM_THREADS", "1")
 
 
 def build_parser():
@@ -286,7 +294,7 @@ def build_parser():
                                  "and power tooling.")
     parser.add_argument("--version", action="version", version=f"circsym {__version__}")
     # a string default goes through the option's type, so a bad value is a usage error
-    default_threads = os.environ.get("CIRCSYM_THREADS", "1")
+    default_threads = _threads_variable()
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("test", help="sine-based symmetry tests at chosen k")
@@ -298,7 +306,6 @@ def build_parser():
     sub.add_argument("--alt", choices=ALTERNATIVES, default="two-sided")
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.set_defaults(func=cmd_test)
 
     sub = commands.add_parser("uniformity",
                               help="Rayleigh test against a fixed direction")
@@ -307,7 +314,6 @@ def build_parser():
                      help="hypothesized concentration direction")
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_uniformity)
 
     sub = commands.add_parser("mc", help="replication tables for preset or file scenarios")
     sub.add_argument("--preset", default=None, help="table1, table2 or table3")
@@ -318,7 +324,6 @@ def build_parser():
                      help=_THREADS_HELP)
     sub.add_argument("--out", choices=("csv", "json", "both"), default="csv")
     sub.add_argument("--outdir", default=".")
-    sub.set_defaults(func=cmd_mc)
 
     sub = commands.add_parser("power", help="local power curves of the k test")
     sub.add_argument("--base", default="vm:1")
@@ -327,31 +332,39 @@ def build_parser():
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--grid", default="0:5:21",
                      help="tau2 grid: a comma list, or start:stop:count with "
-                          f"count from 2 to {_GRID_MAX_POINTS}")
+                          f"count from 2 to {_GRID_MAX_POINTS}; write a grid that "
+                          "starts with a minus sign as --grid=-1,2")
     sub.add_argument("--empirical", nargs=2, type=int, metavar=("N", "REPS"),
-                     default=None, help="add simulated columns at sample size N")
+                     default=None, help="add simulated columns at sample size N "
+                                        f"(at most {MAX_SAMPLE_SIZE})")
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     sub.add_argument("--threads", type=_threads, default=default_threads,
                      help=_THREADS_HELP)
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    sub.set_defaults(func=cmd_power)
 
     sub = commands.add_parser("fisher", help="information matrix and singularity report")
     sub.add_argument("--base", required=True)
     sub.add_argument("--k", type=_frequency, required=True)
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_fisher)
 
     sub = commands.add_parser("sample", help="draw synthetic angles from a model")
     sub.add_argument("--model", required=True,
                      help="e.g. vm:1 or sineskew(vm:1,k=2,lam=0.3)")
-    sub.add_argument("-n", type=int, required=True)
+    sub.add_argument("-n", type=int, required=True,
+                     help=f"sample size, from 1 to {MAX_SAMPLE_SIZE}")
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     sub.add_argument("--unit", choices=UNITS, default="radians")
     sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_sample)
 
     return parser
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(threads_variable):
+    """``build_parser()`` while CIRCSYM_THREADS reads ``threads_variable``:
+    the variable is the only input a parser depends on, and parsing leaves
+    a parser as it was, so one per value serves every call to ``main``."""
+    return build_parser()
 
 
 # Exception classes, exit code and message prefix; the first row that
@@ -367,8 +380,9 @@ EXIT_TABLE = (
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser(_threads_variable()).parse_args(argv)
+        # looked up on every call, so a replaced cmd_<name> takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:
         for classes, code, prefix in EXIT_TABLE:
             if isinstance(exc, classes):

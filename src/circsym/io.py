@@ -73,6 +73,18 @@ def read_text_lines(path):
                                  f"{exc.reason} in {path}, which is not UTF-8 text") from None
 
 
+def read_text(path):
+    """The whole of a UTF-8 text file as one string, its line ends read as
+    ``read_text_lines`` reads them; a file that is not UTF-8 text raises the
+    error ``read_text_lines`` raises."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        # its position counts from the start of the chunk that line reading decodes
+        return "".join(read_text_lines(path))
+
+
 def _choice(value, choices, name, where):
     """``value`` in lower case; AngleFileError naming ``where`` unless it is
     one of ``choices``."""
@@ -82,32 +94,74 @@ def _choice(value, choices, name, where):
     return value
 
 
+def _row(line, fmt, column):
+    """Raise ValueError or IndexError saying what is wrong with one stripped
+    data line under ``fmt``; return if nothing is."""
+    fields = [f.strip() for f in line.split(",")] if "," in line else line.split()
+    if fmt == "plain":
+        if len(fields) != 1:
+            raise ValueError("expected exactly one angle")
+        _finite(fields[0])
+    elif fmt == "csv":
+        _finite(fields[column])
+    else:
+        if len(fields) != 2:
+            raise ValueError("expected angle,count")
+        _finite(fields[0])
+        if int(fields[1]) <= 0:
+            raise ValueError(f"count must be a positive integer, got {fields[1]}")
+
+
+def _convert(data, fmt, column):
+    """Angles of every data line and, for ``grouped``, their counts, in one
+    pass; ValueError or IndexError if any line breaks ``_row``'s rules.
+    ``float`` and ``int`` strip the whitespace that ``_row`` strips from
+    each field."""
+    if fmt == "plain":  # a line float reads holds neither a comma nor a space
+        values = np.fromiter(map(float, data), float, len(data))
+        counts = None
+    elif fmt == "csv":
+        values = np.fromiter((float((line.split(",") if "," in line else line.split())[column])
+                              for line in data), float, len(data))
+        counts = None
+    else:
+        pairs = [(float(angle), int(count)) for angle, count in
+                 (line.split(",") if "," in line else line.split() for line in data)]
+        values = np.fromiter((angle for angle, _ in pairs), float, len(pairs))
+        counts = [count for _, count in pairs]
+        if min(counts) <= 0:
+            raise ValueError("a count is not positive")
+    if not np.isfinite(values).all():
+        raise ValueError("an angle is not finite")
+    return values, counts
+
+
 def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     """Read an angle file into canonical wrapped radians.
 
     Caller arguments fill in whatever the header does not specify. ``zero``
     is an angle literal like ``"90deg"``, or a number in the file's unit;
-    ``sense`` is ``ccw`` (mathematical, default) or ``cw``.
+    ``sense`` is ``ccw`` (mathematical, default) or ``cw``. A line with a
+    comma splits on commas, any other on whitespace; header directives may
+    appear anywhere, and the last of each key wins. An error names the
+    first bad line.
     """
-    header = {}
-    rows = []
-    for lineno, raw in enumerate(read_text_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            key, sep, value = body.partition(":")
-            if sep and key.strip().lower() in ("unit", "format", "zero", "sense"):
-                header[key.strip().lower()] = value.strip()
-            continue
-        rows.append((lineno, line))
-    if not rows:
+    text = read_text(path)
+    lines = list(map(str.strip, text.split("\n")))
+    notes = [line for line in lines if line.startswith("#")] if "#" in text else []
+    data = ([line for line in lines if line and line[0] != "#"] if notes
+            else list(filter(None, lines)))
+    if not data:
         raise AngleFileError(f"{path}: no data lines")
+    header = {}
+    for line in notes:
+        key, sep, value = line.lstrip("#").strip().partition(":")
+        if sep and key.strip().lower() in ("unit", "format", "zero", "sense"):
+            header[key.strip().lower()] = value.strip()
 
     unit = _choice(header.get("unit", unit or "radians"), UNITS, "unit", path)
     fmt = header.get("format", fmt)
-    if fmt is None and len(rows[0][1].split(",")) != 1:
+    if fmt is None and len(data[0].split(",")) != 1:
         raise AngleFileError(
             f"{path}: multi-column data needs an explicit format "
             "(csv or grouped), via header or flag"
@@ -122,29 +176,17 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
             f"{path}: zero direction must be a finite angle, got {zero_raw!r}"
         ) from None
 
-    values = []
-    counts = []
-    for lineno, line in rows:
-        fields = [f.strip() for f in line.split(",")] if "," in line else line.split()
-        try:
-            if fmt == "plain":
-                if len(fields) != 1:
-                    raise ValueError("expected exactly one angle")
-                values.append(_finite(fields[0]))
-            elif fmt == "csv":
-                values.append(_finite(fields[column]))
-            else:
-                if len(fields) != 2:
-                    raise ValueError("expected angle,count")
-                values.append(_finite(fields[0]))
-                count = int(fields[1])
-                if count <= 0:
-                    raise ValueError(f"count must be a positive integer, got {fields[1]}")
-                counts.append(count)
-        except (ValueError, IndexError) as exc:
-            raise AngleFileError(f"{path}:{lineno}: {exc}") from None
-
-    angles = np.asarray(values, dtype=float)
+    try:
+        angles, counts = _convert(data, fmt, column)
+    except (ValueError, IndexError):
+        # the first line that _row refuses is the one to name
+        for lineno, line in enumerate(lines, start=1):
+            if line and line[0] != "#":
+                try:
+                    _row(line, fmt, column)
+                except (ValueError, IndexError) as exc:
+                    raise AngleFileError(f"{path}:{lineno}: {exc}") from None
+        raise  # no line refused: _convert and _row disagree, a defect
     if unit == "degrees":
         angles = angles * _DEG
     if fmt == "grouped":

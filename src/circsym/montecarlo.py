@@ -68,7 +68,7 @@ from .distributions import (
     parse_base,
 )
 from .io import parse_number_list, read_text_lines
-from .special import check_alpha, check_frequency, check_integer, upper_quantile
+from .special import MAX_SAMPLE_SIZE, check_alpha, check_frequency, check_integer, upper_quantile
 from .workspace import Workspace, using
 from . import symtests
 
@@ -128,7 +128,8 @@ class ScenarioSpec:
         object.__setattr__(self, "lambdas", lambdas)
         if not any(v == 0.0 for v in lambdas):
             raise ValueError("the skewness grid must include 0 (null column)")
-        object.__setattr__(self, "n", check_integer(self.n, "sample size n", 10))
+        object.__setattr__(self, "n",
+                           check_integer(self.n, "sample size n", 10, MAX_SAMPLE_SIZE))
         object.__setattr__(self, "reps", check_integer(self.reps, "replication count reps", 100))
         object.__setattr__(self, "master_seed",
                            check_integer(self.master_seed, "master_seed", least=None))
@@ -411,7 +412,7 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
     if not all(v is not None and v >= 1 and v % 1 == 0 for v in (n, reps)):
         raise ValueError("empirical mode needs n and reps, both positive integers; "
                          f"got n={n!r}, reps={reps!r}")
-    n, reps = int(n), int(reps)
+    n, reps = check_integer(n, "sample size n", most=MAX_SAMPLE_SIZE), int(reps)
     alpha = check_alpha(alpha)
     # as ints, so that k_prime = 2.0 and np.int64(2) name the stream of 2
     k, k_prime = check_frequency(k), check_frequency(k_prime)
@@ -493,7 +494,7 @@ _SCENARIO_KEYS = {
     "n": int,
     "reps": int,
     "alpha": float,
-    "test_ks": lambda text: parse_number_list(text, int),
+    "test_ks": lambda text: () if text.lower() == "none" else parse_number_list(text, int),
     "runs_p": lambda text: None if text.lower() == "none" else float(text),
     "master_seed": int,
 }
@@ -506,8 +507,9 @@ def load_scenario_file(path):
     once. Recognized keys: scenario_id (a plain file name), family
     (sineskew|moebius|mixshift), base (e.g. vm:1), lambdas (comma list,
     must include 0), skew_k, moebius_r, n, reps, alpha, test_ks (comma
-    list), runs_p (a number or ``none``), master_seed. Comma lists are read
-    by ``io.parse_number_list``, as the CLI reads ``--k`` and ``--grid``.
+    list, or ``none`` for a runs-only scenario), runs_p (a number or
+    ``none``), master_seed. Comma lists are read by ``io.parse_number_list``,
+    as the CLI reads ``--k`` and ``--grid``.
     """
     values = {}
     for lineno, raw in enumerate(read_text_lines(path), start=1):
@@ -541,7 +543,7 @@ def format_scenario(spec):
     for f in fields(spec):
         value = getattr(spec, f.name)
         if f.name in ("lambdas", "test_ks"):
-            value = ",".join(repr(v) for v in value)
+            value = ",".join(repr(v) for v in value) or "none"
         elif value is None:
             value = "none"
         lines.append(f"{f.name} = {value}")

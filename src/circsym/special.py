@@ -30,6 +30,10 @@ _HANKEL_MIN_KAPPA = 1e3
 
 _STANDARD_NORMAL = statistics.NormalDist()
 
+# The largest sample size a scenario, an empirical power curve or
+# ``circsym sample`` accepts: one sample of it is 80 MB of doubles.
+MAX_SAMPLE_SIZE = 10_000_000
+
 
 def bessel_i(m, z):
     """Modified Bessel function of the first kind, integer order m >= 0.
@@ -132,15 +136,17 @@ def check_alpha(alpha):
     return alpha
 
 
-def check_integer(value, name, least=1):
+def check_integer(value, name, least=1, most=None):
     """``value`` as an int; ValueError naming ``name`` unless it is an
     integer (an integral float too) of at least ``least``, or of any size
-    when ``least`` is None."""
+    when ``least`` is None, and of at most ``most`` when that is given."""
     if not (value >= (-math.inf if least is None else least)
             and value % 1 == 0):  # false for nan and inf too
         wanted = {None: "an integer", 0: "a nonnegative integer",
                   1: "a positive integer"}.get(least, f"an integer of at least {least}")
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 

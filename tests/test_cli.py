@@ -266,6 +266,14 @@ class TestPowerCommand:
         assert lines[2] == "tau2,analytic_kprime2,empirical_kprime2"
         assert len(lines) == 5
 
+    def test_a_grid_that_starts_with_a_minus_sign_is_joined_by_equals(self, capsys):
+        assert main(["power", "--grid", "-1,2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "circsym: power: argument --grid: expected one argument\n")
+        assert main(["power", "--grid=-1,2"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[3:]
+        assert [row.split(",")[0] for row in rows] == ["-1", "2"]
+
     def test_tiny_level(self, capsys):
         # z_(alpha/2) is formed from alpha itself, never from 1 - alpha/2
         assert main(["power", "--base", "vm:1", "--k", "2", "--kprime", "2",
@@ -407,6 +415,10 @@ class TestNoTraceback:
         (["power", "--grid", "0:5:99999999999"], EXIT_USAGE),
         # the moment gap stops where the moments underflow to 0
         (["fisher", "--base", "vm:1", "--k", "10000000"], EXIT_OK),
+        # sample sizes above MAX_SAMPLE_SIZE, refused before any sample is drawn
+        (["sample", "--model", "vm:1", "-n", "100000000000"], EXIT_USAGE),
+        (["power", "--grid", "0,1", "--empirical", "100000000000", "100"], EXIT_USAGE),
+        (["mc", "--scenario", "{huge_n}"], EXIT_USAGE),
     ])
     def test_exit_code_without_traceback(self, tmp_path, argv, code):
         self._check(tmp_path, argv, code)
@@ -452,6 +464,8 @@ class TestNoTraceback:
                         "lambdas = 0\nreps = 100\nreps = 200\n",
             "empty_item": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
                           "lambdas = 0,,0.2\n",
+            "huge_n": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                      "lambdas = 0\nn = 100000000000\n",
         }
         paths = {"dir": tmp_path, "binary": tmp_path / "binary"}
         paths["binary"].write_bytes(bytes(range(256)))
@@ -459,12 +473,7 @@ class TestNoTraceback:
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_text(text, encoding="utf-8")
         argv = [a.format(**paths) for a in argv]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "circsym.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60,
-                              cwd=tmp_path)
+        done = _fresh_process(argv, tmp_path, **env_vars)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         assert "circsym: circsym" not in done.stderr
@@ -472,6 +481,48 @@ class TestNoTraceback:
             assert done.stderr.startswith("circsym: ")
             assert len(done.stderr.splitlines()) == 1
         return done.stderr
+
+
+def _fresh_process(argv, cwd, **env_vars):
+    """``circsym argv`` run in a new interpreter, with ``env_vars`` set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "circsym.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
+
+
+class TestInProcess:
+    """Calls to ``main`` in one process share a parser per CIRCSYM_THREADS value."""
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "{sample}", "--theta", "0.3", "--k", "1,3", "--json"],
+        ["uniformity", "{sample}", "--direction", "45deg"],
+        ["fisher", "--base", "cardioid:0.3", "--k", "2"],
+        ["power", "--base", "wcauchy:0.4", "--grid", "0,1.5", "--kprime", "2"],
+        ["sample", "--model", "vm:2", "-n", "7", "--seed", "11"],
+    ], ids=lambda argv: argv[0])
+    def test_the_same_argv_twice_gives_the_same_stdout(self, sample_file, capsys, argv):
+        argv = [a.format(sample=sample_file) for a in argv]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    def test_the_threads_variable_is_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text("scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                            "lambdas = 0\nn = 10\nreps = 100\ntest_ks = 1\nruns_p = none\n",
+                            encoding="utf-8")
+        argv = ["mc", "--scenario", str(scenario), "--outdir", str(tmp_path / "out")]
+        fresh = _fresh_process(argv, tmp_path, CIRCSYM_THREADS="abc")
+        assert fresh.returncode == EXIT_USAGE
+        for value, code in (("1", EXIT_OK), ("abc", EXIT_USAGE), ("1", EXIT_OK)):
+            monkeypatch.setenv("CIRCSYM_THREADS", value)
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert err == (fresh.stderr if code == EXIT_USAGE else "")
 
 
 class TestExitTable:

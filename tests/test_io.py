@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import reference_io
 from circsym.angles import wrap
 from circsym.io import AngleFileError, parse_number_list, read_angles, write_angles
 
@@ -180,3 +183,104 @@ class TestWriteAngles:
         write_angles(deg, SAMPLE, unit="degrees")
         write_angles(rad, SAMPLE, unit="radians")
         assert_allclose(read_angles(deg), read_angles(rad), atol=1e-12)
+
+
+# Pieces of angle files for the differential test: valid and invalid
+# numbers, counts and directives, and whitespace that str.strip, str.split
+# and float treat alike but str.splitlines would not.
+_NUMBERS = ("0.5", "-1.25", "3", "180", "-0.0", "2", "1", "7", "1e3", "+4", "1_000.5",
+            "\u0663", "1\xa0", "\x0c2", "3\u2028", "4\x85")
+_TOKENS = _NUMBERS * 4 + ("0", "-3", "2.0", "nan", "-inf", "inf", "1e400", "-1e400", "1__0",
+                          "x", "", "0x1")
+_DIRECTIVES = {
+    "unit": ("radians", "degrees", " Degrees ", "furlongs"),
+    "format": ("plain", "csv", "grouped", "CSV", "table"),
+    "zero": ("90deg", "0.5", "1rad", "-45", "nan"),
+    "sense": ("ccw", "cw", "CW", "up"),
+}
+
+
+def _data_lines(width):
+    """Data lines, most of ``width`` fields."""
+    fields = st.sampled_from((width,) * 6 + (1, 2, 3)).flatmap(
+        lambda size: st.lists(st.sampled_from(_TOKENS), min_size=size, max_size=size))
+    return st.builds(lambda fields, sep, pad: pad + sep.join(fields) + pad, fields,
+                     st.sampled_from((",", " , ", ", ", " ", "\t", "\x0b")),
+                     st.sampled_from(("", " ", "\t")))
+
+
+_directives = st.sampled_from(sorted(_DIRECTIVES)).flatmap(
+    lambda key: st.builds("{} {}: {}".format, st.sampled_from(("#", "##", "#\t")),
+                          st.sampled_from((key, key.upper())),
+                          st.sampled_from(_DIRECTIVES[key])))
+_other_lines = st.sampled_from(("", "   ", "#", "# a note", "# unit degrees", "# colour: red",
+                                " # zero: 1", "\x0c"))
+_ends = st.sampled_from(("\n", "\r\n", "\r"))
+_files = st.tuples(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda width: st.lists(st.tuples(_data_lines(width), _ends), min_size=1, max_size=6)),
+    st.lists(st.tuples(st.one_of(_directives, _other_lines), _ends), max_size=4),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1])).map(
+    lambda lines: "".join(line + end for line, end in lines))
+_calls = st.fixed_dictionaries({
+    "unit": st.sampled_from((None, "radians", "degrees")),
+    "fmt": st.sampled_from((None, "plain", "csv", "grouped")),
+    "column": st.integers(min_value=-2, max_value=2),
+    "zero": st.sampled_from((None, "90deg", "0.5", "-1rad", "nan")),
+    "sense": st.sampled_from((None, "ccw", "cw")),
+})
+
+
+def _outcome(read, path, kwargs):
+    """The bytes of what ``read`` returns, or the type and message of what it raises."""
+    try:
+        return "angles", read(path, **kwargs).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstRowByRowReader:
+    """``read_angles`` converts every line in one pass and reports errors in a
+    second; ``reference_io.read_angles`` reads one row at a time. They must
+    agree bit for bit and message for message."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(text=_files, kwargs=_calls, trailing=st.booleans())
+    @example(text="# format: grouped\n1,2\n3,0\n", kwargs={}, trailing=True)
+    @example(text="1\r2\r\n3\n# unit: degrees\n# unit: radians\n", kwargs={}, trailing=True)
+    @example(text="1\u20282\n", kwargs={}, trailing=True)
+    @example(text="# unit: degrees\n\r \n", kwargs={}, trailing=True)
+    def test_same_bits_and_errors(self, tmp_path_factory, text, kwargs, trailing):
+        path = tmp_path_factory.mktemp("differential") / "a.txt"
+        path.write_bytes((text if trailing else text.rstrip("\r\n")).encode("utf-8"))
+        assert _outcome(read_angles, path, kwargs) == _outcome(reference_io.read_angles,
+                                                               path, kwargs)
+
+    @pytest.mark.parametrize("fmt, row, bad, message", [
+        ("plain", "{:.17g}", "nan", "angle must be finite"),
+        ("csv", "{:.17g},1", "7", "list index out of range"),
+        ("grouped", "{:.17g},3", "0.5,0", "count must be a positive integer"),
+    ])
+    def test_large_file_names_the_bad_line(self, tmp_path, fmt, row, bad, message):
+        values = np.random.default_rng(5).uniform(-4.0, 4.0, 30000)
+        lines = [row.format(v) for v in values]
+        path = _write(tmp_path / "a.txt", "\n".join(lines) + "\n")
+        assert (read_angles(path, fmt=fmt, column=-2).tobytes()
+                == reference_io.read_angles(path, fmt=fmt, column=-2).tobytes())
+        lines[21000] = bad
+        _write(path, "\r\n".join(lines) + "\r\n")
+        for read in (read_angles, reference_io.read_angles):
+            with pytest.raises(AngleFileError, match=re.escape(f"{path}:21001: {message}")):
+                read(path, fmt=fmt, column=-2 if fmt == "grouped" else 1)
+
+    @pytest.mark.parametrize("prefix_lines", [0, 5000])
+    def test_non_utf8_file_is_named(self, tmp_path, prefix_lines):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"0.5\n" * prefix_lines + bytes(range(256)))
+        errors = []
+        for read in (read_angles, reference_io.read_angles):
+            with pytest.raises(UnicodeDecodeError) as info:
+                read(path)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert f"in {path}, which is not UTF-8 text" in errors[0]

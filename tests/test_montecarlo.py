@@ -27,7 +27,7 @@ from circsym.montecarlo import (
     run_scenario,
     run_scenarios,
 )
-from circsym.special import upper_quantile
+from circsym.special import MAX_SAMPLE_SIZE, upper_quantile
 from circsym.symtests import (
     modified_runs_test,
     runs_subset_size,
@@ -140,10 +140,11 @@ class TestScenarioSpec:
     @pytest.mark.parametrize("values, message", [
         (dict(n=20.5), "sample size n must be an integer of at least 10, got 20.5"),
         (dict(n=9), "sample size n must be an integer of at least 10, got 9"),
+        (dict(n=10**11), "sample size n must be at most 10000000, got 100000000000"),
         (dict(reps=200.5), "replication count reps must be an integer of at least 100"),
         (dict(master_seed=2.5), "master_seed must be an integer, got 2.5"),
         (dict(master_seed=float("nan")), "master_seed must be an integer"),
-    ], ids=["n", "n-small", "reps", "seed", "seed-nan"])
+    ], ids=["n", "n-small", "n-large", "reps", "seed", "seed-nan"])
     def test_counts_and_seed_must_be_integers(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
@@ -741,6 +742,11 @@ class TestPowerCurve:
         with pytest.raises(ValueError, match="positive integers"):
             power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=n, reps=reps)
 
+    def test_empirical_sample_size_is_bounded(self):
+        message = f"sample size n must be at most {MAX_SAMPLE_SIZE}, got {10**11}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=10**11, reps=100)
+
     def test_empirical_rejects_non_contiguous_drift(self):
         with pytest.raises(ValueError, match="outside"):
             power_curve(VonMises(1.0), 2, 2, [11.0], mode="empirical", n=100, reps=100)
@@ -832,8 +838,16 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="unknown key 'runs_calibration_reps'"):
             load_scenario_file(path)
 
+    def test_runs_only_scenario(self, tmp_path):
+        spec = replace(SMALL_SPEC, test_ks=(), runs_p=0.6)
+        path = tmp_path / "scenario.txt"
+        path.write_text(format_scenario(spec), encoding="utf-8")
+        assert "test_ks = none\n" in path.read_text(encoding="utf-8")
+        assert load_scenario_file(path) == spec
+
     @pytest.mark.parametrize("line", [
-        "reps = abc", "lambdas = 0, x", "test_ks = 1,two", "runs_p = maybe",
+        "reps = abc", "lambdas = 0, x", "test_ks = 1,two", "runs_p = maybe", "test_ks = ",
+        "test_ks = 1,,2",
         "base = sineskew(vm:1,lam=0.1)", "base = gauss:1",
     ])
     def test_bad_value_reported_with_its_line(self, tmp_path, line):
@@ -848,6 +862,7 @@ class TestScenarioFiles:
             ("family = sineskew\nreps = 5", "replication count"),
             ("family = moebius\nmoebius_r = 1.5", "r must lie in (0, 1)"),
             ("family = sineskew\nskew_k = 0", "frequency k must be a positive integer"),
+            ("family = sineskew\nn = 100000000000", "sample size n must be at most 10000000"),
         ]:
             path.write_text(f"scenario_id = x\nbase = vm:1\nlambdas = 0, 0.1\n{lines}\n",
                             encoding="utf-8")

@@ -127,7 +127,7 @@ def test_angle_files_round_trip_bit_for_bit(tmp_path_factory, angles):
     assert read_angles(path).tobytes() == angles.tobytes()
 
 
-def _scenarios(family):
+def _scenarios(family, test_ks, runs_p):
     """Valid scenario specs of one alternative family."""
     return st.builds(
         ScenarioSpec,
@@ -142,17 +142,25 @@ def _scenarios(family):
         n=st.integers(min_value=10, max_value=10**6),
         reps=st.integers(min_value=100, max_value=10**9),
         alpha=unit_open,
-        test_ks=st.lists(st.integers(min_value=1, max_value=50), min_size=1,
-                         max_size=4).map(tuple),
-        runs_p=st.none() | unit_open,
+        test_ks=test_ks,
+        runs_p=runs_p,
         master_seed=st.integers(min_value=0, max_value=2**63),
     )
 
 
+_frequency_lists = st.lists(st.integers(min_value=1, max_value=50), min_size=1,
+                           max_size=4).map(tuple)
+
+
 @properties
-@given(st.one_of(*map(_scenarios, FAMILIES)))
+@given(st.one_of(  # a scenario needs a test: some k, or the runs test alone
+    *(_scenarios(family, _frequency_lists, st.none() | unit_open) for family in FAMILIES),
+    *(_scenarios(family, st.just(()), unit_open) for family in FAMILIES),
+))
 @example(ScenarioSpec(scenario_id="m", family="moebius", base="vm:1",
                       lambdas=(0.0, 0.2 / 3, 0.1 + 0.2), runs_p=None))
+@example(ScenarioSpec(scenario_id="r", family="sineskew", base="vm:1", lambdas=(0.0,),
+                      test_ks=(), runs_p=0.6))
 def test_scenario_files_round_trip(tmp_path_factory, spec):
     path = tmp_path_factory.mktemp("scenario") / "s.txt"
     path.write_text(format_scenario(spec), encoding="utf-8")
