@@ -12,12 +12,10 @@ exceptions through; ``main`` alone maps them to exit codes with one
 error (``UsageError``, and any other ``ValueError``, which is how the
 library reports a bad parameter), 2 data error (unreadable, malformed or
 too short input), 3 numerical failure. The only environment variable
-honored is CIRCSYM_THREADS (default worker count for ``mc`` and ``power``),
-read on every call of ``main``, which keeps one parser per value of it.
+honored is CIRCSYM_THREADS (default worker count for ``mc`` and ``power``).
 """
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -282,11 +280,6 @@ def cmd_sample(args):
     return EXIT_OK
 
 
-def _threads_variable():
-    """CIRCSYM_THREADS, or "1" when it is not set."""
-    return os.environ.get("CIRCSYM_THREADS", "1")
-
-
 def build_parser():
     parser = _Parser(prog="circsym",
                      description="Tests of circular reflective symmetry about "
@@ -294,7 +287,7 @@ def build_parser():
                                  "and power tooling.")
     parser.add_argument("--version", action="version", version=f"circsym {__version__}")
     # a string default goes through the option's type, so a bad value is a usage error
-    default_threads = _threads_variable()
+    default_threads = os.environ.get("CIRCSYM_THREADS", "1")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("test", help="sine-based symmetry tests at chosen k")
@@ -306,6 +299,7 @@ def build_parser():
     sub.add_argument("--alt", choices=ALTERNATIVES, default="two-sided")
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true", help="machine-readable output")
+    sub.set_defaults(func=cmd_test)
 
     sub = commands.add_parser("uniformity",
                               help="Rayleigh test against a fixed direction")
@@ -314,6 +308,7 @@ def build_parser():
                      help="hypothesized concentration direction")
     sub.add_argument("--alpha", type=_alpha, default=0.05)
     sub.add_argument("--json", action="store_true")
+    sub.set_defaults(func=cmd_uniformity)
 
     sub = commands.add_parser("mc", help="replication tables for preset or file scenarios")
     sub.add_argument("--preset", default=None, help="table1, table2 or table3")
@@ -324,6 +319,7 @@ def build_parser():
                      help=_THREADS_HELP)
     sub.add_argument("--out", choices=("csv", "json", "both"), default="csv")
     sub.add_argument("--outdir", default=".")
+    sub.set_defaults(func=cmd_mc)
 
     sub = commands.add_parser("power", help="local power curves of the k test")
     sub.add_argument("--base", default="vm:1")
@@ -341,11 +337,13 @@ def build_parser():
     sub.add_argument("--threads", type=_threads, default=default_threads,
                      help=_THREADS_HELP)
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    sub.set_defaults(func=cmd_power)
 
     sub = commands.add_parser("fisher", help="information matrix and singularity report")
     sub.add_argument("--base", required=True)
     sub.add_argument("--k", type=_frequency, required=True)
     sub.add_argument("--json", action="store_true")
+    sub.set_defaults(func=cmd_fisher)
 
     sub = commands.add_parser("sample", help="draw synthetic angles from a model")
     sub.add_argument("--model", required=True,
@@ -355,16 +353,9 @@ def build_parser():
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     sub.add_argument("--unit", choices=UNITS, default="radians")
     sub.add_argument("--out", default=None)
+    sub.set_defaults(func=cmd_sample)
 
     return parser
-
-
-@functools.lru_cache(maxsize=4)
-def _parser(threads_variable):
-    """``build_parser()`` while CIRCSYM_THREADS reads ``threads_variable``:
-    the variable is the only input a parser depends on, and parsing leaves
-    a parser as it was, so one per value serves every call to ``main``."""
-    return build_parser()
 
 
 # Exception classes, exit code and message prefix; the first row that
@@ -380,9 +371,8 @@ EXIT_TABLE = (
 
 def main(argv=None):
     try:
-        args = _parser(_threads_variable()).parse_args(argv)
-        # looked up on every call, so a replaced cmd_<name> takes effect
-        return globals()[f"cmd_{args.command}"](args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except Exception as exc:
         for classes, code, prefix in EXIT_TABLE:
             if isinstance(exc, classes):

@@ -8,6 +8,7 @@ flags; the fallback unit is radians. Every angle is mapped to canonical
 form wrap(zero + sense * raw) with sense -1 for clockwise files.
 """
 
+import io
 import math
 
 import numpy as np
@@ -62,27 +63,34 @@ def parse_number_list(text, convert=float):
     return tuple(map(convert, items))
 
 
-def read_text_lines(path):
-    """Yield the lines of a UTF-8 text file, one at a time; a file that is
-    not UTF-8 text raises UnicodeDecodeError naming the file."""
+def _lines(handle, path):
+    """Yield the lines of an open UTF-8 text handle; UnicodeDecodeError
+    naming ``path`` if it is not UTF-8 text."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            yield from handle
+        yield from handle
     except UnicodeDecodeError as exc:
         raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
                                  f"{exc.reason} in {path}, which is not UTF-8 text") from None
 
 
+def read_text_lines(path):
+    """Yield the lines of a UTF-8 text file, one at a time; a file that is
+    not UTF-8 text raises UnicodeDecodeError naming the file."""
+    with open(path, encoding="utf-8") as handle:
+        yield from _lines(handle, path)
+
+
 def read_text(path):
     """The whole of a UTF-8 text file as one string, its line ends read as
     ``read_text_lines`` reads them; a file that is not UTF-8 text raises the
-    error ``read_text_lines`` raises."""
+    error ``read_text_lines`` raises. The file is read once, so a pipe works."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     except UnicodeDecodeError:
         # its position counts from the start of the chunk that line reading decodes
-        return "".join(read_text_lines(path))
+        return "".join(_lines(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), path))
 
 
 def _choice(value, choices, name, where):
@@ -148,9 +156,8 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     """
     text = read_text(path)
     lines = list(map(str.strip, text.split("\n")))
-    notes = [line for line in lines if line.startswith("#")] if "#" in text else []
-    data = ([line for line in lines if line and line[0] != "#"] if notes
-            else list(filter(None, lines)))
+    notes = [line for line in lines if line.startswith("#")]
+    data = [line for line in lines if line and line[0] != "#"]
     if not data:
         raise AngleFileError(f"{path}: no data lines")
     header = {}

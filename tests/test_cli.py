@@ -493,7 +493,7 @@ def _fresh_process(argv, cwd, **env_vars):
 
 
 class TestInProcess:
-    """Calls to ``main`` in one process share a parser per CIRCSYM_THREADS value."""
+    """Calls to ``main`` in one process see no state left by earlier calls."""
 
     @pytest.mark.parametrize("argv", [
         ["test", "{sample}", "--theta", "0.3", "--k", "1,3", "--json"],

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -284,3 +285,25 @@ class TestAgainstRowByRowReader:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert f"in {path}, which is not UTF-8 text" in errors[0]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("content", [b"0.5\n" * 5000 + bytes(range(256)),
+                                         b"# unit: degrees\r\n90\r180\n"],
+                             ids=["not-utf8", "crlf"])
+    def test_a_pipe_is_read_once(self, tmp_path, content):
+        """A pipe can be read only once, so the error, or the sample, must
+        be the one a regular file with the same bytes gives."""
+        path = tmp_path / "a.txt"
+        path.write_bytes(content)
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, content)  # fits in the pipe's buffer
+            os.close(write_fd)
+            pipe = f"/dev/fd/{read_fd}"
+            outcomes = [_outcome(read_angles, source, {}) for source in (pipe, path)]
+        finally:
+            os.close(read_fd)
+        kind, result = outcomes[1]
+        if kind != "angles":
+            result = result.replace(str(path), pipe)
+        assert outcomes[0] == (kind, result)
