@@ -456,7 +456,7 @@ class VonMisesMixture(_Model):
         _check_kappa(self.kappa)
 
     def _pdf(self, x):
-        comp = VonMises(self.kappa)
+        comp = self._component
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
 
     def _draw(self, rng, out):
@@ -591,7 +591,7 @@ class SkewedMixture(_Model):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
 
     def _pdf(self, x):
-        comp = VonMises(self.kappa)
+        comp = self._component
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4 - self.lam))
 
     def _draw(self, rng, out):

@@ -6,6 +6,10 @@ individual observations). Files may carry ``# key: value`` header
 directives (unit, format, zero, sense) which take precedence over caller
 flags; the fallback unit is radians. Every angle is mapped to canonical
 form wrap(zero + sense * raw) with sense -1 for clockwise files.
+
+``read_text`` is the one reader of input files, angle files and scenario
+files alike: it reads a file once and decodes it whole as UTF-8, with
+universal newlines, before any line is parsed.
 """
 
 import io
@@ -63,34 +67,18 @@ def parse_number_list(text, convert=float):
     return tuple(map(convert, items))
 
 
-def _lines(handle, path):
-    """Yield the lines of an open UTF-8 text handle; UnicodeDecodeError
-    naming ``path`` if it is not UTF-8 text."""
-    try:
-        yield from handle
-    except UnicodeDecodeError as exc:
-        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
-                                 f"{exc.reason} in {path}, which is not UTF-8 text") from None
-
-
-def read_text_lines(path):
-    """Yield the lines of a UTF-8 text file, one at a time; a file that is
-    not UTF-8 text raises UnicodeDecodeError naming the file."""
-    with open(path, encoding="utf-8") as handle:
-        yield from _lines(handle, path)
-
-
 def read_text(path):
-    """The whole of a UTF-8 text file as one string, its line ends read as
-    ``read_text_lines`` reads them; a file that is not UTF-8 text raises the
-    error ``read_text_lines`` raises. The file is read once, so a pipe works."""
+    """The whole of a UTF-8 text file as one string, with universal newlines.
+    The file is read once, so a pipe works, and decoded whole before any
+    line is parsed; a file that is not UTF-8 text raises UnicodeDecodeError
+    naming the file, its position counted from the start of the file."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
         return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-    except UnicodeDecodeError:
-        # its position counts from the start of the chunk that line reading decodes
-        return "".join(_lines(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), path))
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                                 f"{exc.reason} in {path}, which is not UTF-8 text") from None
 
 
 def _choice(value, choices, name, where):

@@ -67,7 +67,7 @@ from .distributions import (
     VonMises,
     parse_base,
 )
-from .io import parse_number_list, read_text_lines
+from .io import parse_number_list, read_text
 from .special import MAX_SAMPLE_SIZE, check_alpha, check_frequency, check_integer, upper_quantile
 from .workspace import Workspace, using
 from . import symtests
@@ -178,10 +178,16 @@ class TableResult:
     """Rejection frequencies for one scenario, with binomial standard errors."""
 
     scenario: ScenarioSpec
-    test_labels: tuple
-    lambdas: tuple
     frequencies: tuple  # frequencies[i][j]: test i, lambda j
     degenerate: tuple  # same shape; samples where a test was undefined
+
+    @property
+    def test_labels(self):
+        return self.scenario.test_labels
+
+    @property
+    def lambdas(self):
+        return self.scenario.lambdas
 
     @property
     def standard_errors(self):
@@ -380,8 +386,6 @@ def run_scenarios(specs, threads=1):
         freqs = rejections / float(spec.reps)
         yield TableResult(
             scenario=spec,
-            test_labels=spec.test_labels,
-            lambdas=spec.lambdas,
             frequencies=tuple(tuple(float(v) for v in row) for row in freqs),
             degenerate=tuple(tuple(int(v) for v in row) for row in degenerate),
         )
@@ -509,10 +513,11 @@ def load_scenario_file(path):
     must include 0), skew_k, moebius_r, n, reps, alpha, test_ks (comma
     list, or ``none`` for a runs-only scenario), runs_p (a number or
     ``none``), master_seed. Comma lists are read by ``io.parse_number_list``,
-    as the CLI reads ``--k`` and ``--grid``.
+    as the CLI reads ``--k`` and ``--grid``. The file is read and decoded
+    by ``io.read_text``, as angle files are.
     """
     values = {}
-    for lineno, raw in enumerate(read_text_lines(path), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,7 +1,7 @@
 """The row-by-row angle-file reader that ``circsym.io.read_angles`` replaced.
 
-It reads one line at a time and converts one field at a time, so every
-rule is plain to see. The differential tests in test_io.py require the
+It walks the lines that ``circsym.io.read_text`` decodes one at a time
+and converts one field at a time, so every rule is plain to see. The differential tests in test_io.py require the
 bulk reader to return the same bits and raise the same errors.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from circsym.angles import wrap
 from circsym.io import (_DEG, FORMATS, SENSES, UNITS, AngleFileError, _choice, parse_angle,
-                        read_text_lines)
+                        read_text)
 
 
 def _finite(text):
@@ -24,7 +24,7 @@ def _finite(text):
 def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
     header = {}
     rows = []
-    for lineno, raw in enumerate(read_text_lines(path), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -443,10 +443,18 @@ class TestNoTraceback:
     @pytest.mark.parametrize("argv", [
         ["test", "{binary}", "--theta", "0"],
         ["mc", "--scenario", "{binary}"],
+        ["test", "{long_binary}", "--theta", "0"],
+        ["mc", "--scenario", "{long_binary_scenario}"],
+        # decoded whole before line 6, whose key is repeated, is parsed
+        ["mc", "--scenario", "{repeated_then_binary}"],
     ])
     def test_non_utf8_file_is_named(self, tmp_path, argv):
         stderr = self._check(tmp_path, argv, EXIT_DATA)
-        assert str(tmp_path / "binary") in stderr
+        path = tmp_path / next(a for a in argv if a.startswith("{"))[1:-1]
+        assert f"in {path}, which is not UTF-8 text" in stderr
+        # the first byte that is not ASCII, counted from the start of the file
+        position = min(i for i, byte in enumerate(path.read_bytes()) if byte > 127)
+        assert f"in position {position}:" in stderr
 
     def _check(self, tmp_path, argv, code, **env_vars):
         files = {
@@ -467,8 +475,16 @@ class TestNoTraceback:
             "huge_n": "scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
                       "lambdas = 0\nn = 100000000000\n",
         }
-        paths = {"dir": tmp_path, "binary": tmp_path / "binary"}
-        paths["binary"].write_bytes(bytes(range(256)))
+        binaries = {
+            "binary": bytes(range(256)),
+            "long_binary": b"0.5\n" * 5000 + b"\xff",
+            "long_binary_scenario": b"# c\n" * 5000 + b"\xff",
+            "repeated_then_binary": files["repeated"].encode() + b"# c\n" * 5000 + b"\xff",
+        }
+        paths = {"dir": tmp_path}
+        for name, data in binaries.items():
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(data)
         for name, text in files.items():
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_text(text, encoding="utf-8")

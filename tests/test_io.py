@@ -285,6 +285,8 @@ class TestAgainstRowByRowReader:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert f"in {path}, which is not UTF-8 text" in errors[0]
+        # the byte 0x80 after the prefix lines, counted from the start of the file
+        assert f"in position {4 * prefix_lines + 128}:" in errors[0]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("content", [b"0.5\n" * 5000 + bytes(range(256)),

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -881,3 +882,25 @@ class TestScenarioFiles:
         path.write_text("scenario_id = x\n", encoding="utf-8")
         with pytest.raises(ValueError, match="missing required"):
             load_scenario_file(path)
+
+    def test_non_utf8_position_counts_from_the_start_of_the_file(self, tmp_path):
+        # a byte past the first 8 KiB
+        path = tmp_path / "scenario.txt"
+        path.write_bytes(b"# c\n" * 5000 + b"\xff")
+        with pytest.raises(UnicodeDecodeError, match=re.escape(
+                f"position 20000: invalid start byte in {path}, which is not UTF-8 text")):
+            load_scenario_file(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        content = format_scenario(SMALL_SPEC).replace("\n", "\r\n").encode("utf-8")
+        path = tmp_path / "scenario.txt"
+        path.write_bytes(content)
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, content)  # fits in the pipe's buffer
+            os.close(write_fd)
+            pipe = f"/dev/fd/{read_fd}"
+            assert load_scenario_file(pipe) == load_scenario_file(path) == SMALL_SPEC
+        finally:
+            os.close(read_fd)
