@@ -8,17 +8,15 @@ command-line front end.
 
 __version__ = "0.1.0"
 
-from .angles import TWO_PI, as_sample, trig_moment, wrap
+from .angles import TWO_PI, as_sample, wrap
 from .asymptotics import (
     CentralSequence,
     FisherMatrix,
-    SingularityReport,
     central_sequence,
     cross_corr,
     efficient_central_sequence,
     fisher_matrix,
     local_power,
-    singularity_report,
 )
 from .datasets import ant_data_path, load_ant_data
 from .distributions import (
@@ -66,14 +64,14 @@ from .symtests import (
 )
 
 __all__ = [
-    "TWO_PI", "wrap", "as_sample", "trig_moment",
+    "TWO_PI", "wrap", "as_sample",
     "integrate_periodic",
     "Uniform", "VonMises", "Cardioid", "WrappedCauchy", "VonMisesMixture",
     "SineSkewed", "MoebiusSkewed", "SkewedMixture", "BASE_FAMILIES", "parse_base",
     "parse_model",
-    "FisherMatrix", "SingularityReport", "CentralSequence",
+    "FisherMatrix", "CentralSequence",
     "fisher_matrix", "cross_corr", "local_power",
-    "singularity_report", "central_sequence", "efficient_central_sequence",
+    "central_sequence", "efficient_central_sequence",
     "TestResult", "studentized_statistic", "symmetry_test",
     "parametric_statistic", "parametric_test", "rayleigh_cardioid_test",
     "modified_runs_test",

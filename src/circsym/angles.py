@@ -1,4 +1,4 @@
-"""Angle wrapping, sample validation and empirical trigonometric moments.
+"""Angle wrapping, sample validation and the tangent-based sine kernels.
 
 Angles are plain floats (radians), samples are 1-D float64 arrays. The
 canonical range is the half-open interval [-pi, pi); the endpoints of the
@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from .errors import EmptySampleError
-from .special import check_integer
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,35 +148,3 @@ def as_sample(angles):
         raise EmptySampleError("sample must contain at least one observation")
     return wrap(arr)
 
-
-def trig_moment(sample, theta, m, kind="sin"):
-    """Empirical trigonometric moment about a direction.
-
-    Computes ``mean(trig(m * (x_i - theta)))`` where ``trig`` is sin or cos.
-    Callers that need the root-n scaled version multiply by sqrt(n).
-
-    Parameters
-    ----------
-    sample : array_like
-        Angular observations in radians.
-    theta : float
-        Reference direction in radians.
-    m : int
-        Moment order, >= 1.
-    kind : {"sin", "cos"}
-        Which trigonometric function to average.
-
-    Returns
-    -------
-    float
-        The empirical moment, always in [-1, 1].
-    """
-    theta = check_angle(theta)
-    m = check_integer(m, "moment order")
-    arr = as_sample(sample)
-    centered = m * (arr - theta)
-    if kind == "sin":
-        return float(np.mean(np.sin(centered)))
-    if kind == "cos":
-        return float(np.mean(np.cos(centered)))
-    raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")

@@ -9,8 +9,8 @@ a symmetric base density (``base.score``) and by three integrals:
 
 All are closed forms in the base's cosine moments rho_m = E[cos(m X)]:
 integration by parts gives g12 = -int sin(k x) f0'(x) dx = k rho_k,
-g22 = (1 - rho_2k)/2, the cross constant is
-C(k, k') = (rho_|k-k'| - rho_(k+k'))/2, and each base states its own g11.
+the cross constant is C(k, k') = (rho_|k-k'| - rho_(k+k'))/2, so
+g22 = C(k, k) = (1 - rho_2k)/2, and each base states its own g11.
 The differences of moments come from ``base.cos_moment_gap``, which forms
 them without cancellation as the moments approach 1 (von Mises at large
 kappa, wrapped Cauchy with rho near 1). The test suite checks every
@@ -47,8 +47,6 @@ class FisherMatrix:
     g11: float
     g12: float
     g22: float
-    k: int
-    base_label: str
 
     @property
     def determinant(self):
@@ -65,12 +63,12 @@ class FisherMatrix:
             )
         return self.determinant / denom
 
-
-@dataclass(frozen=True)
-class SingularityReport:
-    determinant: float
-    normalized_gap: float
-    singular: bool
+    @property
+    def singular(self):
+        """Whether the normalized gap is below ``SINGULARITY_GAP_THRESHOLD``,
+        which separates exact Cauchy-Schwarz equality (sine-skewed von Mises
+        with k = 1) from genuinely positive determinants."""
+        return self.normalized_gap < SINGULARITY_GAP_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ def fisher_matrix(base, k):
     return FisherMatrix(
         g11=base.location_information,
         g12=k * base.cos_moment(k),
-        g22=0.5 * base.cos_moment_gap(0, 2 * k),
-        k=k,
-        base_label=base.label,
+        g22=cross_corr(base, k, k),
     )
 
 
@@ -123,7 +119,7 @@ def local_power_curve(base, k, k_prime, tau2_grid, alpha=0.05):
     The information quantities are computed once for the whole grid.
     """
     alpha = check_alpha(alpha)
-    g22 = fisher_matrix(base, k).g22
+    g22 = cross_corr(base, k, k)
     if g22 <= 0.0:
         raise DegenerateInformationError(
             f"skewness information vanishes for {base.label!r}, k={k}"
@@ -131,27 +127,6 @@ def local_power_curve(base, k, k_prime, tau2_grid, alpha=0.05):
     z = upper_quantile(alpha / 2.0)
     slope = cross_corr(base, k, k_prime) / math.sqrt(g22)
     return [norm_sf(z - slope * t) + norm_cdf(-z - slope * t) for t in tau2_grid]
-
-
-def singularity_report(base, k):
-    """Determinant, normalized gap and singularity flag of the information matrix.
-
-    The gap threshold (``SINGULARITY_GAP_THRESHOLD``) separates exact
-    Cauchy-Schwarz equality (sine-skewed von Mises with k = 1) from
-    genuinely positive determinants.
-    """
-    matrix = fisher_matrix(base, k)
-    if matrix.g11 <= 0.0:
-        raise DegenerateInformationError(
-            f"location information vanishes for {base.label!r}; "
-            "singularity analysis needs g11 > 0"
-        )
-    gap = matrix.normalized_gap
-    return SingularityReport(
-        determinant=matrix.determinant,
-        normalized_gap=gap,
-        singular=gap < SINGULARITY_GAP_THRESHOLD,
-    )
 
 
 def central_sequence(base, k, sample, theta):

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .distributions import parse_base, parse_model
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
-from .asymptotics import fisher_matrix, singularity_report
+from .asymptotics import fisher_matrix
 from .io import (FORMATS, SENSES, UNITS, AngleFileError, format_angles, parse_angle,
                  parse_number_list, read_angles, write_angles)
 from .montecarlo import (
@@ -243,8 +243,7 @@ def cmd_fisher(args):
     base = parse_base(args.base)
     matrix = fisher_matrix(base, args.k)
     try:
-        report = singularity_report(base, args.k)
-        gap, singular = report.normalized_gap, report.singular
+        gap, singular = matrix.normalized_gap, matrix.singular
     except DegenerateInformationError:
         gap, singular = None, None
     payload = {

@@ -483,7 +483,7 @@ def preset_scenarios(name, reps=None, master_seed=None):
     return override_scenarios(PRESETS[name], reps, master_seed)
 
 
-def _base_label(text):
+def _checked_base(text):
     parse_base(text)  # so that a bad label is reported with its line
     return text
 
@@ -491,7 +491,7 @@ def _base_label(text):
 _SCENARIO_KEYS = {
     "scenario_id": str,
     "family": str,
-    "base": _base_label,
+    "base": _checked_base,
     "lambdas": parse_number_list,
     "skew_k": int,
     "moebius_r": float,

@@ -88,11 +88,13 @@ def bessel_ratio(m, kappa):
     kappa = float(kappa)
     if m == 0:
         return 1.0
-    # r_j < kappa/(2j), so the ratio is below (kappa/2)^m / m!
-    if m * math.log(0.5 * kappa) - math.lgamma(m + 1) < _LOG_TINY:
+    # r_j < kappa/(2j), so the ratio is below (kappa/2)^m / m!, which is 0
+    # to rounding when kappa/2 rounds to 0 (kappa = 5e-324) or its log is tiny
+    half = 0.5 * kappa
+    if half == 0.0 or m * math.log(half) - math.lgamma(m + 1) < _LOG_TINY:
         return 0.0
     if kappa < _SERIES_MAX_KAPPA:
-        return (0.5 * kappa) ** m / math.factorial(m)
+        return half**m / math.factorial(m)
     if kappa >= _HANKEL_MIN_KAPPA and m * m <= kappa:
         return _hankel_series(m, kappa) / _hankel_series(0, kappa)
     top = max(2 * m, 32) + int(2.0 * math.sqrt(kappa))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import _wrap_in_place, as_sample, check_angle, sine_multiples, wrap
-from .asymptotics import fisher_matrix
+from .asymptotics import cross_corr
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .special import check_alpha, check_frequency, norm_cdf, norm_sf
 from .workspace import temporaries
@@ -229,7 +229,7 @@ def parametric_statistic(sample, theta, k, base):
 
 def _signed_parametric(arr, theta, k, base):
     """Signed parametric statistic of a canonical sample at a checked theta and k."""
-    g22 = fisher_matrix(base, k).g22
+    g22 = cross_corr(base, k, k)
     if g22 <= 0.0:
         raise DegenerateInformationError(
             f"skewness information vanishes for {base.label!r}, k={k}"

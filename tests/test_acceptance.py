@@ -14,8 +14,8 @@ import pytest
 
 from circsym.asymptotics import (
     efficient_central_sequence,
+    fisher_matrix,
     local_power,
-    singularity_report,
 )
 from circsym.cli import main as cli_main
 from circsym.datasets import ANT_TARGET_DEGREES, load_ant_data
@@ -165,17 +165,22 @@ def test_criterion_5_fisher_singularity(acceptance):
     failures = []
     vm_gaps = {}
     for kappa in (0.5, 1.0, 2.0, 10.0):
-        gap = singularity_report(VonMises(kappa), 1).normalized_gap
-        vm_gaps[kappa] = gap
+        matrix = fisher_matrix(VonMises(kappa), 1)
+        gap = vm_gaps[kappa] = matrix.normalized_gap
         if not gap < 1e-8:
             failures.append(f"vm:{kappa:g} k=1 gap {gap:.2e} >= 1e-8")
-    regular = {"vm:1 k=2": singularity_report(VonMises(1.0), 2).normalized_gap,
-               "vm:1 k=3": singularity_report(VonMises(1.0), 3).normalized_gap,
-               "cardioid:0.5 k=1": singularity_report(Cardioid(0.5), 1).normalized_gap,
-               "wcauchy:0.5 k=1": singularity_report(WrappedCauchy(0.5), 1).normalized_gap}
-    for name, gap in regular.items():
+        if not matrix.singular:
+            failures.append(f"vm:{kappa:g} k=1 not flagged singular")
+    regular = {}
+    for name, base, k in (("vm:1 k=2", VonMises(1.0), 2), ("vm:1 k=3", VonMises(1.0), 3),
+                          ("cardioid:0.5 k=1", Cardioid(0.5), 1),
+                          ("wcauchy:0.5 k=1", WrappedCauchy(0.5), 1)):
+        matrix = fisher_matrix(base, k)
+        gap = regular[name] = matrix.normalized_gap
         if not gap > 1e-3:
             failures.append(f"{name} gap {gap:.2e} <= 1e-3")
+        if matrix.singular:
+            failures.append(f"{name} flagged singular")
 
     worst = 0.0
     kappas = (0.5, 1.0, 2.0, 10.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from circsym.angles import TWO_PI, as_sample, trig_moment, wrap
+from circsym.angles import TWO_PI, as_sample, wrap
 from circsym.errors import EmptySampleError
 
 finite_angles = st.floats(
@@ -59,42 +59,3 @@ class TestAsSample:
         with pytest.raises(EmptySampleError):
             as_sample([])
 
-
-class TestTrigMoment:
-    def test_odd_cancellation(self):
-        theta = 0.7
-        assert trig_moment([theta + 0.3, theta - 0.3], theta, 1) == pytest.approx(0.0, abs=1e-15)
-
-    def test_all_at_quarter_turn(self):
-        theta = -1.1
-        sample = np.full(5, theta + np.pi / 2)
-        assert trig_moment(sample, theta, 1) == pytest.approx(1.0)
-
-    def test_cos_second_moment_example(self):
-        sample = [0.0, np.pi / 2, np.pi, -np.pi / 2]
-        assert trig_moment(sample, 0.0, 2, kind="cos") == pytest.approx(0.0, abs=1e-15)
-
-    def test_reflection_negates_sine_moment(self):
-        rng = np.random.default_rng(3)
-        theta = 0.4
-        sample = rng.uniform(-np.pi, np.pi, size=50)
-        forward = trig_moment(sample, theta, 3)
-        reflected = trig_moment(wrap(2 * theta - sample), theta, 3)
-        assert reflected == pytest.approx(-forward, abs=1e-12)
-
-    def test_result_bounded(self):
-        rng = np.random.default_rng(4)
-        sample = rng.uniform(-np.pi, np.pi, size=200)
-        for m in (1, 2, 5):
-            for kind in ("sin", "cos"):
-                assert abs(trig_moment(sample, 0.2, m, kind=kind)) <= 1.0
-
-    @pytest.mark.parametrize("m", [0, -1, 1.5, float("nan"), float("inf"), -float("inf")])
-    def test_bad_order_rejected(self, m):
-        with pytest.raises(ValueError, match="moment order") as info:
-            trig_moment([0.1, 0.2], 0.0, m)
-        assert not isinstance(info.value, ArithmeticError)
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            trig_moment([0.1], 0.0, 1, kind="tan")

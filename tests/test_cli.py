@@ -181,7 +181,7 @@ class TestUniformityCommand:
                      "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         result = payload["results"][0]
-        assert result["statistic"] == pytest.approx(math.sqrt(18.0), rel=1e-12)
+        assert result["statistic"] == pytest.approx(math.sqrt(18.0), rel=1e-12, abs=0.0)
         assert result["p_value"] < 1e-4
 
 
@@ -301,7 +301,7 @@ class TestFisherCommand:
         out = capsys.readouterr().out
         assert "normalized_gap" in out and "singular false" in out
 
-    def test_bad_base_label(self, capsys):
+    def test_unknown_base_family(self, capsys):
         assert main(["fisher", "--base", "cauchy:0.5", "--k", "1"]) == EXIT_USAGE
         capsys.readouterr()
 
@@ -315,17 +315,27 @@ class TestFisherCommand:
         payload = self._json(capsys, "vm:800")
         rho1 = ive(1, 800.0) / ive(0, 800.0)
         rho2 = ive(2, 800.0) / ive(0, 800.0)
-        assert payload["g11"] == pytest.approx(800.0 * rho1, rel=1e-13)
-        assert payload["g12"] == pytest.approx(rho1, rel=1e-13)
-        assert payload["g22"] == pytest.approx(0.5 * (1.0 - rho2), rel=1e-11)
+        assert payload["g11"] == pytest.approx(800.0 * rho1, rel=1e-13, abs=0.0)
+        assert payload["g12"] == pytest.approx(rho1, rel=1e-13, abs=0.0)
+        assert payload["g22"] == pytest.approx(0.5 * (1.0 - rho2), rel=1e-11, abs=0.0)
         assert payload["singular"] is True
 
     def test_wrapped_cauchy_near_one(self, capsys):
         rho = 0.999
         payload = self._json(capsys, "wcauchy:0.999")
-        assert payload["g11"] == pytest.approx(2 * rho**2 / (1 - rho**2) ** 2, rel=1e-12)
-        assert payload["g12"] == pytest.approx(rho, rel=1e-15)
-        assert payload["g22"] == pytest.approx(0.5 * (1 - rho**2), rel=1e-12)
+        assert payload["g11"] == pytest.approx(
+            2 * rho**2 / (1 - rho**2) ** 2, rel=1e-12, abs=0.0)
+        assert payload["g12"] == pytest.approx(rho, rel=1e-15, abs=0.0)
+        assert payload["g22"] == pytest.approx(0.5 * (1 - rho**2), rel=1e-12, abs=0.0)
+
+    def test_smallest_kappa(self, capsys):
+        # kappa / 2 rounds to 0 here; the moments are 0, so the matrix is uniform's
+        payload = self._json(capsys, "vm:5e-324")
+        assert (payload["g11"], payload["g12"], payload["g22"]) == (0.0, 0.0, 0.5)
+        assert payload["normalized_gap"] is None and payload["singular"] is None
+        assert main(["power", "--base", "vm:5e-324", "--k", "1", "--grid", "0,1"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[3:] == [
+            "0,0.050000,0.050000,0.050000", "1,0.108955,0.050000,0.050000"]
 
     def test_huge_kappa_is_quick_and_finite(self, capsys):
         import time
@@ -335,6 +345,78 @@ class TestFisherCommand:
         assert time.perf_counter() - start < 1.0
         for key in ("g11", "g12", "g22", "determinant"):
             assert math.isfinite(payload[key])
+
+
+# The full stdout of ``fisher --k 1``, human and --json, byte for byte.
+FISHER_GOLDEN = {
+    "vm:1": (
+        "base vm:1  k=1\n"
+        "g11 0.446389965897\n"
+        "g12 0.446389965897\n"
+        "g22 0.446389965897\n"
+        "determinant 0\n"
+        "normalized_gap 0\n"
+        "singular true\n",
+        '{\n'
+        '  "base": "vm:1",\n'
+        '  "determinant": 0.0,\n'
+        '  "g11": 0.4463899658965345,\n'
+        '  "g12": 0.4463899658965345,\n'
+        '  "g22": 0.4463899658965345,\n'
+        '  "k": 1,\n'
+        '  "normalized_gap": 0.0,\n'
+        '  "schema": "circsym/v1",\n'
+        '  "singular": true\n'
+        '}\n',
+    ),
+    "wcauchy:0.5": (
+        "base wcauchy:0.5  k=1\n"
+        "g11 0.888888888889\n"
+        "g12 0.5\n"
+        "g22 0.375\n"
+        "determinant 0.0833333333333\n"
+        "normalized_gap 0.25\n"
+        "singular false\n",
+        '{\n'
+        '  "base": "wcauchy:0.5",\n'
+        '  "determinant": 0.08333333333333331,\n'
+        '  "g11": 0.8888888888888888,\n'
+        '  "g12": 0.5,\n'
+        '  "g22": 0.375,\n'
+        '  "k": 1,\n'
+        '  "normalized_gap": 0.24999999999999994,\n'
+        '  "schema": "circsym/v1",\n'
+        '  "singular": false\n'
+        '}\n',
+    ),
+    "uniform": (
+        "base uniform  k=1\n"
+        "g11 0\n"
+        "g12 0\n"
+        "g22 0.5\n"
+        "determinant 0\n"
+        "normalized_gap undefined (g11 * g22 is zero)\n",
+        '{\n'
+        '  "base": "uniform",\n'
+        '  "determinant": 0.0,\n'
+        '  "g11": 0.0,\n'
+        '  "g12": 0.0,\n'
+        '  "g22": 0.5,\n'
+        '  "k": 1,\n'
+        '  "normalized_gap": null,\n'
+        '  "schema": "circsym/v1",\n'
+        '  "singular": null\n'
+        '}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("base", sorted(FISHER_GOLDEN))
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_fisher_stdout_golden(base, as_json, capsys):
+    argv = ["fisher", "--base", base, "--k", "1"] + ["--json"] * as_json
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == FISHER_GOLDEN[base][as_json]
 
 
 class TestSampleCommand:

@@ -111,11 +111,11 @@ def _grid(n=1024):
 
 class TestPdfValues:
     def test_cardioid_at_mode(self):
-        assert Cardioid(0.5).pdf(0.0) == pytest.approx(1.5 / TWO_PI, rel=1e-15)
+        assert Cardioid(0.5).pdf(0.0) == pytest.approx(1.5 / TWO_PI, rel=1e-15, abs=0.0)
 
     def test_von_mises_at_mode(self):
         # exp(1) / (2*pi*I0(1)), pinned from an independent Bessel evaluation
-        assert VonMises(1.0).pdf(0.0) == pytest.approx(0.34171048862346315, rel=1e-13)
+        assert VonMises(1.0).pdf(0.0) == pytest.approx(0.34171048862346315, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kappa", np.geomspace(1e-3, 1e8, 45))
     def test_von_mises_matches_scipy_at_any_kappa(self, kappa):
@@ -133,7 +133,7 @@ class TestPdfValues:
         exponent = np.abs(kappa * sp_special.cosm1(x))
         tolerance = (1e-13 + 4.0 * np.finfo(float).eps * exponent) * expected
         assert np.all(np.abs(got - expected) <= tolerance)
-        assert got[-1] == pytest.approx(expected[-1], rel=1e-13)  # the mode
+        assert got[-1] == pytest.approx(expected[-1], rel=1e-13, abs=0.0)  # the mode
 
     def test_large_kappa_densities_are_finite(self):
         x = _grid(257)
@@ -147,7 +147,7 @@ class TestPdfValues:
         rho = 0.5
         x = 1.3
         expected = (1 - rho**2) / (TWO_PI * (1 + rho**2 - 2 * rho * np.cos(x)))
-        assert WrappedCauchy(rho).pdf(x) == pytest.approx(expected, rel=1e-15)
+        assert WrappedCauchy(rho).pdf(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("bits", [20, 27, 34])
     def test_wrapped_cauchy_mode_as_rho_nears_one(self, bits):
@@ -167,7 +167,7 @@ class TestPdfValues:
         base = VonMises(2.0)
         theta = 0.9
         model = SineSkewed(base, 0.7, k=3, theta=theta)
-        assert model.pdf(theta) == pytest.approx(base.pdf(0.0), rel=1e-15)
+        assert model.pdf(theta) == pytest.approx(base.pdf(0.0), rel=1e-15, abs=0.0)
 
     def test_skewed_uniform_is_cardioid_rotated(self):
         # (1 + 0.5 sin(x + pi/2)) / (2 pi) is the cardioid with ell = 0.5
@@ -191,7 +191,7 @@ class TestPdfValues:
 
     def test_moebius_omega(self):
         model = MoebiusSkewed(VonMises(1.0), 0.1, 0.5)
-        assert model.omega == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert model.omega == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
 
 
 class TestNormalization:
@@ -281,7 +281,7 @@ class TestSamplers:
         ],
         ids=lambda m: m.label,
     )
-    def test_trig_moments_match_quadrature(self, model):
+    def test_sample_moments_match_quadrature(self, model):
         rng = np.random.default_rng(20_08_08)
         assert _moment_gap(model, rng) < 0.015
 

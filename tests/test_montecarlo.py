@@ -237,7 +237,7 @@ class TestRunScenario:
         table = run_scenario(SMALL_SPEC)
         f = table.frequencies[0][0]
         expected = np.sqrt(f * (1 - f) / SMALL_SPEC.reps)
-        assert table.standard_errors[0][0] == pytest.approx(expected, rel=1e-12)
+        assert table.standard_errors[0][0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def _reference_tallies(stream):

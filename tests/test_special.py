@@ -19,7 +19,7 @@ class TestBesselI:
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 10.0, 50.0])
     def test_against_scipy(self, m, z):
-        assert bessel_i(m, z) == pytest.approx(sp_special.iv(m, z), rel=1e-13)
+        assert bessel_i(m, z) == pytest.approx(sp_special.iv(m, z), rel=1e-13, abs=0.0)
 
     def test_zero_argument(self):
         assert bessel_i(0, 0.0) == 1.0
@@ -31,7 +31,7 @@ class TestBesselI:
             t = np.linspace(0.0, np.pi, 20001)
             integrand = np.exp(z * np.cos(t)) * np.cos(m * t)
             oracle = np.trapezoid(integrand, t) / np.pi
-            assert bessel_i(m, z) == pytest.approx(oracle, rel=1e-9)
+            assert bessel_i(m, z) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
@@ -51,7 +51,7 @@ class TestBesselRatio:
         # m^2 > kappa takes the recurrence even for large kappa
         for m, kappa in ((40, 1e3), (120, 1e4), (40, 1e8)):
             oracle = sp_special.ive(m, kappa) / sp_special.ive(0, kappa)
-            assert bessel_ratio(m, kappa) == pytest.approx(oracle, rel=1e-12)
+            assert bessel_ratio(m, kappa) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_bounded_cost_at_huge_kappa(self):
         import time
@@ -77,6 +77,11 @@ class TestBesselRatio:
     def test_tiny_and_subnormal_kappa(self, kappa):
         assert bessel_ratio(1, kappa) == pytest.approx(kappa / 2.0, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_smallest_kappa(self, m):
+        # (kappa/2)^m / m! rounds to 0 for kappa = 5e-324: kappa/2 itself does
+        assert bessel_ratio(m, 5e-324) == 0.0
+
     def test_order_zero_is_one(self):
         assert bessel_ratio(0, 3.0) == 1.0
 
@@ -97,7 +102,7 @@ class TestNormalCdf:
     def test_sf_complements(self):
         for v in (-3.0, -0.5, 0.0, 1.7, 6.0):
             assert norm_sf(v) == pytest.approx(1.0 - norm_cdf(v), abs=1e-15)
-            assert norm_sf(v) == pytest.approx(sp_stats.norm.sf(v), rel=1e-12)
+            assert norm_sf(v) == pytest.approx(sp_stats.norm.sf(v), rel=1e-12, abs=0.0)
 
 
 class TestNormalQuantile:
@@ -123,13 +128,15 @@ class TestNormalQuantile:
             norm_quantile(bad)
 
     def test_upper_quantile_alias(self):
-        assert upper_quantile(0.05) == pytest.approx(sp_stats.norm.ppf(0.95), rel=1e-13)
+        assert upper_quantile(0.05) == pytest.approx(
+            sp_stats.norm.ppf(0.95), rel=1e-13, abs=0.0)
         assert upper_quantile(0.025) == pytest.approx(1.959963984540054, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1e-10, 1e-13, 1e-17, 1e-20, 1e-300])
     def test_upper_quantile_small_levels(self, alpha):
         # 1 - alpha rounds to 1 below about 1.1e-16; z_alpha must not depend on it
-        assert upper_quantile(alpha) == pytest.approx(sp_stats.norm.isf(alpha), rel=1e-13)
+        assert upper_quantile(alpha) == pytest.approx(
+            sp_stats.norm.isf(alpha), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, float("nan")])
     def test_upper_quantile_domain_enforced(self, bad):

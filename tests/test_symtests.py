@@ -38,7 +38,8 @@ class TestStudentizedStatistic:
     def test_all_sines_one_gives_root_n(self):
         for k, n in ((1, 9), (2, 16), (3, 25)):
             sample = np.full(n, 0.2 + np.pi / (2 * k))
-            assert studentized_statistic(sample, 0.2, k) == pytest.approx(math.sqrt(n), rel=1e-13)
+            assert studentized_statistic(sample, 0.2, k) == pytest.approx(
+                math.sqrt(n), rel=1e-13, abs=0.0)
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -65,7 +66,8 @@ class TestStudentizedStatistic:
         sample = rng.uniform(-np.pi, np.pi, 30)
         s = np.sin(2 * (sample - 0.1))
         expected = math.sqrt(30) * s.mean() / math.sqrt(np.mean(s**2))
-        assert studentized_statistic(sample, 0.1, 2) == pytest.approx(expected, rel=1e-13)
+        assert studentized_statistic(sample, 0.1, 2) == pytest.approx(
+            expected, rel=1e-13, abs=0.0)
 
     def test_degenerate_sample_rejected(self):
         # every observation sits exactly at the centre, so sin(k(x - theta)) == 0
@@ -89,7 +91,7 @@ class TestSymmetryTest:
         sample = rng.uniform(-np.pi, np.pi, 50)
         result = symmetry_test(sample, 0.4, 2)
         assert result.p_value == pytest.approx(
-            2 * sp_stats.norm.sf(abs(result.statistic)), rel=1e-12
+            2 * sp_stats.norm.sf(abs(result.statistic)), rel=1e-12, abs=0.0
         )
 
     def test_one_sided_alternatives(self):
@@ -99,7 +101,7 @@ class TestSymmetryTest:
         assert right.statistic == pytest.approx(4.0)
         assert right.p_value < 1e-4
         assert left.p_value == pytest.approx(1.0, abs=1e-4)
-        assert right.p_value == pytest.approx(sp_stats.norm.sf(4.0), rel=1e-10)
+        assert right.p_value == pytest.approx(sp_stats.norm.sf(4.0), rel=1e-10, abs=0.0)
 
     def test_result_metadata(self):
         result = symmetry_test([0.5, -0.2, 0.9], 0.0, 3, alpha=0.1)
@@ -123,7 +125,7 @@ class TestParametricTest:
         direct = math.sqrt(2.0) * abs(
             math.sqrt(80) * np.mean(np.sin(sample - 0.3))
         )
-        assert stat == pytest.approx(direct, rel=1e-12)
+        assert stat == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_symmetric_pair_gives_zero(self):
         assert parametric_statistic([1.0, -1.0], 0.0, 2, VonMises(1.0)) == pytest.approx(
@@ -183,8 +185,8 @@ class TestSampleValidatedOnce:
                              statistic, p):
         result = parametric_test(sample, 0.3, k, base, alternative=alternative)
         assert len(as_sample_calls) == 1
-        assert result.statistic == pytest.approx(statistic, rel=1e-13)
-        assert result.p_value == pytest.approx(p, rel=1e-13)
+        assert result.statistic == pytest.approx(statistic, rel=1e-13, abs=0.0)
+        assert result.p_value == pytest.approx(p, rel=1e-13, abs=0.0)
         assert result.n == 40
 
 
@@ -192,13 +194,13 @@ class TestRayleighCardioid:
     def test_all_at_direction(self):
         sample = np.full(8, 1.1)
         result = rayleigh_cardioid_test(sample, 1.1)
-        assert result.statistic == pytest.approx(4.0, rel=1e-13)
-        assert result.p_value == pytest.approx(sp_stats.norm.sf(4.0), rel=1e-10)
+        assert result.statistic == pytest.approx(4.0, rel=1e-13, abs=0.0)
+        assert result.p_value == pytest.approx(sp_stats.norm.sf(4.0), rel=1e-10, abs=0.0)
 
     def test_antipodal_data_p_near_one(self):
         sample = np.full(50, wrap(1.1 + np.pi))
         result = rayleigh_cardioid_test(sample, 1.1)
-        assert result.statistic == pytest.approx(-10.0, rel=1e-12)
+        assert result.statistic == pytest.approx(-10.0, rel=1e-12, abs=0.0)
         assert result.p_value > 0.999999
 
     def test_equals_uniform_parametric_statistic(self):
@@ -471,7 +473,7 @@ class TestModifiedRuns:
         assert a.p_value == b.p_value
         assert a.extra["subset_size"] == 30
         exact = TestRunsMachinery._exact_cdf(int(a.statistic), 30)
-        assert a.p_value == pytest.approx(float(exact), rel=1e-12)
+        assert a.p_value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
         assert "calibration_reps" not in a.extra
 
     def test_metadata_fields(self):
