@@ -30,13 +30,12 @@ their base's draws.
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from itertools import takewhile
 
 import numpy as np
 
 from .angles import TWO_PI, _wrap_in_place, check_angle, half_tangent, wrap
 from .errors import UnsupportedBaseError
-from .special import bessel_i0e, bessel_ratio, check_frequency, check_integer
+from .special import bessel_i0e, bessel_ratio, bessel_ratio_sum, check_frequency, check_integer
 from .workspace import temporaries
 
 # Best-Fisher is exact for any envelope r > 1, and its envelope is formed
@@ -201,19 +200,13 @@ class VonMises(_Model):
         return bessel_ratio(m, self.kappa)
 
     def cos_moment_gap(self, a, b):
-        """rho_a - rho_b as the sum of 2j (rho_j / kappa) over j = a+1, a+3,
-        ..., b-1, from I_(j-1) - I_(j+1) = (2j/kappa) I_j. Its terms are
-        positive, so nothing cancels as the moments near 1 at large kappa.
-        Below kappa = 1 the moments are far from 1 and the direct difference
-        loses nothing. rho_j / kappa falls with j, so once a term is 0 every
-        later one is too: the sum stops there, which changes no bit and
-        keeps the cost from growing with b past the order where it
-        underflows."""
-        kappa = self.kappa
-        if kappa < 1.0:
+        """rho_a - rho_b as one ``bessel_ratio_sum`` of 2j rho_j over j = a+1,
+        a+3, ..., b-1, over kappa, from I_(j-1) - I_(j+1) = (2j/kappa) I_j:
+        its terms are positive, so nothing cancels as the moments near 1 at
+        large kappa. Below kappa = 1 the direct difference loses nothing."""
+        if self.kappa < 1.0:
             return super().cos_moment_gap(a, b)
-        terms = (2.0 * j * (self.cos_moment(j) / kappa) for j in range(a + 1, b, 2))
-        return sum(takewhile(lambda term: term > 0.0, terms))
+        return bessel_ratio_sum(range(a + 1, b, 2), self.kappa, lambda j: 2.0 * j) / self.kappa
 
     @property
     def location_information(self):

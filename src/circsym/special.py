@@ -1,31 +1,31 @@
 """Modified Bessel functions, the standard normal cdf/quantile pair, and the
 checks of a level, a frequency and an integer.
 
-Kept dependency-free. ``bessel_ratio`` gives the von Mises cosine moments
-I_m(kappa)/I_0(kappa) for every finite kappa > 0 without forming either
-function; ``bessel_i0e`` gives I_0(kappa) e^-kappa for every kappa, from
-the raw series ``bessel_i`` (which overflows above kappa ~ 700) or the
-large-argument expansion. The normal cdf and survival function come from
-``math.erfc``, which keeps both tails; the quantile is the standard
-library's ``statistics.NormalDist().inv_cdf``. The test suite checks them
-against SciPy.
+Kept dependency-free. ``bessel_ratio_sum`` gives a weighted sum of the von
+Mises cosine moments I_j(kappa)/I_0(kappa) over a range of orders in one
+moment pass, for every finite kappa > 0 and without forming either Bessel
+function; ``bessel_ratio`` is one moment. ``bessel_i0e`` gives I_0(kappa)
+e^-kappa for every kappa, from the raw series ``bessel_i`` (which overflows
+above kappa ~ 700) or the large-argument expansion. The normal cdf and
+survival function come from ``math.erfc``, which keeps both tails; the
+quantile is the standard library's ``statistics.NormalDist().inv_cdf``. The
+test suite checks them against SciPy.
 """
 
 import math
 import statistics
+import sys
 
 _BESSEL_RTOL = 1e-15
 _BESSEL_MAX_TERMS = 500
 
 _RATIO_RTOL = 1e-16
 _RATIO_DOUBLINGS = 8
-_LOG_TINY = math.log(math.ulp(0.0)) - 1.0
-# Below this the leading term (kappa/2)^m / m! is the ratio to rounding (the
-# next term is a relative kappa^2/4); the recurrence's 2j/kappa would
-# overflow at subnormal kappa.
+# Below this (kappa/2)^m / m! is the ratio to rounding (the next term is a relative
+# kappa^2/4), and the recurrence's 2j/kappa would overflow at subnormal kappa.
 _SERIES_MAX_KAPPA = 1e-8
-# From here on, and while m^2 <= kappa, the large-argument expansion is
-# used: the backward recurrence needs a start order growing like sqrt(kappa).
+# From here on, while m^2 <= kappa, the large-argument expansion's terms shrink
+# at least twofold each; the recurrence's start order grows like sqrt(kappa).
 _HANKEL_MIN_KAPPA = 1e3
 
 _STANDARD_NORMAL = statistics.NormalDist()
@@ -69,50 +69,56 @@ def bessel_i0e(kappa):
 
 
 def bessel_ratio(m, kappa):
-    """I_m(kappa) / I_0(kappa) for integer m >= 0 and finite kappa > 0.
-
-    Below kappa = 1e-8 by the leading term (kappa/2)^m / m! of the power
-    series. From there up to kappa = 1e3, or when m^2 > kappa, by Miller's
-    backward recurrence r_j = I_j/I_{j-1} = 1/(2j/kappa + r_{j+1}) from
-    r = 0 at a start order that doubles until the product r_1 ... r_m stops
-    changing (Amos, ACM TOMS 1974). The first start order is below
-    max(2m, 32) + 2 max(m, 32), so the cost grows with m but not with
-    kappa. Otherwise as the quotient of the large-argument (Hankel)
-    expansions of I_m and I_0, whose terms then shrink at least twofold
-    each. Relative error about 1e-14 or better against SciPy for m <= 12
-    over kappa in [1e-3, 1e8].
-    """
+    """I_m(kappa) / I_0(kappa), the one-term ``bessel_ratio_sum``: within about
+    1e-14 of SciPy, relative, for m <= 12 over kappa in [1e-3, 1e8]."""
     m = check_integer(m, "order", least=0)
+    return bessel_ratio_sum(range(m, m + 1), kappa, lambda j: 1.0)
+
+
+def bessel_ratio_sum(orders, kappa, weight):
+    """The sum of weight(j) I_j(kappa) / I_0(kappa) over ``orders``, a
+    nonempty increasing range of orders >= 0, for finite kappa > 0.
+
+    Below kappa = 1e-8 by the series' leading terms (kappa/2)^j / j!; from
+    kappa = 1e3 on, while the last order's square is at most kappa, by
+    quotients of large-argument (Hankel) expansions. Otherwise by one Miller
+    pass of r_j = I_j/I_(j-1) = 1/(2j/kappa + r_(j+1)) from r = 0 (Amos, ACM
+    TOMS 1974), summed in Horner form r_1 (w_1 + r_2 (w_2 + ...)): one order
+    m of unit weight is the product r_m ... r_1. The pass reaches order
+    R = min(last order, 32 + 40 sqrt(kappa)), doubled until r_1 ... r_R is
+    below the smallest normal double (later terms are 0 to rounding), from
+    a start order max(2R, 32) + 2 sqrt(kappa) doubled until the sum settles.
+    """
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"argument must be finite and positive, got {kappa!r}")
     kappa = float(kappa)
-    if m == 0:
-        return 1.0
-    # r_j < kappa/(2j), so the ratio is below (kappa/2)^m / m!, which is 0
-    # to rounding when kappa/2 rounds to 0 (kappa = 5e-324) or its log is tiny
-    half = 0.5 * kappa
-    if half == 0.0 or m * math.log(half) - math.lgamma(m + 1) < _LOG_TINY:
-        return 0.0
-    if kappa < _SERIES_MAX_KAPPA:
-        return half**m / math.factorial(m)
-    if kappa >= _HANKEL_MIN_KAPPA and m * m <= kappa:
-        return _hankel_series(m, kappa) / _hankel_series(0, kappa)
-    top = max(2 * m, 32) + int(2.0 * math.sqrt(kappa))
-    previous = math.nan
-    for _ in range(_RATIO_DOUBLINGS):
-        r = 0.0
-        product = 1.0
-        for j in range(top, 0, -1):
-            r = 1.0 / (2.0 * j / kappa + r)
-            if j <= m:
-                product *= r
-        if abs(product - previous) <= _RATIO_RTOL * product:
-            return product
-        previous = product
-        top *= 2
-    raise FloatingPointError(
-        f"Bessel ratio recurrence did not settle for m={m}, kappa={kappa}"
-    )
+    last = orders[-1]
+    if kappa < _SERIES_MAX_KAPPA:  # (kappa/2)^j is 0 from j = 40 on, before j! overflows
+        return sum((weight(j) * ((0.5 * kappa)**j / math.factorial(j))
+                    for j in orders[:40] if j < 40), 0.0)
+    if kappa >= _HANKEL_MIN_KAPPA and last * last <= kappa:
+        scale = _hankel_series(0, kappa)
+        return sum(weight(j) * (_hankel_series(j, kappa) / scale) for j in orders)
+    reach = min(last, 32 + int(40.0 * math.sqrt(kappa)))
+    while True:
+        top = max(2 * reach, 32) + int(2.0 * math.sqrt(kappa))
+        previous = math.nan
+        for _ in range(_RATIO_DOUBLINGS):
+            r, total, product = 0.0, 0.0, 1.0
+            for j in range(top, 0, -1):
+                r = 1.0 / (2.0 * j / kappa + r)
+                if j <= reach:
+                    total = (total + weight(j) if j in orders else total) * r
+                    product *= r
+            if reach < last and product >= sys.float_info.min:
+                break
+            if abs(total - previous) <= _RATIO_RTOL * abs(total):
+                return total + (weight(0) if 0 in orders else 0.0)
+            previous = total
+            top *= 2
+        else:
+            raise FloatingPointError(f"Bessel ratio sum did not settle for {orders}, {kappa=}")
+        reach = min(2 * reach, last)
 
 
 def _hankel_series(m, kappa):

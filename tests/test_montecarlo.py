@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
-from circsym import montecarlo
+from circsym import distributions, montecarlo, special
 from circsym.cli import main as cli_main
 from circsym.distributions import SineSkewed, VonMises
 from circsym.errors import DegenerateSampleError
@@ -705,13 +705,14 @@ class TestPowerCurve:
 
     def test_analytic_moments_once_per_curve(self, monkeypatch):
         calls = []
-        moment = VonMises.cos_moment
+        moment_sum = special.bessel_ratio_sum
 
-        def counting(self, m):
-            calls.append(m)
-            return moment(self, m)
+        def counting(orders, kappa, weight):
+            calls.append(orders)
+            return moment_sum(orders, kappa, weight)
 
-        monkeypatch.setattr(VonMises, "cos_moment", counting)
+        for module in (special, distributions):
+            monkeypatch.setattr(module, "bessel_ratio_sum", counting)
         counts = []
         for size in (5, 21):
             calls.clear()

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -52,6 +55,16 @@ class TestBesselRatio:
         for m, kappa in ((40, 1e3), (120, 1e4), (40, 1e8)):
             oracle = sp_special.ive(m, kappa) / sp_special.ive(0, kappa)
             assert bessel_ratio(m, kappa) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_bits_pinned(self):
+        # SHA-256 of the packed doubles, recorded while each order ran its own
+        # recurrence: the one-pass sum may not move a single moment by one bit
+        points = [(m, float(kappa)) for kappa in np.geomspace(1e-3, 1e8, 221)
+                  for m in range(13)]
+        points += [(40, 1e3), (120, 1e4), (40, 1e8), (140, 1.0)]
+        values = [bessel_ratio(m, kappa) for m, kappa in points]
+        assert hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest() == \
+            "7b8628d4e485ace361f60a5df331bb7419daefadf4dd35b6271c903cd68dc267"
 
     def test_bounded_cost_at_huge_kappa(self):
         import time
