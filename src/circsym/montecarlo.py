@@ -34,9 +34,8 @@ order-independent by construction.
 Each block draws its chunks into one (models, C, n) sample array, with
 ``model.sample(rng, C * n, out=...)``, and takes the sums of every
 studentized k of the stream in one call of the row kernel, from one
-tangent pass. The
-samplers and the kernels take their scratch arrays from ``_WORK``, one
-module-level ``workspace.Workspace`` in which every thread has its own. A
+tangent pass. A block runs inside ``workspace.using()``, so the samplers
+and the kernels take their scratch arrays from those its thread keeps. A
 thread reuses them from chunk to chunk and block to block, and the
 calling thread from call to call, so a call does not fault its scratch
 in afresh; a pool worker's arrays go with the pool when its call ends.
@@ -46,7 +45,7 @@ number of replications: each array holds at most models x max(n,
 sampler's rejection batch. A block's window of moments is bounded in rows
 too: 2 x (studentized tests) x models x max(C, ``_WINDOW_ROWS``) doubles,
 however many replications the block runs. Scratch values are written
-before they are read, so the workspace has no effect on draws.
+before they are read, so the kept arrays have no effect on draws.
 """
 
 import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
@@ -69,7 +68,7 @@ from .distributions import (
 )
 from .io import parse_number_list, read_text
 from .special import MAX_SAMPLE_SIZE, check_alpha, check_frequency, check_integer, upper_quantile
-from .workspace import Workspace, using
+from .workspace import using
 from . import symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
@@ -77,7 +76,16 @@ FAMILIES = ("sineskew", "moebius", "mixshift")
 DEFAULT_MASTER_SEED = 1729
 _CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
 _WINDOW_ROWS = 1024  # replications whose sine sums are scored at once, in whole chunks
-_WORK = Workspace()  # each thread's scratch arrays, kept from call to call
+# Draws n x reps per model: 100 replications at the largest n. At n = 10, the
+# most time per draw, a model at the cap took 87 s on a 2-core Xeon, numpy 2.4.
+MAX_DRAWS = 100 * MAX_SAMPLE_SIZE
+
+
+def _check_draws(n, reps):
+    """ValueError unless n x reps, the draws per model, is at most ``MAX_DRAWS``."""
+    if n * reps > MAX_DRAWS:
+        raise ValueError(f"n x reps, the draws per model, must be at most {MAX_DRAWS}, "
+                         f"got {n} x {reps}")
 
 
 def derive_stream(master_seed, scenario_id, index):
@@ -131,6 +139,7 @@ class ScenarioSpec:
         object.__setattr__(self, "n",
                            check_integer(self.n, "sample size n", 10, MAX_SAMPLE_SIZE))
         object.__setattr__(self, "reps", check_integer(self.reps, "replication count reps", 100))
+        _check_draws(self.n, self.reps)
         object.__setattr__(self, "master_seed",
                            check_integer(self.master_seed, "master_seed", least=None))
         check_alpha(self.alpha)
@@ -255,6 +264,7 @@ def _chunk_reps(n):
     return max(1, _CHUNK_DRAWS // n)
 
 
+@using()
 def _replication_block(stream, start, stop):
     """Additive tallies for replications [start, stop) of a stream.
 
@@ -312,12 +322,6 @@ def _replication_block(stream, start, stop):
     return rejections, degenerate
 
 
-def _block_using(stream, start, stop):
-    """``_replication_block`` with the running thread's scratch arrays."""
-    with using(_WORK):
-        return _replication_block(stream, start, stop)
-
-
 def _block_bounds(stream, pieces):
     """At most ``pieces`` blocks of whole chunks covering a stream's replications."""
     size = _chunk_reps(stream.n)
@@ -342,9 +346,7 @@ def _tallies(streams, threads):
     ``threads`` workers, capped at the usable cores and started once for the
     whole list; where that leaves one worker, the blocks run in the calling
     thread and no pool starts. ValueError unless ``threads`` is a positive
-    integer. Each thread that runs blocks reuses its own scratch arrays
-    from ``_WORK``: the calling thread keeps them for the next call, and a
-    pool worker's go when the pool shuts down at the end of the call.
+    integer.
     """
     threads = check_integer(threads, "threads")
     # A worker per core: a chunk's numpy calls are long enough that workers
@@ -352,12 +354,12 @@ def _tallies(streams, threads):
     workers = min(threads, _usable_cores())
     if workers == 1:
         for stream in streams:
-            yield _block_using(stream, 0, stream.reps)
+            yield _replication_block(stream, 0, stream.reps)
         return
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = [
-            [pool.submit(_block_using, stream, lo, hi)
+            [pool.submit(_replication_block, stream, lo, hi)
              for lo, hi in _block_bounds(stream, workers * 4)]
             for stream in streams
         ]
@@ -417,6 +419,7 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
         raise ValueError("empirical mode needs n and reps, both positive integers; "
                          f"got n={n!r}, reps={reps!r}")
     n, reps = check_integer(n, "sample size n", most=MAX_SAMPLE_SIZE), int(reps)
+    _check_draws(n, reps)
     alpha = check_alpha(alpha)
     # as ints, so that k_prime = 2.0 and np.int64(2) name the stream of 2
     k, k_prime = check_frequency(k), check_frequency(k_prime)

@@ -1,16 +1,15 @@
 """Scratch arrays that the samplers and the row-wise kernels reuse.
 
 A sampler or kernel takes the temporary arrays it needs from
-``temporaries``. Inside ``using(work)`` they come from the ``Workspace``
-``work``, which keeps one array per dtype, position and thread, grown to
-the largest size asked for and handed out again to every later call. The
-replication engine holds one workspace for the life of the module, so its
-chunks draw and score without allocating and a thread's arrays serve it
-from one engine call to the next; they are freed when the thread ends.
-Outside ``using`` fresh arrays are returned and nothing is kept, so a
-single sample runs the same code. A temporary array's contents are undefined:
-every caller writes one before reading it, so a workspace never carries a
-value from one call into the next and draws do not depend on it.
+``temporaries``. Inside ``using()`` they come from the arrays the running
+thread keeps, one per dtype and position, grown to the largest size asked
+for and handed out again to every later call. The replication engine runs
+each block inside ``using()``, so its chunks draw and score without
+allocating and a thread's arrays serve it from one engine call to the
+next; they are freed when the thread ends. Outside ``using`` fresh arrays
+are returned and nothing is kept, so a single sample runs the same code.
+Every caller writes a temporary array before reading it, so no value
+carries from one call into the next and draws do not depend on them.
 
 One rule keeps this safe: no step calls another sampler or kernel while it
 holds its temporaries. The rejection batches, the reflection step, the
@@ -20,19 +19,19 @@ statistics phases share one set.
 """
 
 import contextlib
-import contextvars
 import threading
 
 import numpy as np
 
-_active = contextvars.ContextVar("circsym_workspace", default=None)
 
-
-class Workspace(threading.local):
-    """Scratch arrays kept across calls; every thread has its own."""
+class _Store(threading.local):
+    """Each thread's kept arrays, and whether ``using`` is on in it."""
 
     def __init__(self):
-        self.arrays = {}
+        self.arrays, self.on = {}, False
+
+
+_store = _Store()
 
 
 def temporaries(size, count, dtype=np.float64):
@@ -40,23 +39,22 @@ def temporaries(size, count, dtype=np.float64):
     undefined, for a step that calls no other sampler or kernel while it
     holds them."""
     dtype = np.dtype(dtype)
-    work = _active.get()
-    if work is None:
+    if not _store.on:
         return [np.empty(size, dtype) for _ in range(count)]
     arrays = []
     for i in range(count):
-        array = work.arrays.get((dtype, i))
+        array = _store.arrays.get((dtype, i))
         if array is None or array.size < size:
-            array = work.arrays[dtype, i] = np.empty(size, dtype)
+            array = _store.arrays[dtype, i] = np.empty(size, dtype)
         arrays.append(array[:size])
     return arrays
 
 
 @contextlib.contextmanager
-def using(work):
-    """Run the block with the scratch arrays taken from ``work``."""
-    token = _active.set(work)
+def using():
+    """Run the block with the scratch arrays the running thread keeps."""
+    outer, _store.on = _store.on, True
     try:
         yield
     finally:
-        _active.reset(token)
+        _store.on = outer

@@ -16,7 +16,6 @@ from circsym.cli import (
     EXIT_USAGE,
     UsageError,
     _parse_grid,
-    build_parser,
     main,
 )
 from circsym.distributions import SineSkewed, VonMises, parse_model
@@ -84,11 +83,6 @@ class TestParsers:
                     "sineskew(vm:1,lam=0.3", "banana(vm:1,lam=0.1)"):
             with pytest.raises(ValueError):
                 parse_model(bad)
-
-    def test_threads_env_default(self, monkeypatch):
-        monkeypatch.setenv("CIRCSYM_THREADS", "3")
-        args = build_parser().parse_args(["mc", "--preset", "table1"])
-        assert args.threads == 3
 
 
 class TestTestCommand:
@@ -501,25 +495,20 @@ class TestNoTraceback:
         (["sample", "--model", "vm:1", "-n", "100000000000"], EXIT_USAGE),
         (["power", "--grid", "0,1", "--empirical", "100000000000", "100"], EXIT_USAGE),
         (["mc", "--scenario", "{huge_n}"], EXIT_USAGE),
+        # more than MAX_DRAWS draws per model, refused before any is drawn
+        (["power", "--grid", "0,1", "--empirical", "100", "100000000000"], EXIT_USAGE),
+        (["mc", "--preset", "table1", "--reps", "100000000000"], EXIT_USAGE),
     ])
     def test_exit_code_without_traceback(self, tmp_path, argv, code):
         self._check(tmp_path, argv, code)
 
-    @pytest.mark.parametrize("argv, code", [
-        (["fisher", "--base", "vm:1", "--k", "1"], EXIT_OK),
-        (["mc", "--preset", "table1"], EXIT_USAGE),
-    ])
-    def test_bad_threads_variable(self, tmp_path, argv, code):
-        self._check(tmp_path, argv, code, CIRCSYM_THREADS="abc")
-
     # each is refused by the argument parser, before any replication or pool
-    @pytest.mark.parametrize("argv, env_vars", [
-        (["mc", "--preset", "table1", "--threads", "0"], {}),
-        (["power", "--empirical", "30", "100", "--threads", "-3"], {}),
-        (["mc", "--preset", "table1"], {"CIRCSYM_THREADS": "0"}),
-    ], ids=["mc-0", "power-minus-3", "env-0"])
-    def test_threads_must_be_positive(self, tmp_path, argv, env_vars):
-        stderr = self._check(tmp_path, argv, EXIT_USAGE, **env_vars)
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--preset", "table1", "--threads", "0"],
+        ["power", "--empirical", "30", "100", "--threads", "-3"],
+    ], ids=["mc-0", "power-minus-3"])
+    def test_threads_must_be_positive(self, tmp_path, argv):
+        stderr = self._check(tmp_path, argv, EXIT_USAGE)
         assert "threads must be a positive integer" in stderr
 
     @pytest.mark.parametrize("argv", [
@@ -538,7 +527,7 @@ class TestNoTraceback:
         position = min(i for i, byte in enumerate(path.read_bytes()) if byte > 127)
         assert f"in position {position}:" in stderr
 
-    def _check(self, tmp_path, argv, code, **env_vars):
+    def _check(self, tmp_path, argv, code):
         files = {
             "nan": "0.5\n-1.25\nnan\n2.0\n",
             "ok": "0.5\n-1.25\n1.0\n2.0\n",
@@ -571,7 +560,7 @@ class TestNoTraceback:
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_text(text, encoding="utf-8")
         argv = [a.format(**paths) for a in argv]
-        done = _fresh_process(argv, tmp_path, **env_vars)
+        done = _fresh_process(argv, tmp_path)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         assert "circsym: circsym" not in done.stderr
@@ -581,10 +570,10 @@ class TestNoTraceback:
         return done.stderr
 
 
-def _fresh_process(argv, cwd, **env_vars):
-    """``circsym argv`` run in a new interpreter, with ``env_vars`` set."""
+def _fresh_process(argv, cwd):
+    """``circsym argv`` run in a new interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "circsym.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
@@ -608,19 +597,27 @@ class TestInProcess:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != ""
 
-    def test_the_threads_variable_is_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+
+class TestNoEnvironment:
+    """The CLI reads no environment variable."""
+
+    def test_the_old_threads_variable_changes_nothing(self, tmp_path, monkeypatch, capsys):
         scenario = tmp_path / "s.txt"
         scenario.write_text("scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
-                            "lambdas = 0\nn = 10\nreps = 100\ntest_ks = 1\nruns_p = none\n",
-                            encoding="utf-8")
-        argv = ["mc", "--scenario", str(scenario), "--outdir", str(tmp_path / "out")]
-        fresh = _fresh_process(argv, tmp_path, CIRCSYM_THREADS="abc")
-        assert fresh.returncode == EXIT_USAGE
-        for value, code in (("1", EXIT_OK), ("abc", EXIT_USAGE), ("1", EXIT_OK)):
-            monkeypatch.setenv("CIRCSYM_THREADS", value)
-            assert main(argv) == code
-            err = capsys.readouterr().err
-            assert err == (fresh.stderr if code == EXIT_USAGE else "")
+                            "lambdas = 0,0.2\nn = 10\nreps = 100\n", encoding="utf-8")
+        monkeypatch.delenv("CIRCSYM_THREADS", raising=False)
+        outputs = []
+        for value in ("unset", "abc"):
+            if value == "abc":
+                monkeypatch.setenv("CIRCSYM_THREADS", value)
+            outdir = tmp_path / value
+            assert main(["mc", "--scenario", str(scenario), "--out", "both",
+                         "--outdir", str(outdir)]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((captured.out.replace(str(outdir), "OUT"),
+                            [(outdir / f"s.{suffix}").read_bytes() for suffix in ("csv", "json")]))
+        assert outputs[0] == outputs[1]
 
 
 class TestExitTable:

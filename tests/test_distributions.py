@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special as sp_special
 
-from circsym import distributions
+from circsym import distributions, workspace
 from circsym.angles import half_tangent
 from circsym.distributions import (
     Cardioid,
@@ -28,7 +29,7 @@ from circsym.distributions import (
 from circsym.errors import UnsupportedBaseError
 from circsym.special import bessel_ratio
 from circsym.quadrature import integrate_periodic
-from circsym.workspace import Workspace, using
+from circsym.workspace import using
 
 TWO_PI = 2.0 * np.pi
 
@@ -188,6 +189,12 @@ def _path_digests():
     if path not in SAMPLER_DIGESTS:
         pytest.fail(f"no sampler digests recorded for numpy dispatch path {path!r}")
     return SAMPLER_DIGESTS[path]
+
+
+def _in_a_fresh_thread(run):
+    """``run()`` in a new thread, which starts without kept scratch arrays."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(run).result()
 
 
 def _grid(n=1024):
@@ -382,14 +389,18 @@ class TestSamplers:
     ], ids=lambda m: m.label)
     def test_sample_into_out_matches_a_new_array(self, model, n):
         rng, fresh = (np.random.Generator(np.random.Philox(21)) for _ in range(2))
-        work = Workspace()
-        with using(work):  # leave stale values in the scratch arrays
-            model.sample(np.random.default_rng(1), 2 * n)
-        for array in work.arrays.values():
-            array.fill(True if array.dtype == bool else np.nan)
-        buf = np.full(n, np.nan)
-        with using(work):
-            assert model.sample(rng, n, out=buf) is buf
+
+        def sample_into_out():
+            with using():  # leave stale values in the scratch arrays
+                model.sample(np.random.default_rng(1), 2 * n)
+            for array in workspace._store.arrays.values():
+                array.fill(True if array.dtype == bool else np.nan)
+            buf = np.full(n, np.nan)
+            with using():
+                assert model.sample(rng, n, out=buf) is buf
+            return buf
+
+        buf = _in_a_fresh_thread(sample_into_out)
         assert buf.tobytes() == model.sample(fresh, n).tobytes()
         assert rng.random() == fresh.random()
 
@@ -591,10 +602,12 @@ class TestSamplers:
 
     def test_best_fisher_holds_three_float_arrays(self):
         # the tangent, v = t^2 turning into c and then u2, and the bound
-        work = Workspace()
-        with using(work):
-            VonMises(1.0).sample(np.random.default_rng(14), 1000)
-        dtypes = [dtype for dtype, _ in work.arrays]
+        def kept_dtypes():
+            with using():
+                VonMises(1.0).sample(np.random.default_rng(14), 1000)
+            return [dtype for dtype, _ in workspace._store.arrays]
+
+        dtypes = _in_a_fresh_thread(kept_dtypes)
         assert dtypes.count(np.dtype(np.float64)) == 3
         assert dtypes.count(np.dtype(bool)) == 1
 

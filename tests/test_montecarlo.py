@@ -13,11 +13,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
-from circsym import distributions, montecarlo, special
+from circsym import distributions, montecarlo, special, workspace
 from circsym.cli import main as cli_main
 from circsym.distributions import SineSkewed, VonMises
 from circsym.errors import DegenerateSampleError
 from circsym.montecarlo import (
+    MAX_DRAWS,
     PRESETS,
     ScenarioSpec,
     derive_stream,
@@ -150,6 +151,17 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=re.escape(message)):
             ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
                          lambdas=(0.0, 0.2), **values)
+
+    def test_draws_per_model_are_bounded(self):
+        """A scenario and an empirical power curve share one cap on n x reps."""
+        spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                            lambdas=(0.0, 0.2), n=10, reps=MAX_DRAWS // 10)
+        reps = spec.reps + 1
+        message = f"the draws per model, must be at most {MAX_DRAWS}, got 10 x {reps}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(spec, reps=reps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=10, reps=reps)
 
     def test_integral_floats_are_stored_as_int(self):
         spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
@@ -612,15 +624,15 @@ class TestWorkspace:
     def test_the_calling_thread_reuses_its_arrays(self):
         def kept():
             run_scenario(SMALL_SPEC)
-            arrays = dict(montecarlo._WORK.arrays)
+            arrays = dict(workspace._store.arrays)
             run_scenario(SMALL_SPEC)
-            return arrays, montecarlo._WORK.arrays
+            return arrays, workspace._store.arrays
 
         before, after = _in_a_fresh_thread(kept)
         assert before
         assert all(after[key] is array for key, array in before.items())
         # each thread has its own: this one does not see the other's
-        assert all(montecarlo._WORK.arrays.get(key) is not array
+        assert all(workspace._store.arrays.get(key) is not array
                    for key, array in after.items())
 
     def test_workers_scratch_goes_with_the_pool(self, monkeypatch):

@@ -23,7 +23,8 @@ from circsym.distributions import (
     parse_model,
 )
 from circsym.io import read_angles, write_angles
-from circsym.montecarlo import FAMILIES, ScenarioSpec, format_scenario, load_scenario_file
+from circsym.montecarlo import (FAMILIES, MAX_DRAWS, ScenarioSpec, format_scenario,
+                                load_scenario_file)
 from circsym.symtests import studentized_rows, studentized_statistic
 
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -128,10 +129,14 @@ def test_angle_files_round_trip_bit_for_bit(tmp_path_factory, angles):
 
 
 def _scenarios(family, test_ks, runs_p):
-    """Valid scenario specs of one alternative family."""
+    """Valid scenario specs of one alternative family, n x reps within the cap."""
+    sizes = st.integers(min_value=10, max_value=10**6).flatmap(lambda n: st.fixed_dictionaries(
+        {"n": st.just(n), "reps": st.integers(min_value=100, max_value=MAX_DRAWS // n)}))
     return st.builds(
-        ScenarioSpec,
-        scenario_id=st.from_regex(r"[A-Za-z0-9_.-]{1,16}", fullmatch=True),
+        lambda sizes, **fields: ScenarioSpec(**sizes, **fields),
+        sizes,
+        scenario_id=st.from_regex(r"[A-Za-z0-9_.-]{1,16}", fullmatch=True).filter(
+            lambda name: name not in (".", "..")),
         family=st.just(family),
         base=(st.builds(VonMises, positive) if family == "mixshift" else bases).map(
             lambda base: base.label),
@@ -139,8 +144,6 @@ def _scenarios(family, test_ks, runs_p):
             lambda grid: (0.0, *grid)),
         skew_k=st.integers(min_value=1, max_value=10**6),
         moebius_r=unit_open,
-        n=st.integers(min_value=10, max_value=10**6),
-        reps=st.integers(min_value=100, max_value=10**9),
         alpha=unit_open,
         test_ks=test_ks,
         runs_p=runs_p,

@@ -25,7 +25,7 @@ from circsym.symtests import (
     studentized_statistic,
     symmetry_test,
 )
-from circsym.workspace import Workspace, using
+from circsym.workspace import using
 
 
 class TestStudentizedStatistic:
@@ -389,8 +389,8 @@ class TestRunsKernel:
         rows = wrap(_runs_cases(rng, n, m) + theta)
         coins = rng.random(rows.size) < 0.5
         expected = _runs_by_argsort(rows, theta, m, coins)
-        # a workspace that earlier rows have left their values in
-        with using(Workspace()):
+        # kept arrays that earlier rows have left their values in
+        with using():
             for i, row in enumerate(rows):
                 left = np.count_nonzero(rows[:i] == theta)
                 count = modified_runs_rows(row, theta, m, lambda z: coins[left:left + z])
