@@ -16,6 +16,7 @@ from circsym.cli import (
     EXIT_USAGE,
     UsageError,
     _parse_grid,
+    build_parser,
     main,
 )
 from circsym.distributions import SineSkewed, VonMises, parse_model
@@ -618,6 +619,52 @@ class TestNoEnvironment:
             outputs.append((captured.out.replace(str(outdir), "OUT"),
                             [(outdir / f"s.{suffix}").read_bytes() for suffix in ("csv", "json")]))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "3"])
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--preset", "table1"],
+        ["power", "--empirical", "30", "100"],
+    ], ids=["mc", "power"])
+    def test_the_worker_count_defaults_to_one(self, monkeypatch, argv, value):
+        monkeypatch.setenv("CIRCSYM_THREADS", value)
+        assert build_parser().parse_args(argv).threads == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "a.txt", "--k", "1,2"],
+        ["uniformity", "a.txt"],
+        ["mc", "--preset", "table1", "--threads", "2"],
+        ["power", "--empirical", "30", "100"],
+        ["fisher", "--base", "vm:1", "--k", "1"],
+        ["sample", "--model", "vm:1", "-n", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_parsing_reads_no_variable_of_its_own(self, monkeypatch, argv):
+        # argparse's gettext looks up the locale variables; circsym reads none
+        environment = _ReadsRecorded(os.environ, CIRCSYM_THREADS="3")
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "environ", environment)
+            args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        assert not [key for key in environment.read if "CIRCSYM" in key.upper()]
+
+
+class _ReadsRecorded(dict):
+    """A copy of ``os.environ`` that records each key looked up in it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.append(key)
+        return super().__contains__(key)
 
 
 class TestExitTable:

@@ -163,6 +163,18 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=re.escape(message)):
             power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=10, reps=reps)
 
+    @pytest.mark.parametrize("n", [10, 1000, MAX_SAMPLE_SIZE])
+    def test_the_cap_holds_at_every_sample_size(self, n):
+        reps = MAX_DRAWS // n
+        spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                            lambdas=(0.0, 0.2), n=n, reps=reps)
+        assert spec.n * spec.reps == MAX_DRAWS
+        message = f"the draws per model, must be at most {MAX_DRAWS}, got {n} x {reps + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(spec, reps=reps + 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=n, reps=reps + 1)
+
     def test_integral_floats_are_stored_as_int(self):
         spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
                             lambdas=(0.0, 0.2), n=50.0, reps=200.0, master_seed=2.0)

@@ -9,6 +9,7 @@ from scipy import stats as sp_stats
 
 from circsym.special import (
     bessel_i,
+    bessel_i0e,
     bessel_ratio,
     check_integer,
     norm_cdf,
@@ -19,7 +20,8 @@ from circsym.special import (
 
 
 class TestBesselI:
-    @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 10.0, 50.0])
+    # the series holds its accuracy up to where it overflows, near 713
+    @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 10.0, 50.0, 100.0, 700.0])
     def test_against_scipy(self, z):
         assert bessel_i(z) == pytest.approx(sp_special.i0(z), rel=1e-13, abs=0.0)
 
@@ -31,6 +33,21 @@ class TestBesselI:
         t = np.linspace(0.0, np.pi, 20001)
         oracle = np.trapezoid(np.exp(np.cos(t)), t) / np.pi
         assert bessel_i(1.0) == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError, match="argument must be nonnegative"):
+            bessel_i(-1.0)
+
+
+class TestBesselI0e:
+    # both sides of the switch from the series to the large-argument expansion
+    # at kappa = 50, and past where the series alone would overflow
+    @pytest.mark.parametrize("kappa", [
+        0.0, 1e-8, 0.1, 1.0, 10.0, 30.0, 49.999, 50.0, 50.001, 100.0, 700.0,
+        713.0, 1e3, 1e6, 1e12, 1e300,
+    ])
+    def test_against_scipy(self, kappa):
+        assert bessel_i0e(kappa) == pytest.approx(sp_special.i0e(kappa), rel=1e-14, abs=0.0)
 
 
 class TestBesselRatio:
