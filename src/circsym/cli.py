@@ -13,6 +13,11 @@ error (``UsageError``, and any other ``ValueError``, which is how the
 library reports a bad parameter), 2 data error (unreadable, malformed or
 too short input), 3 numerical failure. The CLI reads no environment
 variable: ``--threads`` alone sets the worker count of ``mc`` and ``power``.
+
+``COMMANDS`` lists the subcommands. A request builds the parser of the
+subcommand that its first argument names and no other; help before a
+subcommand, ``--version``, no argument or an unknown name builds all six,
+so help and the invalid-choice message list them all.
 """
 
 import argparse
@@ -77,6 +82,7 @@ _frequency = _checked("frequency", lambda text: check_frequency(int(text)))
 _frequencies = _checked("frequency list",  # as ScenarioSpec reads test_ks
                         lambda text: tuple(map(check_frequency, parse_number_list(text, int))))
 _threads = _checked("threads", lambda text: check_integer(int(text), "threads"))
+_column = _checked("column", lambda text: check_integer(int(text), "column", least=0))
 
 _THREADS_HELP = ("worker threads, at most one per core (default 1; no environment "
                  "variable is read); output is byte-identical at any count")
@@ -129,7 +135,7 @@ def _add_file_options(sub):
                      help="unit of file angles unless the file header says otherwise")
     sub.add_argument("--format", choices=FORMATS, default=None,
                      help="file layout when the header does not declare one")
-    sub.add_argument("--column", type=int, default=0, help="csv column index")
+    sub.add_argument("--column", type=_column, default=0, help="csv column index")
     sub.add_argument("--zero", default=None,
                      help="direction of the file's zero (e.g. 90deg)")
     sub.add_argument("--sense", choices=SENSES, default=None,
@@ -281,15 +287,7 @@ def cmd_sample(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = _Parser(prog="circsym",
-                     description="Tests of circular reflective symmetry about "
-                                 "a known median direction, with replication "
-                                 "and power tooling.")
-    parser.add_argument("--version", action="version", version=f"circsym {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("test", help="sine-based symmetry tests at chosen k")
+def _test_arguments(sub):
     _add_file_options(sub)
     sub.add_argument("--theta", default=None,
                      help="known median direction, e.g. 180deg or 3.14rad")
@@ -300,8 +298,8 @@ def build_parser():
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.set_defaults(func=cmd_test)
 
-    sub = commands.add_parser("uniformity",
-                              help="Rayleigh test against a fixed direction")
+
+def _uniformity_arguments(sub):
     _add_file_options(sub)
     sub.add_argument("--direction", default=None,
                      help="hypothesized concentration direction")
@@ -309,7 +307,8 @@ def build_parser():
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_uniformity)
 
-    sub = commands.add_parser("mc", help="replication tables for preset or file scenarios")
+
+def _mc_arguments(sub):
     sub.add_argument("--preset", default=None, help="table1, table2 or table3")
     sub.add_argument("--scenario", default=None, help="scenario file path")
     sub.add_argument("--reps", type=int, default=None,
@@ -320,7 +319,8 @@ def build_parser():
     sub.add_argument("--outdir", default=".")
     sub.set_defaults(func=cmd_mc)
 
-    sub = commands.add_parser("power", help="local power curves of the k test")
+
+def _power_arguments(sub):
     sub.add_argument("--base", default="vm:1")
     sub.add_argument("--k", type=_frequency, default=2)
     sub.add_argument("--kprime", type=_frequencies, default="1,2,3")
@@ -338,13 +338,15 @@ def build_parser():
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sub.set_defaults(func=cmd_power)
 
-    sub = commands.add_parser("fisher", help="information matrix and singularity report")
+
+def _fisher_arguments(sub):
     sub.add_argument("--base", required=True)
     sub.add_argument("--k", type=_frequency, required=True)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_fisher)
 
-    sub = commands.add_parser("sample", help="draw synthetic angles from a model")
+
+def _sample_arguments(sub):
     sub.add_argument("--model", required=True,
                      help="e.g. vm:1 or sineskew(vm:1,k=2,lam=0.3)")
     sub.add_argument("-n", type=int, required=True,
@@ -354,6 +356,31 @@ def build_parser():
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_sample)
 
+
+# Subcommands in help order: name, help line, and the function that adds
+# the subcommand's arguments to its parser.
+COMMANDS = (
+    ("test", "sine-based symmetry tests at chosen k", _test_arguments),
+    ("uniformity", "Rayleigh test against a fixed direction", _uniformity_arguments),
+    ("mc", "replication tables for preset or file scenarios", _mc_arguments),
+    ("power", "local power curves of the k test", _power_arguments),
+    ("fisher", "information matrix and singularity report", _fisher_arguments),
+    ("sample", "draw synthetic angles from a model", _sample_arguments),
+)
+
+
+def build_parser(command=None):
+    """The argument parser with every subcommand, or with only ``command``,
+    one of the names in ``COMMANDS``."""
+    parser = _Parser(prog="circsym",
+                     description="Tests of circular reflective symmetry about "
+                                 "a known median direction, with replication "
+                                 "and power tooling.")
+    parser.add_argument("--version", action="version", version=f"circsym {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments in COMMANDS:
+        if command in (None, name):
+            add_arguments(commands.add_parser(name, help=help_line))
     return parser
 
 
@@ -370,7 +397,11 @@ EXIT_TABLE = (
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # help, --version, no argument and an unknown name list all six
+        names = [name for name, _, _ in COMMANDS]
+        command = argv[0] if argv and argv[0] in names else None
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except Exception as exc:
         for classes, code, prefix in EXIT_TABLE:

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .angles import wrap
+from .special import check_integer
 
 FORMATS = ("plain", "csv", "grouped")
 UNITS = ("radians", "degrees")
@@ -99,6 +100,8 @@ def _row(line, fmt, column):
             raise ValueError("expected exactly one angle")
         _finite(fields[0])
     elif fmt == "csv":
+        if column >= len(fields):
+            raise ValueError(f"column {column} is past the end of a {len(fields)}-field row")
         _finite(fields[column])
     else:
         if len(fields) != 2:
@@ -137,11 +140,13 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
 
     Caller arguments fill in whatever the header does not specify. ``zero``
     is an angle literal like ``"90deg"``, or a number in the file's unit;
-    ``sense`` is ``ccw`` (mathematical, default) or ``cw``. A line with a
-    comma splits on commas, any other on whitespace; header directives may
-    appear anywhere, and the last of each key wins. An error names the
-    first bad line.
+    ``sense`` is ``ccw`` (mathematical, default) or ``cw``. ``column``, the
+    field a ``csv`` row is read from, counts from 0; a negative one is a
+    ValueError. A line with a comma splits on commas, any other on
+    whitespace; header directives may appear anywhere, and the last of each
+    key wins. An error names the first bad line.
     """
+    column = check_integer(column, "column", least=0)
     text = read_text(path)
     lines = list(map(str.strip, text.split("\n")))
     notes = [line for line in lines if line.startswith("#")]

@@ -12,6 +12,7 @@ import numpy as np
 from circsym.angles import wrap
 from circsym.io import (_DEG, FORMATS, SENSES, UNITS, AngleFileError, _choice, parse_angle,
                         read_text)
+from circsym.special import check_integer
 
 
 def _finite(text):
@@ -22,6 +23,7 @@ def _finite(text):
 
 
 def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
+    column = check_integer(column, "column", least=0)
     header = {}
     rows = []
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
@@ -65,6 +67,9 @@ def read_angles(path, unit=None, fmt=None, column=0, zero=None, sense=None):
                     raise ValueError("expected exactly one angle")
                 values.append(_finite(fields[0]))
             elif fmt == "csv":
+                if column >= len(fields):
+                    raise ValueError(f"column {column} is past the end of a "
+                                     f"{len(fields)}-field row")
                 values.append(_finite(fields[column]))
             else:
                 if len(fields) != 2:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -597,6 +598,122 @@ class TestInProcess:
             assert main(argv) == EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != ""
+
+
+# argument lists that end before a namespace is parsed: help, the version,
+# an unknown or missing subcommand and one usage error per subcommand
+_UNPARSED = [
+    *([command, "--help"] for command, _, _ in cli.COMMANDS),
+    ["--help"], ["-h", "test"], ["--version"], [], ["bogus"], ["TEST"],
+    ["--bogus", "test"], ["test", "--bogus"],
+    ["test", "{sample}", "--theta", "0", "--column", "-1"],
+    ["uniformity", "--direction", "0"],
+    ["mc", "--preset", "table1", "--threads", "0"],
+    ["power", "--k", "x"],
+    ["fisher", "--base", "vm:1"],
+    ["sample", "--model", "vm:1"],
+]
+# one valid request per subcommand
+_PARSED = [
+    ["test", "{sample}", "--theta", "0.3", "--k", "1,3", "--json"],
+    ["uniformity", "{sample}", "--direction", "45deg"],
+    ["mc", "--scenario", "{scenario}", "--outdir", "{outdir}"],
+    ["power", "--base", "wcauchy:0.4", "--grid", "0,1.5", "--kprime", "2"],
+    ["fisher", "--base", "vm:1", "--k", "1"],
+    ["sample", "--model", "vm:2", "-n", "7", "--seed", "11"],
+]
+
+
+class TestParserPaths:
+    """``main`` builds only the subcommand that its first argument names. It
+    must answer as the parser with all six subcommands does: the same
+    stdout, stderr, exit code and parsed namespace."""
+
+    @staticmethod
+    def _run(monkeypatch, capsys, argv, every_command):
+        build = cli.build_parser
+        parsed = []
+
+        def recorded(command=None):
+            parser = build() if every_command else build(command)
+            parse = parser.parse_args
+
+            def parse_args(args=None, namespace=None):
+                parsed.append(parse(args, namespace))
+                return parsed[-1]
+
+            parser.parse_args = parse_args
+            return parser
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", recorded)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and --version
+                code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, parsed
+
+    @pytest.mark.parametrize("argv, valid", [
+        pytest.param(argv, valid, id=" ".join(argv) or "none")
+        for argvs, valid in ((_UNPARSED, False), (_PARSED, True)) for argv in argvs])
+    def test_one_subcommand_answers_as_all_six(self, sample_file, tmp_path, monkeypatch,
+                                               capsys, argv, valid):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text("scenario_id = s\nfamily = sineskew\nbase = vm:1\n"
+                            "lambdas = 0\nn = 10\nreps = 100\n", encoding="utf-8")
+        argv = [a.format(sample=sample_file, scenario=scenario, outdir=tmp_path / "out")
+                for a in argv]
+        alone = self._run(monkeypatch, capsys, argv, every_command=False)
+        assert alone == self._run(monkeypatch, capsys, argv, every_command=True)
+        _, out, err, parsed = alone
+        assert bool(parsed) == valid
+        assert out or err
+
+    def test_a_named_subcommand_builds_one_subparser(self, monkeypatch, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert main(["fisher", "--base", "vm:1", "--k", "1"]) == EXIT_OK
+        assert added == ["fisher"]
+        every = [name for name, _, _ in cli.COMMANDS]
+        for argv in (["bogus"], ["--bogus", "fisher"]):
+            added.clear()
+            assert main(argv) == EXIT_USAGE
+            assert added == every
+        added.clear()
+        build_parser()
+        assert added == every
+        capsys.readouterr()
+
+
+class TestColumn:
+    """``--column j`` reads field j, counted from 0, of every csv row."""
+
+    @pytest.fixture
+    def rows(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1,2\n3,4,5\n0.5,0.25\n", encoding="utf-8")
+        return path
+
+    def test_a_negative_column_is_a_usage_error(self, rows, capsys):
+        assert main(["test", str(rows), "--format", "csv", "--theta", "0",
+                     "--column", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "circsym: test: argument --column: bad column '-1': "
+            "column must be a nonnegative integer, got -1\n")
+
+    @pytest.mark.parametrize("column", ["2", "100000000000000000000"])
+    def test_a_column_past_a_row_names_its_field_count(self, rows, capsys, column):
+        assert main(["test", str(rows), "--format", "csv", "--theta", "0",
+                     "--column", column]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"circsym: data error: {rows}:1: column {column} is past the end of a 2-field row\n")
 
 
 class TestNoEnvironment:

@@ -90,6 +90,21 @@ class TestCsvFormat:
         with pytest.raises(AngleFileError, match=r"a\.csv:1"):
             read_angles(path, fmt="csv", column=5)
 
+    @pytest.mark.parametrize("column, line, fields", [(2, 2, 2), (10**20, 1, 3)])
+    def test_a_column_past_a_row_names_its_field_count(self, tmp_path, column, line, fields):
+        path = _write(tmp_path / "a.csv", "1,2,3\n0.25,9\n")
+        with pytest.raises(AngleFileError, match=rf"a\.csv:{line}: column {column} is past "
+                                                 rf"the end of a {fields}-field row$"):
+            read_angles(path, fmt="csv", column=column)
+
+    @pytest.mark.parametrize("fmt", ["csv", "plain", None])
+    def test_a_negative_column_is_refused(self, tmp_path, fmt):
+        path = _write(tmp_path / "a.csv", "1,2\n3,4,5\n0.5,0.25\n")
+        with pytest.raises(ValueError) as info:
+            read_angles(path, fmt=fmt, column=-1)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "column must be a nonnegative integer, got -1"
+
 
 class TestGroupedFormat:
     def test_expansion_matches_plain(self, tmp_path):
@@ -259,20 +274,20 @@ class TestAgainstRowByRowReader:
 
     @pytest.mark.parametrize("fmt, row, bad, message", [
         ("plain", "{:.17g}", "nan", "angle must be finite"),
-        ("csv", "{:.17g},1", "7", "list index out of range"),
+        ("csv", "{:.17g},1", "7", "column 1 is past the end of a 1-field row"),
         ("grouped", "{:.17g},3", "0.5,0", "count must be a positive integer"),
     ])
     def test_large_file_names_the_bad_line(self, tmp_path, fmt, row, bad, message):
         values = np.random.default_rng(5).uniform(-4.0, 4.0, 30000)
         lines = [row.format(v) for v in values]
         path = _write(tmp_path / "a.txt", "\n".join(lines) + "\n")
-        assert (read_angles(path, fmt=fmt, column=-2).tobytes()
-                == reference_io.read_angles(path, fmt=fmt, column=-2).tobytes())
+        assert (read_angles(path, fmt=fmt).tobytes()
+                == reference_io.read_angles(path, fmt=fmt).tobytes())
         lines[21000] = bad
         _write(path, "\r\n".join(lines) + "\r\n")
         for read in (read_angles, reference_io.read_angles):
             with pytest.raises(AngleFileError, match=re.escape(f"{path}:21001: {message}")):
-                read(path, fmt=fmt, column=-2 if fmt == "grouped" else 1)
+                read(path, fmt=fmt, column=1)
 
     @pytest.mark.parametrize("prefix_lines", [0, 5000])
     def test_non_utf8_file_is_named(self, tmp_path, prefix_lines):
