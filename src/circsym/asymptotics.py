@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import as_sample, check_angle
+from .angles import as_sample, check_angle, sine_sums
 from .errors import DegenerateInformationError, UnsupportedBaseError
 from .special import check_alpha, check_frequency, norm_cdf, norm_sf, upper_quantile
 
@@ -134,10 +134,10 @@ def central_sequence(base, k, sample, theta):
     theta, k = check_angle(theta), check_frequency(k)
     arr = as_sample(sample)
     root_n = math.sqrt(arr.size)
-    centered = arr - theta
+    sine_sum = sine_sums(arr, theta, (k,), np.empty((2, 1)))[0, 0]
     return CentralSequence(
-        location=root_n * float(np.mean(base.score(centered))),
-        skewness=root_n * float(np.mean(np.sin(k * centered))),
+        location=root_n * float(np.mean(base.score(arr - theta))),
+        skewness=root_n * float(sine_sum / arr.size),
     )
 
 
@@ -145,8 +145,8 @@ def efficient_central_sequence(base, k, sample, theta):
     """Skewness score projected orthogonally to the location score.
 
     n^{-1/2} * sum [ sin(k(x_i - theta)) - (g12/g11) * phi(x_i - theta) ].
-    Identically zero for von Mises bases with k = 1, where the two scores
-    are collinear.
+    Zero up to rounding for von Mises bases with k = 1, where the two
+    scores are collinear.
     """
     theta = check_angle(theta)
     matrix = fisher_matrix(base, k)
@@ -155,8 +155,5 @@ def efficient_central_sequence(base, k, sample, theta):
             f"location information vanishes for {base.label!r}; "
             "the efficient sequence needs g11 > 0"
         )
-    ratio = matrix.g12 / matrix.g11
-    arr = as_sample(sample)
-    centered = arr - theta
-    values = np.sin(k * centered) - ratio * base.score(centered)
-    return math.sqrt(arr.size) * float(np.mean(values))
+    seq = central_sequence(base, k, sample, theta)
+    return seq.skewness - (matrix.g12 / matrix.g11) * seq.location

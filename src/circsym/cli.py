@@ -11,8 +11,11 @@ exceptions through; ``main`` alone maps them to exit codes with one
 ``circsym: ...`` line on stderr, by ``EXIT_TABLE``: 0 success, 1 usage
 error (``UsageError``, and any other ``ValueError``, which is how the
 library reports a bad parameter), 2 data error (unreadable, malformed or
-too short input), 3 numerical failure. The CLI reads no environment
-variable: ``--threads`` alone sets the worker count of ``mc`` and ``power``.
+too short input), 3 numerical failure. One exception prints no line: a
+closed stdout (``BrokenPipeError``) ends the command with exit 2, as its
+reader has gone and its output is incomplete. The CLI reads no
+environment variable: ``--threads`` alone sets the worker count of ``mc``
+and ``power``.
 
 ``COMMANDS`` lists the subcommands. A request builds the parser of the
 subcommand that its first argument names and no other; help before a
@@ -23,6 +26,7 @@ so help and the invalid-choice message list them all.
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -402,7 +406,15 @@ def main(argv=None):
         names = [name for name, _, _ in COMMANDS]
         command = argv[0] if argv and argv[0] in names else None
         args = build_parser(command).parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a late EPIPE surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: the output is incomplete
+        # later writes, the exit-time flush among them, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_DATA
     except Exception as exc:
         for classes, code, prefix in EXIT_TABLE:
             if isinstance(exc, classes):

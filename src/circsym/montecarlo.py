@@ -13,14 +13,15 @@ are bit-identical for a fixed (master seed, stream id) however
 replications are split over workers.
 
 Every statistic is computed over the whole (models, C, n) block by the
-row-wise kernels of ``symtests``. A studentized test rejects where |T_k|
-exceeds z_{alpha/2}, the modified runs test where the run count is at
-most the largest c with P(R <= c) < alpha (``symtests.runs_null_cdf``);
-both are computed once per stream. The studentized tests are scored in two
-steps: each chunk keeps only its moments, the row sums of the sines and of
-their squares (``symtests.sine_sums``), in a window of whole chunks of
-about ``_WINDOW_ROWS`` replications, and the ratio T_k and the degenerate
-and rejection counts are formed once per window (``symtests.studentize``).
+row-wise kernels of ``angles`` and ``symtests``. A studentized test
+rejects where |T_k| exceeds z_{alpha/2}, the modified runs test where the
+run count is at most the largest c with P(R <= c) < alpha
+(``symtests.runs_null_cdf``); both are computed once per stream. The
+studentized tests are scored in two steps: each chunk keeps only its
+moments, the row sums of the sines and of their squares
+(``angles.sine_sums``), in a window of whole chunks of about
+``_WINDOW_ROWS`` replications, and the ratio T_k and the degenerate and
+rejection counts are formed once per window (``symtests.studentize``).
 T_k is a function of its row's two sums, so the windows change no bit; they
 take the interpreter-held calls of the ratio and the counts off every
 chunk. With ``threads`` > 1 on more than one core, one thread pool of at
@@ -69,7 +70,7 @@ from .distributions import (
 from .io import parse_number_list, read_text
 from .special import MAX_SAMPLE_SIZE, check_alpha, check_frequency, check_integer, upper_quantile
 from .workspace import using
-from . import symtests
+from . import angles, symtests
 
 FAMILIES = ("sineskew", "moebius", "mixshift")
 
@@ -275,7 +276,7 @@ def _replication_block(stream, start, stop):
     drawn into the same sample array.
 
     The studentized tests take two steps. Each chunk writes only its row
-    sums of the sines and of their squares (``symtests.sine_sums``) into a
+    sums of the sines and of their squares (``angles.sine_sums``) into a
     window of whole chunks, about ``_WINDOW_ROWS`` replications; the ratio
     T_k and the degenerate and rejection counts are then formed once per
     window (``symtests.studentize``), from the same sums in the same order
@@ -308,8 +309,8 @@ def _replication_block(stream, start, stop):
                 if stream.runs is not None:
                     coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
             if stream.test_ks:
-                symtests.sine_sums(samples, 0.0, stream.test_ks,
-                                   sums[..., lo - first:lo - first + rows])
+                angles.sine_sums(samples, 0.0, stream.test_ks,
+                                 sums[..., lo - first:lo - first + rows])
             if stream.runs is not None:
                 # the coins were drawn in the row-major (model, row) order it takes
                 counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,

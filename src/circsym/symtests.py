@@ -10,17 +10,17 @@ R - 1 ~ Binomial(m - 1, 1/2) (``runs_null_cdf``).
 Each statistic has one implementation, a row-wise kernel over the last
 axis of an array of canonical angles: ``studentized_rows`` for T_k and
 ``modified_runs_rows`` for the modified runs count. T_k is built from two
-helpers: ``sine_sums`` writes each row's moments, the sums of
+helpers: ``angles.sine_sums`` writes each row's moments, the sums of
 sin(k(x - theta)) and of its square, and ``studentize`` forms the ratio
-from them. The single-sample tests call ``studentized_rows``, both steps
-on one row, on fresh temporaries. The Monte Carlo engine calls
-``sine_sums`` on each chunk of replications and ``studentize`` once per
-window of chunks, the same bits, and the kernels then take their
-temporaries from the arrays the engine keeps for each thread
-(``workspace.temporaries``). Both kernels stay on numpy's fast paths:
-``sine_sums`` scores every k of a chunk from one tangent of each angle
-(``angles.sine_multiples``) and ``modified_runs_rows`` orders each row by
-one sort of uint64 keys, not a stable argsort.
+from them; the parametric test divides the same sine sum by sqrt(g22).
+The single-sample tests run on one row, on fresh temporaries. The Monte
+Carlo engine calls ``angles.sine_sums`` on each chunk of replications and
+``studentize`` once per window of chunks, the same bits, and the kernels
+then take their temporaries from the arrays the engine keeps for each
+thread (``workspace.temporaries``). Both kernels stay on numpy's fast
+paths: ``angles.sine_sums`` scores every k of a chunk from one tangent of
+each angle (``angles.sine_multiples``) and ``modified_runs_rows`` orders
+each row by one sort of uint64 keys, not a stable argsort.
 """
 
 import math
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _wrap_in_place, as_sample, check_angle, sine_multiples, wrap
+from .angles import _wrap_in_place, as_sample, check_angle, sine_sums, wrap
 from .asymptotics import cross_corr
 from .errors import DegenerateInformationError, DegenerateSampleError, EmptySampleError
 from .special import check_alpha, check_frequency, norm_cdf, norm_sf
@@ -37,7 +37,6 @@ from .workspace import temporaries
 ALTERNATIVES = ("two-sided", "left", "right")
 
 _DEFAULT_RUNS_SEED = 0x5D3A7C1B
-_MAX_MULTIPLE = 16  # the largest k / gcd(ks) that sine_sums reaches by recurrence
 
 
 @dataclass
@@ -115,54 +114,6 @@ def studentized_rows(x, theta, ks):
     return studentize(sine_sums(x, theta, ks, sums), x.shape[-1])
 
 
-def sine_sums(x, theta, ks, out):
-    """Row sums of sin(k(x - theta)) and of its square, for each k in ``ks``.
-
-    ``x`` and ``ks`` are as in ``studentized_rows``. The sums are written
-    to ``out``, a float64 array of shape ``(2, len(ks)) + x.shape[:-1]``
-    (a view will do), and it is returned: ``out[0, i]`` holds the row sums
-    of the sines at ``ks[i]`` and ``out[1, i]`` those of their squares.
-    Each is one ``np.add.reduce`` over the last axis, the reduction that
-    ``np.mean`` divides by n.
-
-    Every k comes from one tangent pass (``angles.sine_multiples``): with
-    g = gcd(ks), sin(g(x - theta)) = 2 t w from t = tan(g(x - theta)/2),
-    which is several times faster than ``np.sin``, and sin(jg(x - theta))
-    follows by the Chebyshev recurrence. A single k runs no recurrence.
-    The tangent pass takes g/2 as its scale (``angles.half_tangent``), so
-    g(x - theta) is never formed, and at theta = +0.0 it reads ``x``
-    itself; either way the bits are those of the scaled difference.
-    The kernel takes two scratch arrays of the size of ``x`` for a single
-    k, three up to max(ks) = 3g and four beyond. Past
-    max(ks) = ``_MAX_MULTIPLE`` g, where the recurrence's error (about
-    j^2 eps at step j) and its two calls a step outweigh a tangent pass,
-    each k gets its own pass.
-    """
-    ks = tuple(ks)
-    g = math.gcd(*ks)
-    top = max(ks) // g
-    if top > _MAX_MULTIPLE:
-        for i, k in enumerate(ks):
-            sine_sums(x, theta, (k,), out[:, i:i + 1])
-        return out
-    count = 2 if top == 1 else 3 if top <= 3 else 4
-    first, *others = (a.reshape(x.shape) for a in temporaries(x.size, count))
-    # x - (+0.0) is x bit for bit, so theta = +0.0 reads x itself; x - (-0.0)
-    # would turn -0.0 into +0.0
-    plus_zero = theta == 0.0 and math.copysign(1.0, theta) == 1.0
-    angles = x if plus_zero else np.subtract(x, theta, out=first)
-    multiples = sine_multiples(angles, top, first, *others, scale=g)
-    for j, (sines, scratch) in enumerate(multiples, start=1):
-        if j * g in ks:
-            i = ks.index(j * g)  # out[0, i, ...] is an array even for one row
-            np.add.reduce(sines, axis=-1, out=out[0, i, ...])
-            np.add.reduce(np.square(sines, out=scratch), axis=-1, out=out[1, i, ...])
-    for i, k in enumerate(ks):  # a k given twice reads its first sums
-        if ks.index(k) != i:
-            out[:, i] = out[:, ks.index(k)]
-    return out
-
-
 def studentize(sums, n):
     """T_k from the row sums of ``sine_sums`` over rows of ``n`` observations.
 
@@ -179,24 +130,11 @@ def studentize(sums, n):
 
 
 def studentized_statistic(sample, theta, k):
-    """Signed studentized sine statistic of one sample (``studentized_rows``).
+    """Signed studentized sine statistic of one sample (``symmetry_test``).
 
     The absolute value is the published two-sided statistic.
     """
-    theta, k = check_angle(theta), check_frequency(k)
-    return _studentized(as_sample(sample), theta, k)
-
-
-def _studentized(arr, theta, k):
-    """T_k of a canonical sample at a checked theta and k."""
-    if arr.size < 2:
-        raise EmptySampleError("studentized statistic needs at least two observations")
-    signed = float(studentized_rows(arr, theta, (k,))[0])
-    if math.isnan(signed):
-        raise DegenerateSampleError(
-            f"every sin({k}(x - theta)) vanishes; the studentized statistic is undefined"
-        )
-    return signed
+    return symmetry_test(sample, theta, k).statistic
 
 
 def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
@@ -208,7 +146,13 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
     alpha, alternative = check_alpha(alpha), check_alternative(alternative)
     theta, k = check_angle(theta), check_frequency(k)
     arr = as_sample(sample)
-    signed = _studentized(arr, theta, k)
+    if arr.size < 2:
+        raise EmptySampleError("studentized statistic needs at least two observations")
+    signed = float(studentized_rows(arr, theta, (k,))[0])
+    if math.isnan(signed):
+        raise DegenerateSampleError(
+            f"every sin({k}(x - theta)) vanishes; the studentized statistic is undefined"
+        )
     return TestResult(
         statistic=signed,
         p_value=p_value(signed, alternative),
@@ -223,19 +167,7 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
 
 def parametric_statistic(sample, theta, k, base):
     """Nonnegative parametric statistic |sqrt(n) mean(sin(k(x-theta)))| / sqrt(g22)."""
-    theta, k = check_angle(theta), check_frequency(k)
-    return abs(_signed_parametric(as_sample(sample), theta, k, base))
-
-
-def _signed_parametric(arr, theta, k, base):
-    """Signed parametric statistic of a canonical sample at a checked theta and k."""
-    g22 = cross_corr(base, k, k)
-    if g22 <= 0.0:
-        raise DegenerateInformationError(
-            f"skewness information vanishes for {base.label!r}, k={k}"
-        )
-    sines = np.sin(k * (arr - theta))
-    return math.sqrt(arr.size) * float(np.mean(sines)) / math.sqrt(g22)
+    return abs(parametric_test(sample, theta, k, base).statistic)
 
 
 def parametric_test(sample, theta, k, base, alternative="two-sided", alpha=0.05):
@@ -247,7 +179,13 @@ def parametric_test(sample, theta, k, base, alternative="two-sided", alpha=0.05)
     alpha, alternative = check_alpha(alpha), check_alternative(alternative)
     theta, k = check_angle(theta), check_frequency(k)
     arr = as_sample(sample)
-    signed = _signed_parametric(arr, theta, k, base)
+    g22 = cross_corr(base, k, k)
+    if g22 <= 0.0:
+        raise DegenerateInformationError(
+            f"skewness information vanishes for {base.label!r}, k={k}"
+        )
+    mean_sine = float(sine_sums(arr, theta, (k,), np.empty((2, 1)))[0, 0] / arr.size)
+    signed = math.sqrt(arr.size) * mean_sine / math.sqrt(g22)
     return TestResult(
         statistic=signed,
         p_value=p_value(signed, alternative),

@@ -581,6 +581,32 @@ def _fresh_process(argv, cwd):
                           capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
 
 
+# stdout is a pipe whose read end is closed, so every write to it fails with
+# EPIPE; a shell pipe into a reader that has exited may not show that
+_CLOSED_STDOUT_SCRIPT = """
+import os, sys
+from circsym.cli import main
+
+read_end, write_end = os.pipe()
+os.close(read_end)
+os.dup2(write_end, 1)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fisher", "--base", "vm:1", "--k", "2"],
+    ["mc", "--preset", "table1", "--reps", "100", "--outdir", "out"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_exits_2_without_a_message(tmp_path, argv):
+    """The output is incomplete, so the code is not 0, but no data was at fault."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _CLOSED_STDOUT_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (EXIT_DATA, "")
+
 class TestInProcess:
     """Calls to ``main`` in one process see no state left by earlier calls."""
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from circsym import montecarlo
 from circsym.angles import half_tangent, sine_multiples, wrap
+from circsym.asymptotics import central_sequence, efficient_central_sequence, fisher_matrix
 from circsym.cli import UsageError, _frequencies, _parse_grid
 from circsym.distributions import (
     Cardioid,
@@ -25,7 +26,7 @@ from circsym.distributions import (
 from circsym.io import read_angles, write_angles
 from circsym.montecarlo import (FAMILIES, MAX_DRAWS, ScenarioSpec, format_scenario,
                                 load_scenario_file)
-from circsym.symtests import studentized_rows, studentized_statistic
+from circsym.symtests import parametric_statistic, studentized_rows, studentized_statistic
 
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -361,6 +362,28 @@ def test_rows_of_subnormal_angles_have_no_statistic_at_any_k(ks):
     assert signed.shape == (len(ks), 3)
     assert np.all(np.isnan(signed))
 
+
+
+@properties
+@given(st.lists(canonical, min_size=2, max_size=200), st.floats(min_value=-10.0, max_value=10.0),
+       st.integers(min_value=1, max_value=20))
+@example([0.1, 0.2, -3.0], 0.0, 1)
+@example([0.1, 0.2, -3.0], -0.0, 20)
+@example([-math.pi, 0.0], 10.0, 17)
+def test_sample_statistics_match_their_np_sin_formulas(sample, theta, k):
+    """The central sequences and the parametric statistic, which take their
+    sines from ``angles.sine_sums``, against the same formulas in ``np.sin``."""
+    base = VonMises(2.0)
+    matrix = fisher_matrix(base, k)
+    centered = wrap(np.array(sample)) - theta
+    sines, score = np.sin(k * centered), base.score(centered)
+    root_n = math.sqrt(centered.size)
+    skewness = root_n * float(np.mean(sines))
+    efficient = root_n * float(np.mean(sines - matrix.g12 / matrix.g11 * score))
+    assert abs(central_sequence(base, k, sample, theta).skewness - skewness) <= 1e-12
+    assert abs(efficient_central_sequence(base, k, sample, theta) - efficient) <= 1e-12
+    parametric = abs(skewness) / math.sqrt(matrix.g22)
+    assert abs(parametric_statistic(sample, theta, k, base) - parametric) <= 1e-12
 
 # Short comma lists of digits, '.', '-', 'e', spaces and 'nan': well formed,
 # empty items, junk and non-finite values alike.

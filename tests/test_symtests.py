@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
 from circsym.angles import wrap
+from circsym.asymptotics import efficient_central_sequence
 from circsym.distributions import Cardioid, SineSkewed, Uniform, VonMises, VonMisesMixture
 from circsym.errors import DegenerateSampleError, EmptySampleError
 from circsym.montecarlo import derive_stream
@@ -155,7 +156,7 @@ class TestSampleValidatedOnce:
 
     @pytest.fixture
     def as_sample_calls(self, monkeypatch):
-        from circsym import symtests
+        from circsym import asymptotics, symtests
 
         calls = []
 
@@ -164,7 +165,8 @@ class TestSampleValidatedOnce:
             return original(sample)
 
         original = symtests.as_sample
-        monkeypatch.setattr(symtests, "as_sample", counting)
+        for module in (symtests, asymptotics):
+            monkeypatch.setattr(module, "as_sample", counting)
         return calls
 
     @pytest.fixture
@@ -188,6 +190,25 @@ class TestSampleValidatedOnce:
         assert result.statistic == pytest.approx(statistic, rel=1e-13, abs=0.0)
         assert result.p_value == pytest.approx(p, rel=1e-13, abs=0.0)
         assert result.n == 40
+
+    def test_efficient_central_sequence(self, as_sample_calls, sample):
+        # both components come from one central_sequence call
+        efficient_central_sequence(VonMises(1.0), 2, sample, 0.3)
+        assert len(as_sample_calls) == 1
+
+
+class TestStatisticsAreTheirTests:
+    """The statistic-only helpers return the statistics of their tests, bit for bit."""
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0, 0.3, -2.9, 7.5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 17])
+    def test_same_bits(self, theta, k):
+        sample = np.random.default_rng(8).uniform(-np.pi, np.pi, 30)
+        assert (studentized_statistic(sample, theta, k)
+                == symmetry_test(sample, theta, k).statistic)
+        for base in (VonMises(1.0), Cardioid(0.4)):
+            assert (parametric_statistic(sample, theta, k, base)
+                    == abs(parametric_test(sample, theta, k, base).statistic))
 
 
 class TestRayleighCardioid:
