@@ -56,10 +56,8 @@ from .quadrature import integrate_periodic
 from .symtests import (
     TestResult,
     modified_runs_test,
-    parametric_statistic,
     parametric_test,
     rayleigh_cardioid_test,
-    studentized_statistic,
     symmetry_test,
 )
 
@@ -72,8 +70,7 @@ __all__ = [
     "FisherMatrix", "CentralSequence",
     "fisher_matrix", "cross_corr", "local_power",
     "central_sequence", "efficient_central_sequence",
-    "TestResult", "studentized_statistic", "symmetry_test",
-    "parametric_statistic", "parametric_test", "rayleigh_cardioid_test",
+    "TestResult", "symmetry_test", "parametric_test", "rayleigh_cardioid_test",
     "modified_runs_test",
     "ScenarioSpec", "TableResult", "derive_stream", "run_scenario", "run_scenarios",
     "power_curve", "PRESETS", "preset_scenarios", "load_scenario_file",

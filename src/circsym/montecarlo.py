@@ -16,16 +16,16 @@ Every statistic is computed over the whole (models, C, n) block by the
 row-wise kernels of ``angles`` and ``symtests``. A studentized test
 rejects where |T_k| exceeds z_{alpha/2}, the modified runs test where the
 run count is at most the largest c with P(R <= c) < alpha
-(``symtests.runs_null_cdf``); both are computed once per stream. The
-studentized tests are scored in two steps: each chunk keeps only its
-moments, the row sums of the sines and of their squares
-(``angles.sine_sums``), in a window of whole chunks of about
-``_WINDOW_ROWS`` replications, and the ratio T_k and the degenerate and
-rejection counts are formed once per window (``symtests.studentize``).
-T_k is a function of its row's two sums, so the windows change no bit; they
-take the interpreter-held calls of the ratio and the counts off every
-chunk. With ``threads`` > 1 on more than one core, one thread pool of at
-most one worker per core serves the whole call: every scenario of
+(``symtests.runs_null_cdf``); both are computed once per stream.
+``_block_bounds`` alone cuts a stream into blocks of whole chunks, each
+at most one chunk or ``_WINDOW_ROWS`` replications, whichever is larger.
+Each chunk keeps only its moments, the row sums of the sines and of their
+squares (``angles.sine_sums``); the ratio T_k and the degenerate and
+rejection counts are formed once per block (``symtests.studentize``).
+T_k is a function of its row's two sums, so the blocks change no bit;
+they take the interpreter-held calls of the ratio and the counts off
+every chunk. With ``threads`` > 1 on more than one core, one thread pool
+of at most one worker per core serves the whole call: every scenario of
 ``run_scenarios`` and every grid point of ``power_curve``. numpy releases
 the interpreter lock inside its array kernels and generator fills, each
 chunk has its own Generator and the models are frozen, so blocks share
@@ -43,9 +43,9 @@ in afresh; a pool worker's arrays go with the pool when its call ends.
 What a thread keeps is set by the largest block it ran, not by the
 number of replications: each array holds at most models x max(n,
 ``_CHUNK_DRAWS``) doubles, or twice max(n, ``_CHUNK_DRAWS``) for a
-sampler's rejection batch. A block's window of moments is bounded in rows
+sampler's rejection batch. A block's array of moments is bounded in rows
 too: 2 x (studentized tests) x models x max(C, ``_WINDOW_ROWS``) doubles,
-however many replications the block runs. Scratch values are written
+however many replications the stream runs. Scratch values are written
 before they are read, so the kept arrays have no effect on draws.
 """
 
@@ -76,7 +76,7 @@ FAMILIES = ("sineskew", "moebius", "mixshift")
 
 DEFAULT_MASTER_SEED = 1729
 _CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
-_WINDOW_ROWS = 1024  # replications whose sine sums are scored at once, in whole chunks
+_WINDOW_ROWS = 1024  # replications a block of whole chunks holds, unless one chunk holds more
 # Draws n x reps per model: 100 replications at the largest n. At n = 10, the
 # most time per draw, a model at the cap took 87 s on a 2-core Xeon, numpy 2.4.
 MAX_DRAWS = 100 * MAX_SAMPLE_SIZE
@@ -265,9 +265,19 @@ def _chunk_reps(n):
     return max(1, _CHUNK_DRAWS // n)
 
 
+def _block_bounds(stream, pieces):
+    """The blocks of whole chunks that cover a stream's replications:
+    ``pieces`` of them, or more where a block would otherwise hold more
+    than one chunk and more than ``_WINDOW_ROWS`` replications."""
+    size = _chunk_reps(stream.n)
+    chunks = math.ceil(stream.reps / size)
+    step = min(math.ceil(chunks / pieces), max(1, _WINDOW_ROWS // size)) * size
+    return [(lo, min(lo + step, stream.reps)) for lo in range(0, stream.reps, step)]
+
+
 @using()
 def _replication_block(stream, start, stop):
-    """Additive tallies for replications [start, stop) of a stream.
+    """Additive tallies for the block [start, stop) of a stream's replications.
 
     ``start`` lies on a chunk boundary. Returns (rejections, degenerate),
     each of shape (tests, models): one row per studentized frequency, then
@@ -276,59 +286,46 @@ def _replication_block(stream, start, stop):
     drawn into the same sample array.
 
     The studentized tests take two steps. Each chunk writes only its row
-    sums of the sines and of their squares (``angles.sine_sums``) into a
-    window of whole chunks, about ``_WINDOW_ROWS`` replications; the ratio
-    T_k and the degenerate and rejection counts are then formed once per
-    window (``symtests.studentize``), from the same sums in the same order
-    as one chunk at a time. The window is bounded in rows, so what a block
-    holds does not grow with its replications.
+    sums of the sines and of their squares (``angles.sine_sums``) into the
+    block's array of moments; the ratio T_k and the degenerate and
+    rejection counts are then formed once per block
+    (``symtests.studentize``), from the same sums in the same order as one
+    chunk at a time.
     """
     n_tests = len(stream.test_ks) + (stream.runs is not None)
     rejections = np.zeros((n_tests, len(stream.models)), dtype=np.int64)
     degenerate = np.zeros_like(rejections)
     size = _chunk_reps(stream.n)
-    window = size * max(1, _WINDOW_ROWS // size)
     critical = upper_quantile(stream.alpha / 2.0)
     if stream.runs is not None:  # the largest c with P(R <= c) < alpha, 0 if none
         null_cdf = symtests.runs_null_cdf(np.arange(1, stream.runs + 1), stream.runs)
         runs_critical = np.count_nonzero(null_cdf < stream.alpha)
     block = np.empty((len(stream.models), min(size, stop - start), stream.n))
-    sums = np.empty((2, len(stream.test_ks), len(stream.models), min(window, stop - start)))
-    studentized = slice(len(stream.test_ks))
-    for first in range(start, stop, window):
-        last = min(first + window, stop)
-        for lo in range(first, last, size):
-            rows = min(size, last - lo)
-            rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
-            samples = block[:, :rows]
-            coins = []
-            for j, model in enumerate(stream.models):
-                model.sample(rng, rows * stream.n, out=samples[j].reshape(-1))
-                # Draws are canonical angles, so sin(x - 0) vanishes exactly
-                # where x == 0; the runs test's coins for those follow the draw.
-                if stream.runs is not None:
-                    coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
-            if stream.test_ks:
-                angles.sine_sums(samples, 0.0, stream.test_ks,
-                                 sums[..., lo - first:lo - first + rows])
+    sums = np.empty((2, len(stream.test_ks), len(stream.models), stop - start))
+    for lo in range(start, stop, size):
+        rows = min(size, stop - lo)
+        rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
+        samples = block[:, :rows]
+        coins = []
+        for j, model in enumerate(stream.models):
+            model.sample(rng, rows * stream.n, out=samples[j].reshape(-1))
+            # Draws are canonical angles, so sin(x - 0) vanishes exactly
+            # where x == 0; the runs test's coins for those follow the draw.
             if stream.runs is not None:
-                # the coins were drawn in the row-major (model, row) order it takes
-                counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
-                                                     lambda _count: np.concatenate(coins))
-                rejections[-1] += np.count_nonzero(counts <= runs_critical, axis=1)
+                coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
         if stream.test_ks:
-            signed = symtests.studentize(sums[..., :last - first], stream.n)
-            degenerate[studentized] += np.count_nonzero(np.isnan(signed), axis=-1)
-            rejections[studentized] += np.count_nonzero(np.abs(signed) > critical, axis=-1)
+            angles.sine_sums(samples, 0.0, stream.test_ks,
+                             sums[..., lo - start:lo - start + rows])
+        if stream.runs is not None:
+            # the coins were drawn in the row-major (model, row) order it takes
+            counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
+                                                 lambda _count: np.concatenate(coins))
+            rejections[-1] += np.count_nonzero(counts <= runs_critical, axis=1)
+    if stream.test_ks:
+        signed = symtests.studentize(sums, stream.n)
+        degenerate[:len(stream.test_ks)] = np.count_nonzero(np.isnan(signed), axis=-1)
+        rejections[:len(stream.test_ks)] = np.count_nonzero(np.abs(signed) > critical, axis=-1)
     return rejections, degenerate
-
-
-def _block_bounds(stream, pieces):
-    """At most ``pieces`` blocks of whole chunks covering a stream's replications."""
-    size = _chunk_reps(stream.n)
-    chunks = math.ceil(stream.reps / size)
-    step = math.ceil(chunks / pieces) * size
-    return [(lo, min(lo + step, stream.reps)) for lo in range(0, stream.reps, step)]
 
 
 def _usable_cores():
@@ -341,13 +338,14 @@ def _usable_cores():
 
 
 def _tallies(streams, threads):
-    """Yield the (rejections, degenerate) tallies of each stream, in order.
+    """Yield the tallies of each stream, in order: one array holding its
+    (rejections, degenerate), summed over its blocks.
 
-    The replication blocks of every stream go to one thread pool of
-    ``threads`` workers, capped at the usable cores and started once for the
-    whole list; where that leaves one worker, the blocks run in the calling
-    thread and no pool starts. ValueError unless ``threads`` is a positive
-    integer.
+    The replication blocks of every stream (``_block_bounds``) go to one
+    thread pool of ``threads`` workers, capped at the usable cores and
+    started once for the whole list; where that leaves one worker, the
+    blocks run in the calling thread and no pool starts. ValueError unless
+    ``threads`` is a positive integer.
     """
     threads = check_integer(threads, "threads")
     # A worker per core: a chunk's numpy calls are long enough that workers
@@ -355,7 +353,8 @@ def _tallies(streams, threads):
     workers = min(threads, _usable_cores())
     if workers == 1:
         for stream in streams:
-            yield _replication_block(stream, 0, stream.reps)
+            yield np.sum([_replication_block(stream, lo, hi)
+                          for lo, hi in _block_bounds(stream, 1)], axis=0)
         return
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -365,8 +364,7 @@ def _tallies(streams, threads):
             for stream in streams
         ]
         for futures in pending:
-            blocks = [future.result() for future in futures]
-            yield sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+            yield np.sum([future.result() for future in futures], axis=0)
     finally:
         # Threads cannot be interrupted: on an error, an interrupt or an
         # abandoned generator, drop the queued blocks; running ones finish.
@@ -422,6 +420,7 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
     n, reps = check_integer(n, "sample size n", most=MAX_SAMPLE_SIZE), int(reps)
     _check_draws(n, reps)
     alpha = check_alpha(alpha)
+    master_seed = check_integer(master_seed, "master_seed", least=None)
     # as ints, so that k_prime = 2.0 and np.int64(2) name the stream of 2
     k, k_prime = check_frequency(k), check_frequency(k_prime)
     streams = []

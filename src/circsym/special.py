@@ -1,4 +1,4 @@
-"""Modified Bessel functions, the standard normal cdf/quantile pair, and the
+"""Modified Bessel functions, the standard normal cdf and upper quantile, and the
 checks of a level, a frequency and an integer.
 
 Kept dependency-free. ``bessel_ratio_sum`` gives a weighted sum of the von
@@ -7,8 +7,8 @@ moment pass, for every finite kappa > 0 and without forming either Bessel
 function; ``bessel_ratio`` is one moment. ``bessel_i0e`` gives I_0(kappa)
 e^-kappa for every kappa, from the raw order-0 series ``bessel_i`` (which
 overflows above kappa ~ 700) or the large-argument expansion. The normal cdf and
-survival function come from ``math.erfc``, which keeps both tails; the
-quantile is the standard library's ``statistics.NormalDist().inv_cdf``. The
+survival function come from ``math.erfc``, which keeps both tails; z_alpha
+is minus the standard library's ``statistics.NormalDist().inv_cdf``. The
 test suite checks them against SciPy.
 """
 
@@ -171,16 +171,11 @@ def norm_sf(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def norm_quantile(p):
-    """Standard normal quantile Phi^{-1}(p) for p in (0, 1), by the standard
-    library's ``NormalDist.inv_cdf`` (Wichura's AS241, about 1e-16 relative)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile requires p in (0, 1), got {p!r}")
-    return _STANDARD_NORMAL.inv_cdf(p)
-
-
 def upper_quantile(alpha):
-    """The alpha upper quantile z_alpha with Phi(z_alpha) = 1 - alpha, as
-    -Phi^{-1}(alpha): 1 - alpha is never formed, so any alpha keeps full
-    precision."""
-    return -norm_quantile(alpha)
+    """The alpha upper quantile z_alpha with Phi(z_alpha) = 1 - alpha, for
+    alpha in (0, 1), as -Phi^{-1}(alpha) by the standard library's
+    ``NormalDist.inv_cdf`` (Wichura's AS241, about 1e-16 relative): 1 -
+    alpha is never formed, so any alpha keeps full precision."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"quantile requires alpha in (0, 1), got {alpha!r}")
+    return -_STANDARD_NORMAL.inv_cdf(alpha)

@@ -8,19 +8,19 @@ normal. The modified runs test has an exact null law instead:
 R - 1 ~ Binomial(m - 1, 1/2) (``runs_null_cdf``).
 
 Each statistic has one implementation, a row-wise kernel over the last
-axis of an array of canonical angles: ``studentized_rows`` for T_k and
-``modified_runs_rows`` for the modified runs count. T_k is built from two
-helpers: ``angles.sine_sums`` writes each row's moments, the sums of
+axis of an array of canonical angles. T_k is built from two helpers:
+``angles.sine_sums`` writes each row's moments, the sums of
 sin(k(x - theta)) and of its square, and ``studentize`` forms the ratio
 from them; the parametric test divides the same sine sum by sqrt(g22).
-The single-sample tests run on one row, on fresh temporaries. The Monte
-Carlo engine calls ``angles.sine_sums`` on each chunk of replications and
-``studentize`` once per window of chunks, the same bits, and the kernels
-then take their temporaries from the arrays the engine keeps for each
-thread (``workspace.temporaries``). Both kernels stay on numpy's fast
-paths: ``angles.sine_sums`` scores every k of a chunk from one tangent of
-each angle (``angles.sine_multiples``) and ``modified_runs_rows`` orders
-each row by one sort of uint64 keys, not a stable argsort.
+``modified_runs_rows`` gives the modified runs count. The single-sample
+tests run on one row, on fresh temporaries. The Monte Carlo engine calls
+``angles.sine_sums`` on each chunk of replications and ``studentize``
+once per block of chunks, the same bits, and the kernels then take their
+temporaries from the arrays the engine keeps for each thread
+(``workspace.temporaries``). Both kernels stay on numpy's fast paths:
+``angles.sine_sums`` scores every k of a chunk from one tangent of each
+angle (``angles.sine_multiples``) and ``modified_runs_rows`` orders each
+row by one sort of uint64 keys, not a stable argsort.
 """
 
 import math
@@ -95,25 +95,6 @@ def p_value(signed, alternative="two-sided"):
     return norm_cdf(signed)
 
 
-def studentized_rows(x, theta, ks):
-    """Signed studentized statistic T_k of every row of ``x``, for each k in ``ks``.
-
-    Observations lie along the last axis and must be canonical angles (see
-    ``angles.as_sample``); ``ks`` is a non-empty tuple of positive
-    integers. Returns an array of shape ``(len(ks),) + x.shape[:-1]``: for
-    each k, each row gives
-    sqrt(n) * mean(sin(k(x - theta))) / sqrt(mean(sin^2(k(x - theta)))),
-    with the uncentered second moment in the denominator. A row whose sines
-    all vanish gets NaN: T_k is undefined there.
-
-    It is ``studentize`` of the row sums of ``sine_sums``, the two steps
-    the replication engine takes apart: the sums chunk by chunk, the ratio
-    once per window of chunks.
-    """
-    sums = np.empty((2, len(ks)) + x.shape[:-1])
-    return studentize(sine_sums(x, theta, ks, sums), x.shape[-1])
-
-
 def studentize(sums, n):
     """T_k from the row sums of ``sine_sums`` over rows of ``n`` observations.
 
@@ -129,14 +110,6 @@ def studentize(sums, n):
                         math.sqrt(n) * mean_sine / np.sqrt(denom_sq))
 
 
-def studentized_statistic(sample, theta, k):
-    """Signed studentized sine statistic of one sample (``symmetry_test``).
-
-    The absolute value is the published two-sided statistic.
-    """
-    return symmetry_test(sample, theta, k).statistic
-
-
 def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
     """Studentized test of reflective symmetry about theta.
 
@@ -148,7 +121,7 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
     arr = as_sample(sample)
     if arr.size < 2:
         raise EmptySampleError("studentized statistic needs at least two observations")
-    signed = float(studentized_rows(arr, theta, (k,))[0])
+    signed = float(studentize(sine_sums(arr, theta, (k,), np.empty((2, 1))), arr.size)[0])
     if math.isnan(signed):
         raise DegenerateSampleError(
             f"every sin({k}(x - theta)) vanishes; the studentized statistic is undefined"
@@ -163,11 +136,6 @@ def symmetry_test(sample, theta, k, alternative="two-sided", alpha=0.05):
         k=k,
         reject_at=alpha,
     )
-
-
-def parametric_statistic(sample, theta, k, base):
-    """Nonnegative parametric statistic |sqrt(n) mean(sin(k(x-theta)))| / sqrt(g22)."""
-    return abs(parametric_test(sample, theta, k, base).statistic)
 
 
 def parametric_test(sample, theta, k, base, alternative="two-sided", alpha=0.05):

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
-from circsym import distributions, montecarlo, special, workspace
+from circsym import angles, distributions, montecarlo, special, workspace
 from circsym.cli import main as cli_main
 from circsym.distributions import SineSkewed, VonMises
 from circsym.errors import DegenerateSampleError
@@ -33,7 +33,7 @@ from circsym.special import MAX_SAMPLE_SIZE, upper_quantile
 from circsym.symtests import (
     modified_runs_test,
     runs_subset_size,
-    studentized_rows,
+    studentize,
     symmetry_test,
 )
 
@@ -412,6 +412,19 @@ class TestEngine:
             assert [list(row) for row in table.frequencies] == frequencies
             assert [list(row) for row in table.degenerate] == degenerate
 
+    @pytest.mark.parametrize("n, reps, pieces, step", [
+        (100, 150, 1, 150),  # a table1 scenario of the benchmark: one chunk of 163
+        (500, 800, 8, 128),  # a power grid point at two workers: 4 chunks of 32
+        (40, 1284, 1, 818),  # one worker: blocks of two chunks of 409
+        (10, 5000, 1, 1638),  # a chunk longer than _WINDOW_ROWS is a block of its own
+        (10, 5000, 2, 1638),
+    ])
+    def test_block_cuts(self, n, reps, pieces, step):
+        stream = montecarlo._Stream(master_seed=0, stream_id="cuts", models=(), n=n,
+                                    test_ks=(1,), alpha=0.05, reps=reps)
+        assert montecarlo._block_bounds(stream, pieces) == [
+            (lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+
     def test_zero_sines_and_degenerate_samples(self):
         stream = _snapped_stream()
         rejections, degenerate = montecarlo._replication_block(stream, 0, stream.reps)
@@ -567,8 +580,8 @@ LONG_ROWS = dict(POWER_KWARGS, n=20_000, reps=3)
 
 
 def _per_chunk_tallies(stream):
-    """Studentized tallies of ``studentized_rows`` run on one chunk at a
-    time, the statistic and the counts of every chunk formed on their own."""
+    """Studentized tallies of T_k formed on one chunk at a time, the
+    statistic and the counts of every chunk on their own."""
     rejections = np.zeros((len(stream.test_ks), len(stream.models)), dtype=np.int64)
     degenerate = np.zeros_like(rejections)
     critical = upper_quantile(stream.alpha / 2.0)
@@ -578,7 +591,8 @@ def _per_chunk_tallies(stream):
         rng = derive_stream(stream.master_seed, stream.stream_id, chunk)
         samples = np.stack([model.sample(rng, rows * stream.n).reshape(rows, stream.n)
                             for model in stream.models])
-        signed = studentized_rows(samples, 0.0, stream.test_ks)
+        sums = np.empty((2, len(stream.test_ks), len(stream.models), rows))
+        signed = studentize(angles.sine_sums(samples, 0.0, stream.test_ks, sums), stream.n)
         degenerate += np.count_nonzero(np.isnan(signed), axis=-1)
         rejections += np.count_nonzero(np.abs(signed) > critical, axis=-1)
     return rejections, degenerate
@@ -586,17 +600,17 @@ def _per_chunk_tallies(stream):
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_windowed_tallies_match_per_chunk_rows_on_stale_scratch(monkeypatch, threads):
-    """The engine scores T_k once per window of chunks from their sine sums;
+    """The engine scores T_k once per block of chunks from their sine sums;
     its tallies are those of the statistic formed chunk by chunk, bit for
-    bit, over a window boundary and a last chunk cut short, and with the
-    window buffers of earlier blocks left behind. The models are new to
+    bit, over a block boundary and a last chunk cut short, and with the
+    moment arrays of earlier blocks left behind. The models are new to
     each stream, so the workers form each von Mises envelope, which a model
     keeps, concurrently; a short switch interval makes them interleave."""
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
     n, reps = 40, 1284
     size = montecarlo._chunk_reps(n)
     window = size * max(1, montecarlo._WINDOW_ROWS // size)
-    # a window of two chunks, then one whole chunk and one cut short
+    # one worker: a block of two chunks, then one whole chunk and one cut short
     assert (size, window) == (409, 818) and reps == window + size + 57
 
     def stream(ks):
@@ -662,7 +676,7 @@ class TestWorkspace:
             assert peak > 256 * 1024
 
     def test_what_a_call_holds_does_not_grow_with_reps(self):
-        """The sine sums are scored in windows bounded in rows, so 32 times
+        """The sine sums are scored in blocks bounded in rows, so 32 times
         the replications leave the traced peak where it was."""
         def run(reps):
             return power_curve(VonMises(1.0), 2, 2, [2.0], mode="empirical", n=200,
@@ -767,6 +781,20 @@ class TestPowerCurve:
     def test_empirical_sizes_are_positive_integers(self, n, reps):
         with pytest.raises(ValueError, match="positive integers"):
             power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=n, reps=reps)
+
+    @pytest.mark.parametrize("seed", [7.9, "7", float("inf")])
+    def test_empirical_seed_is_refused_as_a_scenario_refuses_it(self, seed):
+        with pytest.raises((TypeError, ValueError)) as refused:
+            ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                         lambdas=(0.0,), master_seed=seed)
+        with pytest.raises(refused.type, match=re.escape(str(refused.value))):
+            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=20, reps=10,
+                        master_seed=seed)
+
+    def test_an_integral_float_seed_is_its_int(self):
+        curves = [power_curve(VonMises(1.0), 2, 2, [0.0, 2.0], mode="empirical", n=20,
+                              reps=200, master_seed=seed) for seed in (7, 7.0, 8)]
+        assert curves[0] == curves[1] != curves[2]
 
     def test_empirical_sample_size_is_bounded(self):
         message = f"sample size n must be at most {MAX_SAMPLE_SIZE}, got {10**11}"

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circsym import montecarlo
-from circsym.angles import half_tangent, sine_multiples, wrap
+from circsym.angles import half_tangent, sine_multiples, sine_sums, wrap
 from circsym.asymptotics import central_sequence, efficient_central_sequence, fisher_matrix
 from circsym.cli import UsageError, _frequencies, _parse_grid
 from circsym.distributions import (
@@ -26,7 +26,8 @@ from circsym.distributions import (
 from circsym.io import read_angles, write_angles
 from circsym.montecarlo import (FAMILIES, MAX_DRAWS, ScenarioSpec, format_scenario,
                                 load_scenario_file)
-from circsym.symtests import parametric_statistic, studentized_rows, studentized_statistic
+from circsym.special import MAX_SAMPLE_SIZE
+from circsym.symtests import parametric_test, studentize, symmetry_test
 
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -171,12 +172,39 @@ def test_scenario_files_round_trip(tmp_path_factory, spec):
     assert load_scenario_file(path) == spec
 
 
+@properties
+@given(st.integers(min_value=1, max_value=5000)
+       | st.integers(min_value=1, max_value=MAX_SAMPLE_SIZE),
+       st.integers(min_value=1, max_value=200_000), st.integers(min_value=1, max_value=64))
+def test_block_bounds_cut_whole_chunks_of_bounded_size(n, reps, pieces):
+    stream = montecarlo._Stream(master_seed=0, stream_id="bounds", models=(), n=n,
+                                test_ks=(1,), alpha=0.05, reps=reps)
+    size = montecarlo._chunk_reps(n)
+    window = size * max(1, montecarlo._WINDOW_ROWS // size)
+    bounds = montecarlo._block_bounds(stream, pieces)
+    # the blocks cover [0, reps) once, in order
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == reps and all(lo < hi for lo, hi in bounds)
+    for lo, hi in bounds:
+        assert lo % size == 0
+        assert hi - lo <= max(size, montecarlo._WINDOW_ROWS)
+    # one worker: every block but the last holds a whole window, several
+    # chunks wherever a window holds more than one
+    if pieces == 1:
+        assert all(hi - lo == window for lo, hi in bounds[:-1])
+        assert len(bounds) == math.ceil(reps / window)
+        if reps > window > size:
+            assert bounds[0][1] > size
+    else:
+        assert len(bounds) <= max(pieces, math.ceil(reps / window))
+
+
 def _statistic(sample, theta, k):
     """T_k, or None where the sines are too small for a stable comparison."""
     sines = np.sin(k * (wrap(np.asarray(sample)) - theta))
     if np.mean(sines**2) < 1e-3:
         return None
-    return studentized_statistic(sample, theta, k)
+    return symmetry_test(sample, theta, k).statistic
 
 
 samples = st.lists(canonical, min_size=2, max_size=50)
@@ -188,7 +216,7 @@ frequencies = st.integers(min_value=1, max_value=5)
 def test_statistic_is_rotation_equivariant(sample, theta, c, k):
     plain = _statistic(sample, theta, k)
     assume(plain is not None)
-    rotated = studentized_statistic(np.asarray(sample) + c, theta + c, k)
+    rotated = symmetry_test(np.asarray(sample) + c, theta + c, k).statistic
     assert math.isclose(rotated, plain, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -197,7 +225,7 @@ def test_statistic_is_rotation_equivariant(sample, theta, c, k):
 def test_statistic_changes_sign_under_reflection(sample, theta, k):
     plain = _statistic(sample, theta, k)
     assume(plain is not None)
-    mirrored = studentized_statistic(2.0 * theta - np.asarray(sample), theta, k)
+    mirrored = symmetry_test(2.0 * theta - np.asarray(sample), theta, k).statistic
     assert math.isclose(mirrored, -plain, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -306,6 +334,12 @@ def _studentized_by_sin(sample, theta, k):
     return math.sqrt(sample.size) * np.mean(sines) / math.sqrt(np.mean(sines**2))
 
 
+def _studentized_rows(x, theta, ks):
+    """T_k of every row of ``x`` for each k in ``ks``, as the engine forms it."""
+    sums = np.empty((2, len(ks)) + x.shape[:-1])
+    return studentize(sine_sums(x, theta, ks, sums), x.shape[-1])
+
+
 @properties
 @given(samples, canonical, st.lists(st.integers(min_value=1, max_value=20), min_size=1,
                                     max_size=4).map(tuple))
@@ -314,7 +348,7 @@ def _studentized_by_sin(sample, theta, k):
 @example([0.1, 0.2, -3.0], 0.5, (1, 17, 1))  # past the recurrence: a pass per k
 def test_studentized_rows_match_sin_at_every_k(sample, theta, ks):
     sample = np.array(sample)
-    signed = studentized_rows(sample, theta, ks)
+    signed = _studentized_rows(sample, theta, ks)
     assert signed.shape == (len(ks),)
     for k, value in zip(ks, signed):
         expected = _studentized_by_sin(sample, theta, k)
@@ -343,7 +377,7 @@ def test_a_single_k_takes_the_one_tangent_kernel_bit_for_bit(k):
     rows[1, 7] = 0.4  # a row without a statistic
     for theta in (0.0, 0.4, -2.9):
         expected = _studentized_rows_by_one_tangent(rows, theta, k)
-        assert studentized_rows(rows, theta, (k,))[0].tobytes() == expected.tobytes()
+        assert _studentized_rows(rows, theta, (k,))[0].tobytes() == expected.tobytes()
 
 
 _SUBNORMAL_ROWS = np.array([[5e-324] * 8, [-5e-324] * 8, [5e-324, -5e-324] * 4])
@@ -352,13 +386,13 @@ _SUBNORMAL_ROWS = np.array([[5e-324] * 8, [-5e-324] * 8, [5e-324, -5e-324] * 4])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rows_of_subnormal_angles_have_no_studentized_statistic(k):
     """Their sines square to 0 whether they come from sin or from the tangent."""
-    assert np.all(np.isnan(studentized_rows(_SUBNORMAL_ROWS, 0.0, (k,))))
+    assert np.all(np.isnan(_studentized_rows(_SUBNORMAL_ROWS, 0.0, (k,))))
 
 
 @pytest.mark.parametrize("ks", [(1, 2, 3), (2, 4, 6), (1, 5), (3, 16), (1, 17)])
 def test_rows_of_subnormal_angles_have_no_statistic_at_any_k(ks):
     """Nor do the sines of the recurrence: every multiple squares to 0 too."""
-    signed = studentized_rows(_SUBNORMAL_ROWS, 0.0, ks)
+    signed = _studentized_rows(_SUBNORMAL_ROWS, 0.0, ks)
     assert signed.shape == (len(ks), 3)
     assert np.all(np.isnan(signed))
 
@@ -383,7 +417,7 @@ def test_sample_statistics_match_their_np_sin_formulas(sample, theta, k):
     assert abs(central_sequence(base, k, sample, theta).skewness - skewness) <= 1e-12
     assert abs(efficient_central_sequence(base, k, sample, theta) - efficient) <= 1e-12
     parametric = abs(skewness) / math.sqrt(matrix.g22)
-    assert abs(parametric_statistic(sample, theta, k, base) - parametric) <= 1e-12
+    assert abs(abs(parametric_test(sample, theta, k, base).statistic) - parametric) <= 1e-12
 
 # Short comma lists of digits, '.', '-', 'e', spaces and 'nan': well formed,
 # empty items, junk and non-finite values alike.

@@ -13,7 +13,6 @@ from circsym.special import (
     bessel_ratio,
     check_integer,
     norm_cdf,
-    norm_quantile,
     norm_sf,
     upper_quantile,
 )
@@ -127,42 +126,37 @@ class TestNormalCdf:
             assert norm_sf(v) == pytest.approx(sp_stats.norm.sf(v), rel=1e-12, abs=0.0)
 
 
-class TestNormalQuantile:
+class TestUpperQuantile:
     def test_against_scipy(self):
         p = np.concatenate([
             np.linspace(1e-10, 1e-3, 50),
             np.linspace(1e-3, 1 - 1e-3, 500),
             np.linspace(1 - 1e-3, 1 - 1e-10, 50),
         ])
-        ours = np.array([norm_quantile(v) for v in p])
-        assert_allclose(ours, sp_stats.norm.ppf(p), atol=1e-12, rtol=1e-12)
+        ours = np.array([upper_quantile(v) for v in p])
+        assert_allclose(ours, -sp_stats.norm.ppf(p), atol=1e-12, rtol=1e-12)
 
     def test_round_trip(self):
         for p in (0.001, 0.025, 0.5, 0.975, 0.999):
-            assert norm_cdf(norm_quantile(p)) == pytest.approx(p, abs=1e-14)
+            assert norm_sf(upper_quantile(p)) == pytest.approx(p, abs=1e-14)
 
     def test_median(self):
-        assert norm_quantile(0.5) == 0.0
+        assert upper_quantile(0.5) == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
-    def test_domain_enforced(self, bad):
-        with pytest.raises(ValueError, match="requires p in"):
-            norm_quantile(bad)
-
-    def test_upper_quantile_alias(self):
+    def test_two_sided_five_percent(self):
         assert upper_quantile(0.05) == pytest.approx(
             sp_stats.norm.ppf(0.95), rel=1e-13, abs=0.0)
         assert upper_quantile(0.025) == pytest.approx(1.959963984540054, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1e-10, 1e-13, 1e-17, 1e-20, 1e-300])
-    def test_upper_quantile_small_levels(self, alpha):
+    def test_small_levels(self, alpha):
         # 1 - alpha rounds to 1 below about 1.1e-16; z_alpha must not depend on it
         assert upper_quantile(alpha) == pytest.approx(
             sp_stats.norm.isf(alpha), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, float("nan")])
-    def test_upper_quantile_domain_enforced(self, bad):
-        with pytest.raises(ValueError, match="requires p in"):
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, float("nan")])
+    def test_domain_enforced(self, bad):
+        with pytest.raises(ValueError, match="requires alpha in"):
             upper_quantile(bad)
 
 

@@ -7,23 +7,21 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sp_stats
 
-from circsym.angles import wrap
-from circsym.asymptotics import efficient_central_sequence
+from circsym.angles import sine_sums, wrap
+from circsym.asymptotics import cross_corr, efficient_central_sequence
 from circsym.distributions import Cardioid, SineSkewed, Uniform, VonMises, VonMisesMixture
 from circsym.errors import DegenerateSampleError, EmptySampleError
 from circsym.montecarlo import derive_stream
 from circsym.symtests import (
     modified_runs_rows,
     modified_runs_test,
-    parametric_statistic,
     parametric_test,
     rayleigh_cardioid_test,
     runs_count,
     runs_null_cdf,
     runs_subset_size,
     simulate_runs_null,
-    studentized_rows,
-    studentized_statistic,
+    studentize,
     symmetry_test,
 )
 from circsym.workspace import using
@@ -33,22 +31,22 @@ class TestStudentizedStatistic:
     def test_symmetric_pair_gives_zero(self):
         theta = 0.6
         for k in (1, 2, 3):
-            value = studentized_statistic([theta + 0.4, theta - 0.4], theta, k)
+            value = symmetry_test([theta + 0.4, theta - 0.4], theta, k).statistic
             assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_all_sines_one_gives_root_n(self):
         for k, n in ((1, 9), (2, 16), (3, 25)):
             sample = np.full(n, 0.2 + np.pi / (2 * k))
-            assert studentized_statistic(sample, 0.2, k) == pytest.approx(
+            assert symmetry_test(sample, 0.2, k).statistic == pytest.approx(
                 math.sqrt(n), rel=1e-13, abs=0.0)
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(1)
         sample = rng.uniform(-np.pi, np.pi, 40)
-        base_value = studentized_statistic(sample, 0.3, 2)
+        base_value = symmetry_test(sample, 0.3, 2).statistic
         for shift in (0.9, -2.5, np.pi):
             rotated = wrap(sample + shift)
-            assert studentized_statistic(rotated, wrap(0.3 + shift), 2) == pytest.approx(
+            assert symmetry_test(rotated, wrap(0.3 + shift), 2).statistic == pytest.approx(
                 base_value, abs=1e-10
             )
 
@@ -56,8 +54,8 @@ class TestStudentizedStatistic:
         rng = np.random.default_rng(2)
         theta = -0.7
         sample = rng.uniform(-np.pi, np.pi, 60)
-        plain = studentized_statistic(sample, theta, 3)
-        mirrored = studentized_statistic(wrap(2 * theta - sample), theta, 3)
+        plain = symmetry_test(sample, theta, 3).statistic
+        mirrored = symmetry_test(wrap(2 * theta - sample), theta, 3).statistic
         assert mirrored == pytest.approx(-plain, abs=1e-10)
 
     def test_b2star_form(self):
@@ -67,18 +65,18 @@ class TestStudentizedStatistic:
         sample = rng.uniform(-np.pi, np.pi, 30)
         s = np.sin(2 * (sample - 0.1))
         expected = math.sqrt(30) * s.mean() / math.sqrt(np.mean(s**2))
-        assert studentized_statistic(sample, 0.1, 2) == pytest.approx(
+        assert symmetry_test(sample, 0.1, 2).statistic == pytest.approx(
             expected, rel=1e-13, abs=0.0)
 
     def test_degenerate_sample_rejected(self):
         # every observation sits exactly at the centre, so sin(k(x - theta)) == 0
         sample = [0.0] * 6
         with pytest.raises(DegenerateSampleError):
-            studentized_statistic(sample, 0.0, 2)
+            symmetry_test(sample, 0.0, 2)
 
     def test_needs_two_observations(self):
         with pytest.raises(ValueError, match="two observations"):
-            studentized_statistic([0.5], 0.0, 1)
+            symmetry_test([0.5], 0.0, 1)
 
 
 class TestSymmetryTest:
@@ -122,14 +120,12 @@ class TestParametricTest:
     def test_uniform_base_is_scaled_sine_mean(self):
         rng = np.random.default_rng(5)
         sample = rng.uniform(-np.pi, np.pi, 80)
-        stat = parametric_statistic(sample, 0.3, 1, Uniform())
-        direct = math.sqrt(2.0) * abs(
-            math.sqrt(80) * np.mean(np.sin(sample - 0.3))
-        )
+        stat = parametric_test(sample, 0.3, 1, Uniform()).statistic
+        direct = math.sqrt(2.0) * math.sqrt(80) * np.mean(np.sin(sample - 0.3))
         assert stat == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_symmetric_pair_gives_zero(self):
-        assert parametric_statistic([1.0, -1.0], 0.0, 2, VonMises(1.0)) == pytest.approx(
+        assert parametric_test([1.0, -1.0], 0.0, 2, VonMises(1.0)).statistic == pytest.approx(
             0.0, abs=1e-14
         )
 
@@ -140,9 +136,9 @@ class TestParametricTest:
         for rep in range(1000):
             rng = derive_stream(99, "student-vs-parametric", rep)
             sample = base.sample(rng, 100)
-            a = studentized_statistic(sample, 0.0, 2)
-            b = parametric_statistic(sample, 0.0, 2, base)
-            gaps.append(abs(abs(a) - b))
+            a = symmetry_test(sample, 0.0, 2).statistic
+            b = parametric_test(sample, 0.0, 2, base).statistic
+            gaps.append(abs(a - b))
         assert np.mean(gaps) < 0.05
 
     def test_result_method_names_base(self):
@@ -197,18 +193,27 @@ class TestSampleValidatedOnce:
         assert len(as_sample_calls) == 1
 
 
-class TestStatisticsAreTheirTests:
-    """The statistic-only helpers return the statistics of their tests, bit for bit."""
+def _studentized_rows(x, theta, ks):
+    """T_k of every row of ``x`` for each k in ``ks``, as the engine forms it."""
+    sums = np.empty((2, len(ks)) + x.shape[:-1])
+    return studentize(sine_sums(x, theta, ks, sums), x.shape[-1])
+
+
+class TestRowsAreTheirTests:
+    """The row kernels give each row the statistic of its test, bit for bit."""
 
     @pytest.mark.parametrize("theta", [0.0, -0.0, 0.3, -2.9, 7.5])
     @pytest.mark.parametrize("k", [1, 2, 5, 17])
     def test_same_bits(self, theta, k):
-        sample = np.random.default_rng(8).uniform(-np.pi, np.pi, 30)
-        assert (studentized_statistic(sample, theta, k)
-                == symmetry_test(sample, theta, k).statistic)
-        for base in (VonMises(1.0), Cardioid(0.4)):
-            assert (parametric_statistic(sample, theta, k, base)
-                    == abs(parametric_test(sample, theta, k, base).statistic))
+        rows = np.random.default_rng(8).uniform(-np.pi, np.pi, (4, 30))
+        (signed,) = _studentized_rows(rows, theta, (k,))
+        sums = sine_sums(rows, theta, (k,), np.empty((2, 1, 4)))
+        for row, value, sine_sum in zip(rows, signed, sums[0, 0]):
+            assert value == symmetry_test(row, theta, k).statistic
+            for base in (VonMises(1.0), Cardioid(0.4)):
+                g22 = cross_corr(base, k, k)
+                assert (math.sqrt(30) * float(sine_sum / 30) / math.sqrt(g22)
+                        == parametric_test(row, theta, k, base).statistic)
 
 
 class TestRayleighCardioid:
@@ -230,8 +235,8 @@ class TestRayleighCardioid:
         direction = 0.8
         rayleigh = rayleigh_cardioid_test(sample, direction)
         # the same statistic through the parametric route at theta = direction - pi/2
-        parametric = parametric_statistic(sample, direction - np.pi / 2, 1, Uniform())
-        assert abs(rayleigh.statistic) == pytest.approx(parametric, abs=1e-12)
+        parametric = parametric_test(sample, direction - np.pi / 2, 1, Uniform())
+        assert abs(rayleigh.statistic) == pytest.approx(abs(parametric.statistic), abs=1e-12)
 
     def test_null_size(self):
         hits = 0
@@ -268,9 +273,7 @@ class TestDirectionAndAlternativeValidation:
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_direction_rejected(self, theta):
         calls = [
-            lambda: studentized_statistic(self.SAMPLE, theta, 1),
             lambda: symmetry_test(self.SAMPLE, theta, 1),
-            lambda: parametric_statistic(self.SAMPLE, theta, 1, VonMises(1.0)),
             lambda: parametric_test(self.SAMPLE, theta, 1, VonMises(1.0)),
             lambda: rayleigh_cardioid_test(self.SAMPLE, theta),
             lambda: modified_runs_test(self.SAMPLE, theta),
@@ -291,7 +294,6 @@ class TestDirectionAndAlternativeValidation:
 
 class TestTooFewObservations:
     @pytest.mark.parametrize("call, message", [
-        (lambda: studentized_statistic([0.5], 0.0, 1), "two observations"),
         (lambda: symmetry_test([0.5], 0.0, 1), "two observations"),
         (lambda: rayleigh_cardioid_test([0.5], 0.0), "two observations"),
         (lambda: modified_runs_test(np.linspace(-1, 1, 9), 0.0), "ten observations"),
@@ -306,17 +308,17 @@ class TestRowKernels:
         rng = np.random.default_rng(12)
         rows = rng.uniform(-np.pi, np.pi, size=(2, 3, 40))
         rows[1, 2] = 0.3  # every sine about 0.3 vanishes
-        every_k = studentized_rows(rows, 0.3, (1, 2, 3))
+        every_k = _studentized_rows(rows, 0.3, (1, 2, 3))
         assert every_k.shape == (3, 2, 3)
         for k, multiple in zip((1, 2, 3), every_k):
-            (signed,) = studentized_rows(rows, 0.3, (k,))
+            (signed,) = _studentized_rows(rows, 0.3, (k,))
             assert signed.shape == (2, 3)
             assert np.isnan(signed[1, 2])
             assert np.count_nonzero(np.isnan(signed)) == 1
             for index in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]:
-                assert signed[index] == studentized_statistic(rows[index], 0.3, k)
+                assert signed[index] == symmetry_test(rows[index], 0.3, k).statistic
             with pytest.raises(DegenerateSampleError):
-                studentized_statistic(rows[1, 2], 0.3, k)
+                symmetry_test(rows[1, 2], 0.3, k)
             # one tangent pass for every k moves T_k by ulps at most
             assert np.array_equal(np.isnan(multiple), np.isnan(signed))
             assert_allclose(multiple, signed, rtol=1e-13, atol=1e-13)
