@@ -25,10 +25,19 @@ the von Mises (Best-Fisher) and cardioid (uniform envelope) rejection
 samplers share one batch loop, ``_rejection_draw``; the wrapped Cauchy
 wraps a linear Cauchy draw, and the skewed forms transform or reflect
 their base's draws.
+
+A skewed form's draw is two steps, ``_draw(rng, out) = _apply(_inputs(rng,
+out.size), out)``: ``_inputs`` draws random inputs whose law does not
+depend on the skewness lam (the base draw, and the reflection's or the
+mixture's uniforms), and ``_apply`` maps them to the model's draws at its
+lam. Forms that differ only in lam have the same ``_draw_key``, the form at
+lam = 0, so the replication engine draws the inputs once for all of them
+and each model's draws are still exactly its own law. A symmetric base has
+no draw key: its inputs are the generator itself, and ``_apply`` draws.
 """
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +78,17 @@ class _Model:
 
     in_family = False
     _form = None
+    _draw_key = None  # a model whose inputs no other model shares
+
+    def _inputs(self, rng, size):
+        """The random inputs of ``size`` draws: with no draw key, the
+        generator itself, from which ``_apply`` draws."""
+        return rng
+
+    def _apply(self, inputs, out):
+        """Fill ``out`` with this model's draws from ``inputs``, which it
+        only reads."""
+        self._draw(inputs, out)
 
     def _evaluate(self, formula, x):
         value = np.asarray(formula(np.asarray(x, dtype=float)), dtype=float)
@@ -416,21 +436,18 @@ class WrappedCauchy(_Model):
         out *= -math.log(self.rho)
 
 
-def _mixture_draw(rng, out, component, heads, tails):
-    """Draws of the ``VonMises`` model ``component`` about centre ``heads``
-    where a fair coin is below 1/2, about ``tails`` elsewhere; the von Mises
-    draws come first, then the coins. Each centre is picked from the
-    two-entry table (tails, heads) by its coin as a 0/1 index: one full
-    ``take`` pass, about three times faster than a fill and a masked
-    ``copyto``. A mixture keeps its component, so the component's envelope
-    is formed once per model."""
-    component._draw(rng, out)
-    (centers,) = temporaries(out.size, 1)
+def _add_centres(draws, coins, out, heads, tails, centres):
+    """out = draws + ``heads`` where the uniform coin is below 1/2, draws +
+    ``tails`` elsewhere, with the centres formed in ``centres``, which may
+    be ``coins`` itself. Each centre is picked from the two-entry table
+    (tails, heads) by its coin as a 0/1 index: one full ``take`` pass, about
+    three times faster than a fill and a masked ``copyto``. A mixture draws
+    its von Mises angles first, then the coins, and keeps its component,
+    so the component's envelope is formed once per model."""
     (to_heads,) = temporaries(out.size, 1, bool)
-    rng.random(out=centers)
-    np.less(centers, 0.5, out=to_heads)
-    np.take(np.array([tails, heads]), to_heads.view(np.int8), out=centers)
-    out += centers
+    np.less(coins, 0.5, out=to_heads)
+    np.take(np.array([tails, heads]), to_heads.view(np.int8), out=centres)
+    np.add(draws, centres, out=out)
 
 
 @dataclass(frozen=True)
@@ -453,7 +470,10 @@ class VonMisesMixture(_Model):
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
 
     def _draw(self, rng, out):
-        _mixture_draw(rng, out, self._component, -np.pi / 4, np.pi / 4)
+        self._component._draw(rng, out)
+        (coins,) = temporaries(out.size, 1)
+        rng.random(out=coins)
+        _add_centres(out, coins, out, -np.pi / 4, np.pi / 4, coins)
 
     @cached_property
     def _component(self):
@@ -463,8 +483,27 @@ class VonMisesMixture(_Model):
 BASE_FAMILIES = (Uniform, VonMises, Cardioid, WrappedCauchy, VonMisesMixture)
 
 
+class _Skewed(_Model):
+    """A skewed form: a map, set by its skewness ``lam``, of random inputs
+    whose law does not depend on ``lam``.
+
+    ``_inputs(rng, size)`` draws the inputs of ``size`` draws into held
+    ``workspace`` arrays, since the engine keeps them while other models
+    map them and the kernels score each sample; its base, a symmetric
+    base, draws into the first of them and takes only scratch arrays.
+    ``_apply(inputs, out)`` maps the inputs to this model's draws."""
+
+    @cached_property
+    def _draw_key(self):
+        """The form at lam = 0, which draws the same inputs."""
+        return replace(self, lam=0.0)
+
+    def _draw(self, rng, out):
+        self._apply(self._inputs(rng, out.size), out)
+
+
 @dataclass(frozen=True)
-class SineSkewed(_Model):
+class SineSkewed(_Skewed):
     """Sine-skewed perturbation base(x - theta) * (1 + lam*sin(k*(x - theta)))."""
 
     base: object
@@ -485,7 +524,14 @@ class SineSkewed(_Model):
         u = x - self.theta
         return self.base.pdf(u) * (1.0 + self.lam * np.sin(self.k * u))
 
-    def _draw(self, rng, out):
+    def _inputs(self, rng, size):
+        """The base draws y, then as many uniforms u."""
+        y, u = temporaries(size, 2, held=True)
+        self.base._draw(rng, y)
+        rng.random(out=u)
+        return y, u
+
+    def _apply(self, inputs, out):
         """Exact reflection sampler: keep a base draw y with probability
         (1 + lam*sin(k*y))/2, otherwise emit -y; symmetry of the base makes
         the output density exactly the sine-skewed one. The probability is
@@ -504,24 +550,23 @@ class SineSkewed(_Model):
         At lam = 0 the tangent is skipped: t w is finite, so p = 1/2 + 0 t w
         is exactly 1/2 and s = copysign(1, 1/2 - u), the same bits.
         """
-        self.base._draw(rng, out)
-        u, sign, w = temporaries(out.size, 3)
-        rng.random(out=u)
+        y, u = inputs
+        sign, w = temporaries(out.size, 2)
         if self.lam == 0.0:
             np.subtract(0.5, u, out=sign)
         else:
-            half_tangent(out, sign, w, self.k)
+            half_tangent(y, sign, w, self.k)
             np.multiply(sign, w, out=sign)
             np.multiply(self.lam, sign, out=sign)
             np.add(0.5, sign, out=sign)
             np.subtract(sign, u, out=sign)
         np.copysign(1.0, sign, out=sign)
-        out *= sign
+        np.multiply(y, sign, out=out)
         out += self.theta
 
 
 @dataclass(frozen=True)
-class MoebiusSkewed(_Model):
+class MoebiusSkewed(_Skewed):
     """Moebius-transformed base: x -> lam + 2*atan(omega*tan((x - lam)/2)).
 
     omega = (1 - r)/(1 + r); r in (0, 1). lam = 0 preserves symmetry
@@ -553,9 +598,14 @@ class MoebiusSkewed(_Model):
         jacobian = omega / (omega**2 * np.cos(u) ** 2 + np.sin(u) ** 2)
         return self.base.pdf(wrap(inverse)) * jacobian
 
-    def _draw(self, rng, out):
-        self.base._draw(rng, out)
-        out -= self.lam
+    def _inputs(self, rng, size):
+        """The base draws."""
+        (y,) = temporaries(size, 1, held=True)
+        self.base._draw(rng, y)
+        return y
+
+    def _apply(self, y, out):
+        np.subtract(y, self.lam, out=out)
         out *= 0.5
         np.tan(out, out=out)
         out *= self.omega
@@ -565,7 +615,7 @@ class MoebiusSkewed(_Model):
 
 
 @dataclass(frozen=True)
-class SkewedMixture(_Model):
+class SkewedMixture(_Skewed):
     """VM(kappa) mixture with centers -pi/4 and pi/4 + lam, weights 1/2.
 
     lam = 0 recovers the symmetric bimodal mixture; lam shifts only the
@@ -587,8 +637,17 @@ class SkewedMixture(_Model):
         comp = self._component
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4 - self.lam))
 
-    def _draw(self, rng, out):
-        _mixture_draw(rng, out, self._component, np.pi / 4 + self.lam, -np.pi / 4)
+    def _inputs(self, rng, size):
+        """The component's draws, then as many coin uniforms."""
+        draws, coins = temporaries(size, 2, held=True)
+        self._component._draw(rng, draws)
+        rng.random(out=coins)
+        return draws, coins
+
+    def _apply(self, inputs, out):
+        draws, coins = inputs
+        (centres,) = temporaries(out.size, 1)
+        _add_centres(draws, coins, out, np.pi / 4 + self.lam, -np.pi / 4, centres)
 
     @cached_property
     def _component(self):

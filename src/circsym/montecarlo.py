@@ -1,52 +1,63 @@
 """Deterministic replication engine for rejection-frequency tables and power curves.
 
-One engine serves both. A scenario table and each point of an empirical
-power curve are a stream of replications, cut into chunks of
+One engine serves both. A scenario table and an empirical power curve are
+each one stream of replications, whose models are the lambdas of the
+scenario's grid or the points of the curve, cut into chunks of
 C = max(1, ``_CHUNK_DRAWS`` // n) replications (a bound on memory, not a
 parameter of the results). Chunk ``c`` has its own stream
-``derive_stream(master_seed, stream id, c)``: each sampling model, in
-model order, draws the whole chunk in one ``sample(rng, C * n)`` call,
-read as C rows of n, and when the stream has a modified runs test one
-``rng.random(z)`` call right after it gives the fair-coin signs of that
-model's z exact zeros, in row order. Workers get whole chunks, so results
-are bit-identical for a fixed (master seed, stream id) however
-replications are split over workers.
+``derive_stream(master_seed, stream id, c)``. The models that share a draw
+key, the model at lambda = 0 (``distributions``), form a group
+(``_draw_groups``); each group, in the order of its first model, draws the
+random inputs of the whole chunk once, and each of its models, in model
+order, maps them to its C * n draws, read as C rows of n. When the stream
+has a modified runs test, one ``rng.random(z)`` call right after a model's
+map gives the fair-coin signs of its z exact zeros, in row order. A model
+without a key is a group of one and draws as ``sample`` does. Workers get
+whole chunks, so results are bit-identical for a fixed (master seed,
+stream id) however replications are split over workers.
 
-Every statistic is computed over the whole (models, C, n) block by the
-row-wise kernels of ``angles`` and ``symtests``. A studentized test
-rejects where |T_k| exceeds z_{alpha/2}, the modified runs test where the
-run count is at most the largest c with P(R <= c) < alpha
-(``symtests.runs_null_cdf``); both are computed once per stream.
+Each lambda of a grid is drawn from the same inputs, so each point's
+rejection rate is exactly that of its own model and unbiased, as before;
+the points are positively correlated, so differences between the points
+of a curve or the columns of a table are less noisy than from independent
+draws. A power curve's stream id names no tau2, so a point's power is the
+same alone as in any grid that holds it.
+
+Every statistic is computed by the row-wise kernels of ``angles`` and
+``symtests``, on one model's (C, n) rows at a time, so their scratch
+arrays stay the size of one chunk however many models share the draw. A
+studentized test rejects where |T_k| exceeds z_{alpha/2}, the modified
+runs test where the run count is at most the largest c with P(R <= c) <
+alpha (``symtests.runs_null_cdf``); both are computed once per stream.
 ``_block_bounds`` alone cuts a stream into blocks of whole chunks, each
 at most one chunk or ``_WINDOW_ROWS`` replications, whichever is larger.
 Each chunk keeps only its moments, the row sums of the sines and of their
-squares (``angles.sine_sums``); the ratio T_k and the degenerate and
-rejection counts are formed once per block (``symtests.studentize``).
-T_k is a function of its row's two sums, so the blocks change no bit;
-they take the interpreter-held calls of the ratio and the counts off
-every chunk. With ``threads`` > 1 on more than one core, one thread pool
-of at most one worker per core serves the whole call: every scenario of
-``run_scenarios`` and every grid point of ``power_curve``. numpy releases
-the interpreter lock inside its array kernels and generator fills, each
-chunk has its own Generator and the models are frozen, so blocks share
-nothing mutable. Workers return additive integer tallies, so the merge is
+squares (``angles.sine_sums``, every studentized k of the stream from one
+tangent pass); the ratio T_k and the degenerate and rejection counts are
+formed once per block (``symtests.studentize``). T_k is a function of its
+row's two sums, so the blocks change no bit; they take the
+interpreter-held calls of the ratio and the counts off every chunk. With
+``threads`` > 1 on more than one core, one thread pool of at most one
+worker per core serves the whole call: every scenario of
+``run_scenarios``, and the grid of ``power_curve``. numpy releases the
+interpreter lock inside its array kernels and generator fills, each chunk
+has its own Generator and the models are frozen, so blocks share nothing
+mutable. Workers return additive integer tallies, so the merge is
 order-independent by construction.
 
-Each block draws its chunks into one (models, C, n) sample array, with
-``model.sample(rng, C * n, out=...)``, and takes the sums of every
-studentized k of the stream in one call of the row kernel, from one
-tangent pass. A block runs inside ``workspace.using()``, so the samplers
-and the kernels take their scratch arrays from those its thread keeps. A
-thread reuses them from chunk to chunk and block to block, and the
-calling thread from call to call, so a call does not fault its scratch
-in afresh; a pool worker's arrays go with the pool when its call ends.
-What a thread keeps is set by the largest block it ran, not by the
-number of replications: each array holds at most models x max(n,
-``_CHUNK_DRAWS``) doubles, or twice max(n, ``_CHUNK_DRAWS``) for a
-sampler's rejection batch. A block's array of moments is bounded in rows
-too: 2 x (studentized tests) x models x max(C, ``_WINDOW_ROWS``) doubles,
-however many replications the stream runs. Scratch values are written
-before they are read, so the kept arrays have no effect on draws.
+A block maps every model into one (C, n) sample array. It runs inside
+``workspace.using()``, so the samplers and the kernels take their scratch
+arrays, and a group its inputs, from those its thread keeps. A thread
+reuses them from chunk to chunk and block to block, and the calling
+thread from call to call, so a call does not fault its scratch in afresh;
+a pool worker's arrays go with the pool when its call ends. What a thread
+keeps is set by the largest block it ran, not by the number of models or
+replications: each array holds at most max(n, ``_CHUNK_DRAWS``) doubles,
+or twice that for a sampler's rejection batch. A block's array of moments
+is bounded in rows too: 2 x (studentized tests) x models x max(C,
+``_WINDOW_ROWS``) doubles, however many replications the stream runs.
+Scratch values are written before they are read, so the kept arrays have
+no effect on draws.
 """
 
 import concurrent.futures  # not called here; benchmarks/tracing.py looks up this name
@@ -69,6 +80,7 @@ from .distributions import (
 )
 from .io import parse_number_list, read_text
 from .special import MAX_SAMPLE_SIZE, check_alpha, check_frequency, check_integer, upper_quantile
+from .angles import _wrap_in_place
 from .workspace import using
 from . import angles, symtests
 
@@ -78,7 +90,8 @@ DEFAULT_MASTER_SEED = 1729
 _CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
 _WINDOW_ROWS = 1024  # replications a block of whole chunks holds, unless one chunk holds more
 # Draws n x reps per model: 100 replications at the largest n. At n = 10, the
-# most time per draw, a model at the cap took 87 s on a 2-core Xeon, numpy 2.4.
+# most time per draw, a model alone at the cap took 72 s on a 2-core Xeon,
+# numpy 2.4, and each model of a four-lambda grid, sharing its draws, 58 s.
 MAX_DRAWS = 100 * MAX_SAMPLE_SIZE
 
 
@@ -275,6 +288,17 @@ def _block_bounds(stream, pieces):
     return [(lo, min(lo + step, stream.reps)) for lo in range(0, stream.reps, step)]
 
 
+def _draw_groups(models):
+    """The indices of ``models`` grouped by draw key, each group in model
+    order and the groups in the order of their first model; a model without
+    a key is a group of one."""
+    groups = {}
+    for j, model in enumerate(models):
+        key = model._draw_key
+        groups.setdefault(j if key is None else key, []).append(j)
+    return list(groups.values())
+
+
 @using()
 def _replication_block(stream, start, stop):
     """Additive tallies for the block [start, stop) of a stream's replications.
@@ -282,12 +306,16 @@ def _replication_block(stream, start, stop):
     ``start`` lies on a chunk boundary. Returns (rejections, degenerate),
     each of shape (tests, models): one row per studentized frequency, then
     the modified runs test if the stream has one. Samples where T_k is
-    undefined count as degenerate and are not rejections. Every chunk is
-    drawn into the same sample array.
+    undefined count as degenerate and are not rejections.
 
-    The studentized tests take two steps. Each chunk writes only its row
-    sums of the sines and of their squares (``angles.sine_sums``) into the
-    block's array of moments; the ratio T_k and the degenerate and
+    Each chunk draws the random inputs of each group of models that share a
+    draw key (``_draw_groups``) once; each model of the group then maps
+    them into the block's one sample array, which is scored before the
+    next model writes over it.
+
+    The studentized tests take two steps. Each model's chunk writes only
+    its row sums of the sines and of their squares (``angles.sine_sums``)
+    into the block's array of moments; the ratio T_k and the degenerate and
     rejection counts are then formed once per block
     (``symtests.studentize``), from the same sums in the same order as one
     chunk at a time.
@@ -300,27 +328,28 @@ def _replication_block(stream, start, stop):
     if stream.runs is not None:  # the largest c with P(R <= c) < alpha, 0 if none
         null_cdf = symtests.runs_null_cdf(np.arange(1, stream.runs + 1), stream.runs)
         runs_critical = np.count_nonzero(null_cdf < stream.alpha)
-    block = np.empty((len(stream.models), min(size, stop - start), stream.n))
+    groups = _draw_groups(stream.models)
+    block = np.empty((min(size, stop - start), stream.n))
     sums = np.empty((2, len(stream.test_ks), len(stream.models), stop - start))
     for lo in range(start, stop, size):
         rows = min(size, stop - lo)
         rng = derive_stream(stream.master_seed, stream.stream_id, lo // size)
-        samples = block[:, :rows]
-        coins = []
-        for j, model in enumerate(stream.models):
-            model.sample(rng, rows * stream.n, out=samples[j].reshape(-1))
-            # Draws are canonical angles, so sin(x - 0) vanishes exactly
-            # where x == 0; the runs test's coins for those follow the draw.
-            if stream.runs is not None:
-                coins.append(rng.random(np.count_nonzero(samples[j] == 0.0)) < 0.5)
-        if stream.test_ks:
-            angles.sine_sums(samples, 0.0, stream.test_ks,
-                             sums[..., lo - start:lo - start + rows])
-        if stream.runs is not None:
-            # the coins were drawn in the row-major (model, row) order it takes
-            counts = symtests.modified_runs_rows(samples, 0.0, stream.runs,
-                                                 lambda _count: np.concatenate(coins))
-            rejections[-1] += np.count_nonzero(counts <= runs_critical, axis=1)
+        sample = block[:rows]
+        for group in groups:
+            inputs = stream.models[group[0]]._inputs(rng, sample.size)
+            for j in group:
+                stream.models[j]._apply(inputs, sample.reshape(-1))
+                _wrap_in_place(sample)
+                if stream.test_ks:
+                    angles.sine_sums(sample, 0.0, stream.test_ks,
+                                     sums[:, :, j, lo - start:lo - start + rows])
+                if stream.runs is not None:
+                    # Draws are canonical angles, so sin(x - 0) vanishes
+                    # exactly where x == 0; the coins for those follow the
+                    # model's draw, in row order.
+                    counts = symtests.modified_runs_rows(
+                        sample, 0.0, stream.runs, lambda count: rng.random(count) < 0.5)
+                    rejections[-1, j] += np.count_nonzero(counts <= runs_critical)
     if stream.test_ks:
         signed = symtests.studentize(sums, stream.n)
         degenerate[:len(stream.test_ks)] = np.count_nonzero(np.isnan(signed), axis=-1)
@@ -404,41 +433,43 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
 
     ``analytic`` evaluates the limiting power at each local drift tau2;
     ``empirical`` simulates at the contiguous skewness lambda = tau2/sqrt(n)
-    and tallies rejections, each grid point a stream of the replication
-    engine (one thread pool for the whole grid when ``threads`` > 1);
-    samples where T_k is undefined count as non-rejections. Returns a list
-    of (tau2, power) pairs.
+    and tallies rejections. The whole grid is one stream of the replication
+    engine, named without tau2, whose models share one draw per chunk: a
+    point's power is the same alone as in any grid, and the points of a
+    curve are positively correlated. Samples where T_k is undefined count
+    as non-rejections. Returns a list of (tau2, power) pairs.
     """
     tau2_grid = [float(t) for t in tau2_grid]
     if mode == "analytic":
         return list(zip(tau2_grid, local_power_curve(base, k, k_prime, tau2_grid, alpha)))
     if mode != "empirical":
         raise ValueError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
-    if not all(v is not None and v >= 1 and v % 1 == 0 for v in (n, reps)):
+    try:
+        n, reps = [check_integer(v, "size") for v in (n, reps)]
+    except ValueError:
         raise ValueError("empirical mode needs n and reps, both positive integers; "
-                         f"got n={n!r}, reps={reps!r}")
-    n, reps = check_integer(n, "sample size n", most=MAX_SAMPLE_SIZE), int(reps)
+                         f"got n={n!r}, reps={reps!r}") from None
+    n = check_integer(n, "sample size n", most=MAX_SAMPLE_SIZE)
     _check_draws(n, reps)
     alpha = check_alpha(alpha)
     master_seed = check_integer(master_seed, "master_seed", least=None)
     # as ints, so that k_prime = 2.0 and np.int64(2) name the stream of 2
     k, k_prime = check_frequency(k), check_frequency(k_prime)
-    streams = []
+    models = []
     for t in tau2_grid:
         lam = t / math.sqrt(n)
         if not -1.0 < lam < 1.0:
             raise ValueError(
                 f"tau2={t:g} gives skewness {lam:g} outside (-1, 1) at n={n}"
             )
-        streams.append(_Stream(
-            master_seed=master_seed,
-            stream_id=f"power|{base.label}|k={k}|kprime={k_prime}|tau2={t!r}|n={n}",
-            models=(SineSkewed(base, lam, k=k_prime),),
-            n=n, test_ks=(k,), alpha=alpha, reps=reps,
-        ))
-    tallies = _tallies(streams, threads)
-    return [(t, int(rejections[0, 0]) / float(reps))
-            for t, (rejections, _) in zip(tau2_grid, tallies)]
+        models.append(SineSkewed(base, lam, k=k_prime))
+    stream = _Stream(
+        master_seed=master_seed,
+        stream_id=f"power|{base.label}|k={k}|kprime={k_prime}|n={n}",
+        models=tuple(models), n=n, test_ks=(k,), alpha=alpha, reps=reps,
+    )
+    ((rejections, _),) = _tallies([stream], threads)
+    return [(t, int(hits) / float(reps)) for t, hits in zip(tau2_grid, rejections[0])]
 
 
 _SINE_GRID = (0.0, 0.2, 0.4, 0.6)

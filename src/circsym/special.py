@@ -145,9 +145,15 @@ def check_alpha(alpha):
 def check_integer(value, name, least=1, most=None):
     """``value`` as an int; ValueError naming ``name`` unless it is an
     integer (an integral float too) of at least ``least``, or of any size
-    when ``least`` is None, and of at most ``most`` when that is given."""
-    if not (value >= (-math.inf if least is None else least)
-            and value % 1 == 0):  # false for nan and inf too
+    when ``least`` is None, and of at most ``most`` when that is given. A
+    value that is not a number, such as a string or None, is refused by
+    the same message."""
+    try:
+        valid = (value >= (-math.inf if least is None else least)
+                 and value % 1 == 0)  # false for nan and inf too
+    except TypeError:  # no order or remainder: not a number
+        valid = False
+    if not valid:
         wanted = {None: "an integer", 0: "a nonnegative integer",
                   1: "a positive integer"}.get(least, f"an integer of at least {least}")
         raise ValueError(f"{name} must be {wanted}, got {value!r}")

@@ -13,9 +13,12 @@ carries from one call into the next and draws do not depend on them.
 
 One rule keeps this safe: no step calls another sampler or kernel while it
 holds its temporaries. The rejection batches, the reflection step, the
-mixture's coins and the statistics run one after another, so
+mixture's centres and the statistics run one after another, so
 ``temporaries`` hands all of them the same arrays and the sampling and
-statistics phases share one set.
+statistics phases share one set. The random inputs that the models of a
+skewness grid share (``distributions``) are held while each model maps
+them and the kernels score its sample, so they live in a second set, the
+``held`` arrays, which only a skewed model's ``_inputs`` takes.
 """
 
 import contextlib
@@ -34,18 +37,20 @@ class _Store(threading.local):
 _store = _Store()
 
 
-def temporaries(size, count, dtype=np.float64):
+def temporaries(size, count, dtype=np.float64, held=False):
     """``count`` 1-D arrays of ``size`` elements of ``dtype``, contents
     undefined, for a step that calls no other sampler or kernel while it
-    holds them."""
+    holds them; with ``held``, from the second set (positions -1, -2, ...),
+    for inputs that are held while other samplers and kernels run."""
     dtype = np.dtype(dtype)
     if not _store.on:
         return [np.empty(size, dtype) for _ in range(count)]
     arrays = []
     for i in range(count):
-        array = _store.arrays.get((dtype, i))
+        key = (dtype, ~i if held else i)
+        array = _store.arrays.get(key)
         if array is None or array.size < size:
-            array = _store.arrays[dtype, i] = np.empty(size, dtype)
+            array = _store.arrays[key] = np.empty(size, dtype)
         arrays.append(array[:size])
     return arrays
 

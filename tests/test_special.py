@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -177,4 +178,12 @@ class TestCheckInteger:
     ])
     def test_others_rejected_by_name(self, value, least, wanted):
         with pytest.raises(ValueError, match=f"^widgets must be {wanted}, got"):
+            check_integer(value, "widgets", least)
+
+    @pytest.mark.parametrize("value, least, wanted", [
+        ("7", None, "an integer"), (None, None, "an integer"), (b"7", None, "an integer"),
+        ("20", 10, "an integer of at least 10"), (1j, 1, "a positive integer"),
+    ], ids=["str", "none", "bytes", "str-least", "complex"])
+    def test_non_numbers_rejected_by_name(self, value, least, wanted):
+        with pytest.raises(ValueError, match=f"^widgets must be {wanted}, got {re.escape(repr(value))}$"):
             check_integer(value, "widgets", least)
