@@ -13,7 +13,7 @@ from .errors import EmptySampleError
 from .workspace import temporaries
 
 TWO_PI = 2.0 * np.pi
-_MAX_MULTIPLE = 16  # the largest k / gcd(ks) that sine_sums reaches by recurrence
+_MAX_MULTIPLE = 3  # the largest k / gcd(ks) sine_sums reaches by recurrence, in 4 arrays
 
 
 def wrap(x):
@@ -87,39 +87,30 @@ def half_tangent(x, t, w, scale=1):
     return t, w
 
 
-def sine_multiples(x, top, sines, w, spare=None, extra=None, scale=1):
-    """Yield (sin(j a), scratch) for a = scale x and j = 1, ..., ``top`` from
-    one tangent pass.
+def sine_multiples(x, sines, w, scale=1):
+    """Fill the list ``sines`` with sin(j a) for a = scale x and j = 1, ...,
+    len(sines), from one tangent pass; returns ``sines``.
 
-    ``x`` holds the angles and is only read; ``sines`` (which may be ``x``
-    itself), ``w``, ``spare`` (needed when top >= 2) and ``extra`` (needed
-    when top >= 4) are float64 arrays of its shape. Each sine is valid until
-    the next one is asked for, and the caller may write over its ``scratch``
-    array meanwhile (the last sine is its own scratch). sin a = 2 t w comes
-    from ``half_tangent``, then sin((j + 1) a) = 2 cos a sin(j a) -
-    sin((j - 1) a), the Chebyshev recurrence, with 2 cos a = 4 w - 2. Its
-    error grows like j^2 eps; on canonical angles it stays within 2 j^2 eps
-    (absolute) of ``np.sin`` for j <= 16 (``tests/test_properties.py``).
+    ``x`` holds the angles and is only read; the sines and ``w`` are float64
+    arrays of its shape, and ``sines[0]`` may be ``x`` itself. sin a = 2 t w
+    comes from ``half_tangent``, then sin((j + 1) a) = 2 cos a sin(j a) -
+    sin((j - 1) a), the Chebyshev recurrence, with 2 cos a = 4 w - 2 left in
+    ``w``. Its error grows like j^2 eps; on canonical angles it stays within
+    2 j^2 eps (absolute) of ``np.sin`` for j <= 16
+    (``tests/test_properties.py``).
     """
-    half_tangent(x, sines, w, scale)
-    np.multiply(sines, w, out=sines)
-    np.multiply(2.0, sines, out=sines)
-    if top == 1:
-        yield sines, sines
-        return
-    yield sines, spare
-    twocos = w
-    np.multiply(4.0, w, out=twocos)
-    np.subtract(twocos, 2.0, out=twocos)
-    prev, cur = sines, np.multiply(twocos, sines, out=spare)  # sin 2a = sin a 2cos a
-    for j in range(2, top):
-        # the last step may write over 2 cos a; the others need a fourth array
-        product = twocos if j + 1 == top else extra
-        np.multiply(twocos, cur, out=product)
-        np.subtract(product, prev, out=prev)
-        yield cur, product
-        prev, cur = cur, prev
-    yield cur, cur
+    first = sines[0]
+    half_tangent(x, first, w, scale)
+    np.multiply(first, w, out=first)
+    np.multiply(2.0, first, out=first)
+    if len(sines) > 1:
+        twocos = np.multiply(4.0, w, out=w)
+        np.subtract(twocos, 2.0, out=twocos)
+        np.multiply(twocos, first, out=sines[1])  # sin 2a = sin a 2cos a
+        for prev, cur, following in zip(sines, sines[1:], sines[2:]):
+            np.multiply(twocos, cur, out=following)
+            np.subtract(following, prev, out=following)
+    return sines
 
 
 def sine_sums(x, theta, ks, out):
@@ -139,11 +130,11 @@ def sine_sums(x, theta, ks, out):
     The tangent pass takes g/2 as its scale (``half_tangent``), so
     g(x - theta) is never formed, and at theta = +0.0 it reads ``x``
     itself; either way the bits are those of the scaled difference.
-    The kernel takes two scratch arrays of the size of ``x`` for a single
-    k, three up to max(ks) = 3g and four beyond. Past
-    max(ks) = ``_MAX_MULTIPLE`` g, where the recurrence's error (about
-    j^2 eps at step j) and its two calls a step outweigh a tangent pass,
-    each k gets its own pass.
+    The kernel takes max(ks)/g + 1 scratch arrays of the size of ``x``: w,
+    which ends up holding the squares, then the sines of j = 1, ...,
+    max(ks)/g, so a k given twice reads the same sines. Past max(ks) =
+    ``_MAX_MULTIPLE`` g each k gets its own pass, which keeps the scratch
+    at four arrays; its sums are those of ``ks = (k,)``.
     """
     ks = tuple(ks)
     g = math.gcd(*ks)
@@ -152,21 +143,16 @@ def sine_sums(x, theta, ks, out):
         for i, k in enumerate(ks):
             sine_sums(x, theta, (k,), out[:, i:i + 1])
         return out
-    count = 2 if top == 1 else 3 if top <= 3 else 4
-    first, *others = (a.reshape(x.shape) for a in temporaries(x.size, count))
+    w, *sines = (a.reshape(x.shape) for a in temporaries(x.size, top + 1))
     # x - (+0.0) is x bit for bit, so theta = +0.0 reads x itself; x - (-0.0)
     # would turn -0.0 into +0.0
     plus_zero = theta == 0.0 and math.copysign(1.0, theta) == 1.0
-    angles = x if plus_zero else np.subtract(x, theta, out=first)
-    multiples = sine_multiples(angles, top, first, *others, scale=g)
-    for j, (sines, scratch) in enumerate(multiples, start=1):
-        if j * g in ks:
-            i = ks.index(j * g)  # out[0, i, ...] is an array even for one row
-            np.add.reduce(sines, axis=-1, out=out[0, i, ...])
-            np.add.reduce(np.square(sines, out=scratch), axis=-1, out=out[1, i, ...])
-    for i, k in enumerate(ks):  # a k given twice reads its first sums
-        if ks.index(k) != i:
-            out[:, i] = out[:, ks.index(k)]
+    angles = x if plus_zero else np.subtract(x, theta, out=sines[0])
+    sine_multiples(angles, sines, w, g)
+    for i, k in enumerate(ks):  # out[0, i, ...] is an array even for one row
+        sine = sines[k // g - 1]
+        np.add.reduce(sine, axis=-1, out=out[0, i, ...])
+        np.add.reduce(np.square(sine, out=w), axis=-1, out=out[1, i, ...])
     return out
 
 

@@ -90,7 +90,9 @@ _column = _checked("column", lambda text: check_integer(int(text), "column", lea
 
 _THREADS_HELP = ("worker threads, at most one per core (default 1; no environment "
                  "variable is read); output is byte-identical at any count")
-_DRAWS_HELP = (f"n x reps is at most {MAX_DRAWS} draws per model (a model at the cap "
+_DRAWS_HELP = (f"n x reps x models is at most {MAX_DRAWS} draws per stream, where a "
+               "scenario is one stream of one model per lambda and power runs one "
+               "stream per k' of one model per grid point (one model at the cap "
                "took 87 s at n = 10 on a 2-core Xeon)")
 
 _GRID_MAX_POINTS = 100_000  # a start:stop:count grid is built as a list of floats

@@ -8,32 +8,32 @@ base by ``1 + lam * sin(k * (x - theta))``. :class:`MoebiusSkewed` and
 Every model keeps one contract, held by their common base class: ``pdf``
 (and ``score`` where the model has one) is an exact formula that takes a
 scalar or an array and returns a float for a scalar, an array for an
-array; ``sample(rng, n, out=None)`` draws n >= 1 angles from a
-``numpy.random.Generator`` into ``out`` (a new array when it is None) and
-returns them canonical, in [-pi, pi); and ``label`` is a descriptor that
+array; ``sample(rng, n)`` draws n >= 1 angles from a
+``numpy.random.Generator`` and returns them as a new array of canonical
+angles, in [-pi, pi); and ``label`` is a descriptor that
 ``parse_model``, the one parser of model descriptors, reads back to an
 equal model. Each symmetric base also states its cosine moments
 rho_m = E[cos(m X)] (``cos_moment``) and its location information
 g11 = E[phi(X)^2] (``location_information``) in closed form; the
 information machinery in ``asymptotics`` is built from these.
 
-A model draws through one method, ``_draw(rng, out)``, which fills ``out``
-in place and takes its temporaries from ``workspace``: inside the
-replication engine those are arrays reused from chunk to chunk, elsewhere
-fresh ones, and the draws are the same either way. Every sampler is exact:
-the von Mises (Best-Fisher) and cardioid (uniform envelope) rejection
-samplers share one batch loop, ``_rejection_draw``; the wrapped Cauchy
-wraps a linear Cauchy draw, and the skewed forms transform or reflect
-their base's draws.
-
-A skewed form's draw is two steps, ``_draw(rng, out) = _apply(_inputs(rng,
-out.size), out)``: ``_inputs`` draws random inputs whose law does not
-depend on the skewness lam (the base draw, and the reflection's or the
-mixture's uniforms), and ``_apply`` maps them to the model's draws at its
-lam. Forms that differ only in lam have the same ``_draw_key``, the form at
+Every model draws in two steps, ``_apply(_inputs(rng, size), out)``:
+``_inputs`` draws random inputs whose law does not depend on the skewness
+lam, and ``_apply`` maps them to the model's draws, written to the float
+array ``out``, which need not come out canonical. A symmetric base's
+inputs are the generator itself and its ``_apply`` draws from it; a skewed
+form's are its base draw, and the reflection's or the mixture's uniforms.
+Forms that differ only in lam have the same ``_draw_key``, the form at
 lam = 0, so the replication engine draws the inputs once for all of them
-and each model's draws are still exactly its own law. A symmetric base has
-no draw key: its inputs are the generator itself, and ``_apply`` draws.
+and each model's draws are still exactly its own law; a symmetric base has
+no draw key. Both steps take their temporaries from ``workspace``: inside
+the replication engine those are arrays reused from chunk to chunk,
+elsewhere fresh ones, and the draws are the same either way.
+
+Every sampler is exact: the von Mises (Best-Fisher) and cardioid (uniform
+envelope) rejection samplers share one batch loop, ``_rejection_draw``;
+the wrapped Cauchy wraps a linear Cauchy draw, and the skewed forms
+transform or reflect their base's draws.
 """
 
 import math
@@ -70,10 +70,10 @@ class _Model:
     """The contract every model keeps; a model states only its own math.
 
     A model is a frozen dataclass with ``_pdf`` (and ``_score``) on float
-    arrays and ``_draw(rng, out)``, which fills the float array ``out`` with
-    draws that need not be canonical. A symmetric base names its label
-    ``_prefix``; a skewed form names its ``_form`` and the order ``_keys`` of
-    its label's keywords.
+    arrays and ``_apply(inputs, out)``, which fills the float array ``out``
+    with draws from the random inputs of ``_inputs``. A symmetric base names
+    its label ``_prefix`` and draws in ``_apply(rng, out)``; a skewed form
+    names its ``_form`` and the order ``_keys`` of its label's keywords.
     """
 
     in_family = False
@@ -84,11 +84,6 @@ class _Model:
         """The random inputs of ``size`` draws: with no draw key, the
         generator itself, from which ``_apply`` draws."""
         return rng
-
-    def _apply(self, inputs, out):
-        """Fill ``out`` with this model's draws from ``inputs``, which it
-        only reads."""
-        self._draw(inputs, out)
 
     def _evaluate(self, formula, x):
         value = np.asarray(formula(np.asarray(x, dtype=float)), dtype=float)
@@ -107,16 +102,12 @@ class _Model:
             "with a single mode have one"
         )
 
-    def sample(self, rng, n, out=None):
-        """``n`` draws from ``rng``, canonical angles in [-pi, pi), written to
-        ``out`` and returned; ``out`` is a new array when None, else a
-        C-contiguous float64 array of shape (n,)."""
+    def sample(self, rng, n):
+        """``n`` draws from ``rng``: a new array of canonical angles in
+        [-pi, pi)."""
         n = check_integer(n, "sample size")
-        if out is None:
-            out = np.empty(n)
-        elif out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous float64 array of shape ({n},)")
-        self._draw(rng, out)
+        out = np.empty(n)
+        self._apply(self._inputs(rng, n), out)
         return _wrap_in_place(out)
 
     def cos_moment_gap(self, a, b):
@@ -158,7 +149,7 @@ class Uniform(_Model):
     def location_information(self):
         return 0.0
 
-    def _draw(self, rng, out):
+    def _apply(self, rng, out):
         _uniform_draw(rng, out)
 
 
@@ -233,7 +224,7 @@ class VonMises(_Model):
         """g11 = kappa * rho_1."""
         return self.kappa * bessel_ratio(1, self.kappa)
 
-    def _draw(self, rng, out):
+    def _apply(self, rng, out):
         """Best-Fisher rejection sampler from a wrapped Cauchy envelope,
         vectorized in batches; the normal limit N(0, 1/kappa) above
         ``_BEST_FISHER_MAX_KAPPA``.
@@ -267,7 +258,7 @@ class VonMises(_Model):
     @cached_property
     def _envelope(self):
         """c0 = kappa (r - 1), omega = sqrt((r - 1) / (r + 1)) and the
-        acceptance rate p(kappa) of ``_draw``, formed once per model: the
+        acceptance rate p(kappa) of ``_apply``, formed once per model: the
         ``bessel_i0e`` series is not summed again for every chunk."""
         kappa = self.kappa
         q = math.sqrt(1.0 + 4.0 * kappa * kappa)
@@ -358,7 +349,7 @@ class Cardioid(_Model):
         ell = self.ell
         return ell * ell / (1.0 + math.sqrt((1.0 - ell) * (1.0 + ell)))
 
-    def _draw(self, rng, out):
+    def _apply(self, rng, out):
         """Rejection from the uniform envelope, exact; it accepts
         1/(1 + ell) >= 1/2 of the proposals."""
         _rejection_draw(rng, out, 1.0 / (1.0 + self.ell), self._accepted)
@@ -427,7 +418,7 @@ class WrappedCauchy(_Model):
         rho = self.rho
         return 2.0 * rho * rho / ((1.0 - rho) * (1.0 + rho)) ** 2
 
-    def _draw(self, rng, out):
+    def _apply(self, rng, out):
         """Wrap a linear Cauchy draw with scale -log(rho); exact."""
         rng.random(out=out)
         out -= 0.5
@@ -469,8 +460,8 @@ class VonMisesMixture(_Model):
         comp = self._component
         return 0.5 * (comp.pdf(x + np.pi / 4) + comp.pdf(x - np.pi / 4))
 
-    def _draw(self, rng, out):
-        self._component._draw(rng, out)
+    def _apply(self, rng, out):
+        self._component._apply(rng, out)
         (coins,) = temporaries(out.size, 1)
         rng.random(out=coins)
         _add_centres(out, coins, out, -np.pi / 4, np.pi / 4, coins)
@@ -490,16 +481,14 @@ class _Skewed(_Model):
     ``_inputs(rng, size)`` draws the inputs of ``size`` draws into held
     ``workspace`` arrays, since the engine keeps them while other models
     map them and the kernels score each sample; its base, a symmetric
-    base, draws into the first of them and takes only scratch arrays.
-    ``_apply(inputs, out)`` maps the inputs to this model's draws."""
+    base whose inputs are the generator, draws into the first of them with
+    ``_apply(rng, ...)`` and takes only scratch arrays. ``_apply(inputs,
+    out)`` maps the inputs to this model's draws."""
 
     @cached_property
     def _draw_key(self):
         """The form at lam = 0, which draws the same inputs."""
         return replace(self, lam=0.0)
-
-    def _draw(self, rng, out):
-        self._apply(self._inputs(rng, out.size), out)
 
 
 @dataclass(frozen=True)
@@ -527,7 +516,7 @@ class SineSkewed(_Skewed):
     def _inputs(self, rng, size):
         """The base draws y, then as many uniforms u."""
         y, u = temporaries(size, 2, held=True)
-        self.base._draw(rng, y)
+        self.base._apply(rng, y)
         rng.random(out=u)
         return y, u
 
@@ -601,7 +590,7 @@ class MoebiusSkewed(_Skewed):
     def _inputs(self, rng, size):
         """The base draws."""
         (y,) = temporaries(size, 1, held=True)
-        self.base._draw(rng, y)
+        self.base._apply(rng, y)
         return y
 
     def _apply(self, y, out):
@@ -640,7 +629,7 @@ class SkewedMixture(_Skewed):
     def _inputs(self, rng, size):
         """The component's draws, then as many coin uniforms."""
         draws, coins = temporaries(size, 2, held=True)
-        self._component._draw(rng, draws)
+        self._component._apply(rng, draws)
         rng.random(out=coins)
         return draws, coins
 

@@ -28,15 +28,17 @@ Every statistic is computed by the row-wise kernels of ``angles`` and
 arrays stay the size of one chunk however many models share the draw. A
 studentized test rejects where |T_k| exceeds z_{alpha/2}, the modified
 runs test where the run count is at most the largest c with P(R <= c) <
-alpha (``symtests.runs_null_cdf``); both are computed once per stream.
-``_block_bounds`` alone cuts a stream into blocks of whole chunks, each
-at most one chunk or ``_WINDOW_ROWS`` replications, whichever is larger.
-Each chunk keeps only its moments, the row sums of the sines and of their
-squares (``angles.sine_sums``, every studentized k of the stream from one
-tangent pass); the ratio T_k and the degenerate and rejection counts are
-formed once per block (``symtests.studentize``). T_k is a function of its
-row's two sums, so the blocks change no bit; they take the
-interpreter-held calls of the ratio and the counts off every chunk. With
+alpha (``symtests.runs_null_cdf``); each block computes both, one
+quantile and one pmf of m terms. ``_block_bounds`` alone cuts a stream
+into blocks of whole chunks, each at most one chunk or ``_WINDOW_ROWS``
+replications, whichever is larger. Each chunk keeps only its moments, the
+row sums of the sines and of their squares (``angles.sine_sums``, every
+studentized k of the stream from one tangent pass where max(k) is at most
+3 gcd(k), else one pass per k); the ratio T_k and the degenerate and
+rejection counts are formed once per block (``symtests.studentize``).
+T_k is a function of its row's two sums, so the blocks change no bit;
+they take the interpreter-held calls of the ratio and the counts off
+every chunk. With
 ``threads`` > 1 on more than one core, one thread pool of at most one
 worker per core serves the whole call: every scenario of
 ``run_scenarios``, and the grid of ``power_curve``. numpy releases the
@@ -89,17 +91,19 @@ FAMILIES = ("sineskew", "moebius", "mixshift")
 DEFAULT_MASTER_SEED = 1729
 _CHUNK_DRAWS = 16384  # draws per model held at once: C = max(1, _CHUNK_DRAWS // n)
 _WINDOW_ROWS = 1024  # replications a block of whole chunks holds, unless one chunk holds more
-# Draws n x reps per model: 100 replications at the largest n. At n = 10, the
-# most time per draw, a model alone at the cap took 72 s on a 2-core Xeon,
-# numpy 2.4, and each model of a four-lambda grid, sharing its draws, 58 s.
+# Draws n x reps x models per stream: 100 replications of one model at the
+# largest n. At n = 10, the most time per draw, one model at the cap took 72 s
+# on a 2-core Xeon, numpy 2.4, and a four-lambda grid at the cap, whose models
+# share their draws, about 58 s.
 MAX_DRAWS = 100 * MAX_SAMPLE_SIZE
 
 
-def _check_draws(n, reps):
-    """ValueError unless n x reps, the draws per model, is at most ``MAX_DRAWS``."""
-    if n * reps > MAX_DRAWS:
-        raise ValueError(f"n x reps, the draws per model, must be at most {MAX_DRAWS}, "
-                         f"got {n} x {reps}")
+def _check_draws(n, reps, models):
+    """ValueError unless n x reps x models, the draws of a stream, is at
+    most ``MAX_DRAWS``."""
+    if n * reps * models > MAX_DRAWS:
+        raise ValueError(f"n x reps x models, the draws of a stream, must be at most "
+                         f"{MAX_DRAWS}, got {n} x {reps} x {models}")
 
 
 def derive_stream(master_seed, scenario_id, index):
@@ -153,7 +157,7 @@ class ScenarioSpec:
         object.__setattr__(self, "n",
                            check_integer(self.n, "sample size n", 10, MAX_SAMPLE_SIZE))
         object.__setattr__(self, "reps", check_integer(self.reps, "replication count reps", 100))
-        _check_draws(self.n, self.reps)
+        _check_draws(self.n, self.reps, len(lambdas))
         object.__setattr__(self, "master_seed",
                            check_integer(self.master_seed, "master_seed", least=None))
         check_alpha(self.alpha)
@@ -450,7 +454,7 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
         raise ValueError("empirical mode needs n and reps, both positive integers; "
                          f"got n={n!r}, reps={reps!r}") from None
     n = check_integer(n, "sample size n", most=MAX_SAMPLE_SIZE)
-    _check_draws(n, reps)
+    _check_draws(n, reps, len(tau2_grid))
     alpha = check_alpha(alpha)
     master_seed = check_integer(master_seed, "master_seed", least=None)
     # as ints, so that k_prime = 2.0 and np.int64(2) name the stream of 2
@@ -463,6 +467,8 @@ def power_curve(base, k, k_prime, tau2_grid, alpha=0.05, mode="analytic",
                 f"tau2={t:g} gives skewness {lam:g} outside (-1, 1) at n={n}"
             )
         models.append(SineSkewed(base, lam, k=k_prime))
+    if not models:  # an empty grid draws nothing, however many replications
+        return []
     stream = _Stream(
         master_seed=master_seed,
         stream_id=f"power|{base.label}|k={k}|kprime={k_prime}|n={n}",

@@ -19,8 +19,10 @@ once per block of chunks, the same bits, and the kernels then take their
 temporaries from the arrays the engine keeps for each thread
 (``workspace.temporaries``). Both kernels stay on numpy's fast paths:
 ``angles.sine_sums`` scores every k of a chunk from one tangent of each
-angle (``angles.sine_multiples``) and ``modified_runs_rows`` orders each
-row by one sort of uint64 keys, not a stable argsort.
+angle, with the sines at the other multiples of gcd(k) by recurrence
+(``angles.sine_multiples``), or from a tangent per k when max(k) exceeds
+three times gcd(k); ``modified_runs_rows`` orders each row by one sort of
+uint64 keys, not a stable argsort.
 """
 
 import math
@@ -260,8 +262,8 @@ def modified_runs_rows(x, theta, m, coin_flips):
     """
     n = x.shape[-1]
     # the keys live in the second float64 scratch array, which
-    # sine_sums holds at the same size (its w, then 2 cos), so they
-    # add no block-sized array
+    # sine_sums holds at the same size (its sines of the first multiple of
+    # gcd(k)), so they add no block-sized array
     centered, keys = temporaries(x.size, 2)
     centered = _wrap_in_place(np.subtract(x, theta, out=centered.reshape(x.shape)))
     centered = centered.reshape(-1, n)

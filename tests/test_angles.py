@@ -1,9 +1,13 @@
+import concurrent.futures
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from circsym.angles import TWO_PI, as_sample, wrap
+from circsym import workspace
+from circsym.angles import _MAX_MULTIPLE, TWO_PI, as_sample, sine_sums, wrap
 from circsym.errors import EmptySampleError
 
 finite_angles = st.floats(
@@ -59,3 +63,37 @@ class TestAsSample:
         with pytest.raises(EmptySampleError):
             as_sample([])
 
+
+class TestSineSums:
+    """The kernel's edges: stale scratch, repeated k, and k lists past the
+    recurrence, which take one tangent pass per k."""
+
+    ROWS = np.random.default_rng(36).uniform(-np.pi, np.pi, (5, 24))
+    ROWS[1, :6] = [0.0, -0.0, 5e-324, -np.pi, np.nextafter(np.pi, 0.0), 0.3]
+
+    @staticmethod
+    def _sums(theta, ks):
+        return sine_sums(TestSineSums.ROWS, theta, ks,
+                         np.full((2, len(ks), len(TestSineSums.ROWS)), np.nan))
+
+    @pytest.mark.parametrize("ks", [(1,), (2, 2), (3, 1, 3), (1, 2, 3, 1), (2, 6, 4, 6),
+                                    (1, 2, 3, 4), (5, 1), (5, 1, 5), (17,)], ids=str)
+    @pytest.mark.parametrize("theta", [0.0, -0.0, 0.3], ids=["plus_zero", "minus_zero", "0.3"])
+    def test_sine_sums_on_stale_scratch_match_a_fresh_call(self, ks, theta):
+        fresh = self._sums(theta, ks)
+
+        def on_stale_scratch():
+            with workspace.using():  # the thread's arrays, at four positions
+                self._sums(theta, (1, 2, 3))
+            for array in workspace._store.arrays.values():
+                array.fill(np.nan)
+            with workspace.using():
+                return self._sums(theta, ks)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(on_stale_scratch).result().tobytes() == fresh.tobytes()
+        for i, k in enumerate(ks):  # a repeated k reads the sums of its first
+            assert fresh[:, i].tobytes() == fresh[:, ks.index(k)].tobytes()
+        if max(ks) // math.gcd(*ks) > _MAX_MULTIPLE:  # a pass per k
+            for i, k in enumerate(ks):
+                assert fresh[:, i].tobytes() == self._sums(theta, (k,))[:, 0].tobytes()

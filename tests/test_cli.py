@@ -497,7 +497,7 @@ class TestNoTraceback:
         (["sample", "--model", "vm:1", "-n", "100000000000"], EXIT_USAGE),
         (["power", "--grid", "0,1", "--empirical", "100000000000", "100"], EXIT_USAGE),
         (["mc", "--scenario", "{huge_n}"], EXIT_USAGE),
-        # more than MAX_DRAWS draws per model, refused before any is drawn
+        # more than MAX_DRAWS draws per stream, refused before any is drawn
         (["power", "--grid", "0,1", "--empirical", "100", "100000000000"], EXIT_USAGE),
         (["mc", "--preset", "table1", "--reps", "100000000000"], EXIT_USAGE),
     ])

@@ -168,28 +168,55 @@ class TestScenarioSpec:
             ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
                          lambdas=(0.0, 0.2), **values)
 
-    def test_draws_per_model_are_bounded(self):
-        """A scenario and an empirical power curve share one cap on n x reps."""
+    def test_draws_per_stream_are_bounded(self):
+        """A scenario and an empirical power curve share one cap on
+        n x reps x models, the draws of a stream."""
         spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
-                            lambdas=(0.0, 0.2), n=10, reps=MAX_DRAWS // 10)
+                            lambdas=(0.0, 0.2), n=10, reps=MAX_DRAWS // 20)
         reps = spec.reps + 1
-        message = f"the draws per model, must be at most {MAX_DRAWS}, got 10 x {reps}"
+        message = f"the draws of a stream, must be at most {MAX_DRAWS}, got 10 x {reps} x 2"
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(spec, reps=reps)
         with pytest.raises(ValueError, match=re.escape(message)):
-            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=10, reps=reps)
+            power_curve(VonMises(1.0), 2, 2, [0.0, 1.0], mode="empirical", n=10, reps=reps)
 
     @pytest.mark.parametrize("n", [10, 1000, MAX_SAMPLE_SIZE])
-    def test_the_cap_holds_at_every_sample_size(self, n):
-        reps = MAX_DRAWS // n
-        spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
-                            lambdas=(0.0, 0.2), n=n, reps=reps)
-        assert spec.n * spec.reps == MAX_DRAWS
-        message = f"the draws per model, must be at most {MAX_DRAWS}, got {n} x {reps + 1}"
+    @pytest.mark.parametrize("models", [1, 4])
+    def test_the_cap_holds_at_every_sample_size(self, n, models):
+        """Each model of a stream counts, whether or not it shares its draws."""
+        lambdas = (0.0, 0.2, 0.4, 0.6)[:models]
+        reps = MAX_DRAWS // (n * models)
+        message = f"the draws of a stream, must be at most {MAX_DRAWS}, got {n} x "
+        if reps >= 100:  # a scenario takes at least 100 replications
+            spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                                lambdas=lambdas, n=n, reps=reps)
+            assert spec.n * spec.reps * models == MAX_DRAWS
+            with pytest.raises(ValueError, match=re.escape(f"{message}{reps + 1} x {models}")):
+                replace(spec, reps=reps + 1)
+        else:  # no scenario of this grid is within the cap
+            with pytest.raises(ValueError, match=re.escape(f"{message}100 x {models}")):
+                ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                             lambdas=lambdas, n=n, reps=100)
+        message += f"{reps + 1} x {models}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            replace(spec, reps=reps + 1)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            power_curve(VonMises(1.0), 2, 2, [0.0], mode="empirical", n=n, reps=reps + 1)
+            power_curve(VonMises(1.0), 2, 2, lambdas, mode="empirical", n=n, reps=reps + 1)
+
+    def test_the_cap_is_checked_before_any_model_is_built(self, monkeypatch):
+        """A grid of 100 000 points, each of whose models alone is under the
+        cap, is refused before any of them is built."""
+        built = []
+        monkeypatch.setattr(montecarlo, "SineSkewed",
+                            lambda *args, **kwargs: built.append(args))
+        grid = [0.0] * 100_000
+        with pytest.raises(ValueError, match="the draws of a stream"):
+            power_curve(VonMises(1.0), 2, 2, grid, mode="empirical", n=10, reps=10**8)
+        with pytest.raises(ValueError, match="the draws of a stream"):
+            ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
+                         lambdas=grid, n=10, reps=10**8)
+        assert built == []
+
+    def test_an_empty_grid_draws_nothing(self):
+        assert power_curve(VonMises(1.0), 2, 2, [], mode="empirical", n=10, reps=10**12) == []
 
     def test_integral_floats_are_stored_as_int(self):
         spec = ScenarioSpec(scenario_id="x", family="sineskew", base="vm:1",
@@ -334,8 +361,8 @@ class _Snapped(distributions._Model):
     def __init__(self, n):
         self.n = n
 
-    def _draw(self, rng, out):
-        VonMises(1.0).sample(rng, out.size, out=out)
+    def _apply(self, rng, out):
+        out[...] = VonMises(1.0).sample(rng, out.size)
         np.round(out * 2.0, out=out)
         out /= 2.0
         rows = out.reshape(-1, self.n)
@@ -359,9 +386,9 @@ class _Spy(distributions._Model):
     def __init__(self):
         self.sizes = []
 
-    def _draw(self, rng, out):
+    def _apply(self, rng, out):
         self.sizes.append(out.size)
-        VonMises(1.0).sample(rng, out.size, out=out)
+        out[...] = VonMises(1.0).sample(rng, out.size)
 
 
 # SHA-256 of the concatenated to_json() of every preset scenario (presets in

@@ -131,9 +131,15 @@ def test_angle_files_round_trip_bit_for_bit(tmp_path_factory, angles):
 
 
 def _scenarios(family, test_ks, runs_p):
-    """Valid scenario specs of one alternative family, n x reps within the cap."""
-    sizes = st.integers(min_value=10, max_value=10**6).flatmap(lambda n: st.fixed_dictionaries(
-        {"n": st.just(n), "reps": st.integers(min_value=100, max_value=MAX_DRAWS // n)}))
+    """Valid scenario specs of one alternative family, n x reps x models
+    within the cap."""
+    grids = st.lists(skewness if family == "sineskew" else finite, max_size=4).map(
+        lambda grid: (0.0, *grid))
+    sizes = st.tuples(grids, st.integers(min_value=10, max_value=10**6)).flatmap(
+        lambda grid_n: st.fixed_dictionaries({
+            "lambdas": st.just(grid_n[0]), "n": st.just(grid_n[1]),
+            "reps": st.integers(min_value=100,
+                                max_value=MAX_DRAWS // (grid_n[1] * len(grid_n[0])))}))
     return st.builds(
         lambda sizes, **fields: ScenarioSpec(**sizes, **fields),
         sizes,
@@ -142,8 +148,6 @@ def _scenarios(family, test_ks, runs_p):
         family=st.just(family),
         base=(st.builds(VonMises, positive) if family == "mixshift" else bases).map(
             lambda base: base.label),
-        lambdas=st.lists(skewness if family == "sineskew" else finite, max_size=4).map(
-            lambda grid: (0.0, *grid)),
         skew_k=st.integers(min_value=1, max_value=10**6),
         moebius_r=unit_open,
         alpha=unit_open,
@@ -309,9 +313,9 @@ def _check_sine_multiples(c, top=16):
     """sin(j c) for j <= ``top`` by the Chebyshev recurrence against numpy's
     sin: the error grows like j^2, and 2 j^2 eps bounds it (the largest
     error over j^2 eps was 1 at j = 1 and 0.69 at j = 16 on uniform angles)."""
-    arrays = [np.empty_like(c) for _ in range(4)]
-    for j, (sines, _) in enumerate(sine_multiples(c, top, *arrays), start=1):
-        assert np.all(np.abs(sines - np.sin(j * c)) <= 2.0 * j * j * EPS)
+    sines = sine_multiples(c, [np.empty_like(c) for _ in range(top)], np.empty_like(c))
+    for j, sine in enumerate(sines, start=1):
+        assert np.all(np.abs(sine - np.sin(j * c)) <= 2.0 * j * j * EPS)
 
 
 @properties
